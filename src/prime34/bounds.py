@@ -21,6 +21,7 @@ from typing import Optional
 from mpmath import log, mpf, pi, sqrt, workprec
 
 from .errors import ConsistencyError, DomainError, PrecisionError
+from .sieve import settled_from
 
 DEFAULT_PREC = 128
 MAX_PREC = 4096
@@ -125,30 +126,27 @@ def ln_of_int(value: int, prec: int = DEFAULT_PREC) -> LogReal:
     return _log_real(v, 2, v, prec)
 
 
-def ln_f(x, prec: int = DEFAULT_PREC) -> LogReal:
-    """ln f(x) for f(x) = sqrt(2 pi) x^(x+1/2) e^(-x) e^(1/(12x))."""
+def _ln_stirling(name: str, x, shift: int, prec: int) -> LogReal:
+    """ln of sqrt(2 pi) x^(x+1/2) e^(-x) e^(1/(12x + shift))."""
     x = _coerce_rational(x)
     if x <= 0:
-        raise DomainError("f is defined for x > 0")
+        raise DomainError(f"{name} is defined for x > 0")
     with workprec(prec):
         xf = _to_mpf(x)
         lead = (xf + mpf(1) / 2) * log(xf)
-        v = log(2 * pi) / 2 + lead - xf + 1 / (12 * xf)
+        v = log(2 * pi) / 2 + lead - xf + 1 / (12 * xf + shift)
         mag = abs(lead) + xf + 2
     return _log_real(v, 12, mag, prec)
+
+
+def ln_f(x, prec: int = DEFAULT_PREC) -> LogReal:
+    """ln f(x) for f(x) = sqrt(2 pi) x^(x+1/2) e^(-x) e^(1/(12x))."""
+    return _ln_stirling("f", x, 0, prec)
 
 
 def ln_g(x, prec: int = DEFAULT_PREC) -> LogReal:
     """ln g(x), identical to ln f(x) except the 1/(12x + 1) correction."""
-    x = _coerce_rational(x)
-    if x <= 0:
-        raise DomainError("g is defined for x > 0")
-    with workprec(prec):
-        xf = _to_mpf(x)
-        lead = (xf + mpf(1) / 2) * log(xf)
-        v = log(2 * pi) / 2 + lead - xf + 1 / (12 * xf + 1)
-        mag = abs(lead) + xf + 2
-    return _log_real(v, 12, mag, prec)
+    return _ln_stirling("g", x, 1, prec)
 
 
 def ln_factorial(n: int, prec: int = DEFAULT_PREC) -> LogReal:
@@ -465,11 +463,8 @@ def replacement_step_holds(n: int) -> bool:
 
 def replacement_minimal_n(n_max: int = 10_000):
     """Smallest n such that replacement_step_holds for all n' in [n, n_max]."""
-    last_bad = 0
-    for n in range(1, n_max + 1):
-        if not replacement_step_holds(n):
-            last_bad = n
-    return None if last_bad == n_max else last_bad + 1
+    bad = (n for n in range(1, n_max + 1) if not replacement_step_holds(n))
+    return settled_from(bad, 1, n_max)
 
 
 def _e_term_logreal(n: int, prec: int) -> LogReal:
@@ -528,6 +523,17 @@ def count_lower_bound_simplified(n: int, prec: int = DEFAULT_PREC) -> float:
         return float(v - mpf("2.5"))
 
 
+_T3_CONST = math.log(math.sqrt(3) * math.pi**1.5 / 332800)
+
+
+def _t3_float(n: int, lm: float) -> float:
+    """ln_t3_lower(n) in double precision, for the threshold scans."""
+    return (
+        _T3_CONST + float(e_term(n)) + n * lm - math.sqrt(n) * math.log(4 * n)
+        - 2.5 * math.log(n)
+    )
+
+
 def simplified_bound_minimal_n(n_max: int, n_min: int = 222):
     """Smallest n such that simplified <= exact holds for all n' in [n, n_max].
 
@@ -537,17 +543,14 @@ def simplified_bound_minimal_n(n_max: int, n_min: int = 222):
     a rate that dwarfs double rounding away from the single crossover.
     """
     lm = float(ln_m().ln_value)
-    c0 = math.log(math.sqrt(3) * math.pi**1.5 / 332800)
-    last_bad = 0
-    for n in range(n_min, n_max + 1):
+
+    def simplified_above_exact(n):
         l4n = math.log(4 * n)
-        exact = (
-            c0 + float(e_term(n)) + n * lm - math.sqrt(n) * l4n - 2.5 * math.log(n)
-        ) / l4n
         simplified = n * (lm - l4n / math.sqrt(n)) / (2 * math.log(n)) - 2.5
-        if simplified > exact:
-            last_bad = n
-    return None if last_bad == n_max else max(n_min, last_bad + 1)
+        return simplified > _t3_float(n, lm) / l4n
+
+    bad = filter(simplified_above_exact, range(n_min, n_max + 1))
+    return settled_from(bad, n_min, n_max)
 
 
 def t3_positive_minimal_n(n_max: int, n_min: int = 222):
@@ -558,15 +561,10 @@ def t3_positive_minimal_n(n_max: int, n_min: int = 222):
     the endpoints of the scan are re-verified in tracked log arithmetic.
     """
     lm = float(ln_m().ln_value)
-    c0 = math.log(math.sqrt(3) * math.pi**1.5 / 332800)
-    last_bad = 0
-    for n in range(n_min, n_max + 1):
-        value = c0 + float(e_term(n)) + n * lm - math.sqrt(n) * math.log(4 * n)
-        if value - 2.5 * math.log(n) <= 0:
-            last_bad = n
-    if last_bad == n_max:
+    bad = (n for n in range(n_min, n_max + 1) if _t3_float(n, lm) <= 0)
+    minimal = settled_from(bad, n_min, n_max)
+    if minimal is None:
         return None
-    minimal = max(n_min, last_bad + 1)
     if _decide(lambda p: ln_t3_lower(minimal, p).less_than(_zero(p)), DEFAULT_PREC):
         raise ConsistencyError(f"float scan and log arithmetic disagree at {minimal}")
     if minimal > n_min and not _decide(

@@ -26,8 +26,8 @@ from math import isqrt
 from typing import Optional
 
 from .errors import DomainError
-from .exact import _legendre, absorber_index, absorber_valuation
-from .sieve import PrimeSieve
+from .exact import _beta, absorber_index, absorber_valuation
+from .sieve import PrimeSieve, screened_le, settled_from
 
 BETA_ZERO = "BETA_ZERO"
 DIVIDES_A = "DIVIDES_A"
@@ -267,15 +267,6 @@ def check_chain(claim: ClaimSpec, n: int) -> bool:
     )
 
 
-def _beta_window(n: int, p: int) -> int:
-    """beta(p) for a window prime.  Above sqrt(4n) every Legendre sum is a
-    single floor; smaller primes (only reachable when n < 144) fall back to
-    the full sums."""
-    if p * p > 4 * n:
-        return 4 * n // p - 3 * n // p - n // p
-    return _legendre(4 * n, p) - _legendre(3 * n, p) - _legendre(n, p)
-
-
 def check_claim(claim: ClaimSpec, n: int, sieve: PrimeSieve) -> ClaimResult:
     """Verify the claim's consequence for every prime in its window at n.
 
@@ -295,7 +286,7 @@ def check_claim(claim: ClaimSpec, n: int, sieve: PrimeSieve) -> ClaimResult:
     failures = []
     if claim.consequence == BETA_ZERO:
         for p in primes:
-            b = _beta_window(n, p)
+            b = _beta(n, p)
             if b != 0:
                 failures.append((p, f"beta={b}"))
     elif claim.consequence == PRIMORIAL_16TH:
@@ -304,9 +295,8 @@ def check_claim(claim: ClaimSpec, n: int, sieve: PrimeSieve) -> ClaimResult:
         lhs = 6.0 * sum(map(math.log, primes))
         rhs = n * math.log(4.0)
         margin = (len(primes) + 8) * 2.0**-50 * max(1.0, lhs, rhs)
-        if lhs > rhs - margin:
-            if math.prod(primes) ** 6 > 4**n:
-                failures.append((0, "window primorial exceeds 4^(n/6)"))
+        if not screened_le(lhs, rhs, margin, lambda: math.prod(primes) ** 6 <= 4**n):
+            failures.append((0, "window primorial exceeds 4^(n/6)"))
     else:
         which = _ABSORBER_OF[claim.consequence]
         try:
@@ -315,7 +305,7 @@ def check_claim(claim: ClaimSpec, n: int, sieve: PrimeSieve) -> ClaimResult:
             failures.extend((p, f"absorber {which} undefined at n={n}") for p in primes)
         else:
             for p in primes:
-                b = _beta_window(n, p)
+                b = _beta(n, p)
                 v = absorber_valuation(which, n, p)
                 if v < b:
                     failures.append((p, f"valuation {v} in {which} < beta {b}"))
@@ -327,8 +317,5 @@ def minimal_valid_n(claim: ClaimSpec, n_max: int, sieve: PrimeSieve):
     None if the claim still fails at n_max."""
     if n_max < 1:
         raise DomainError("minimal_valid_n requires n_max >= 1")
-    last_bad = 0
-    for n in range(1, n_max + 1):
-        if check_claim(claim, n, sieve).failures:
-            last_bad = n
-    return None if last_bad == n_max else last_bad + 1
+    bad = (n for n in range(1, n_max + 1) if check_claim(claim, n, sieve).failures)
+    return settled_from(bad, 1, n_max)

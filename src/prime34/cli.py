@@ -121,18 +121,9 @@ def _render(json_dict, csv_lines, fmt: str) -> str:
 
 
 def _dispatch(args) -> int:
-    if args.command == "verify-direct":
-        report = verify_direct(args.nmax, args.witnesses, args.threads)
-        _emit(
-            _render(
-                sweep_to_json_dict(report), sweep_csv_lines(report), args.format
-            ),
-            args.out,
-        )
-        return 1 if report.failures else 0
-
-    if args.command == "verify-corollary":
-        report = verify_corollary(args.nmax, args.witnesses, args.threads)
+    if args.command in ("verify-direct", "verify-corollary"):
+        verify = verify_direct if args.command == "verify-direct" else verify_corollary
+        report = verify(args.nmax, args.witnesses, args.threads)
         _emit(
             _render(
                 sweep_to_json_dict(report), sweep_csv_lines(report), args.format

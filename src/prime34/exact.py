@@ -12,7 +12,14 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ConsistencyError, CoverageError, DomainError
-from .sieve import PrimeSieve, Rational, _as_rational, _balanced_product
+from .sieve import (
+    PrimeSieve,
+    Rational,
+    _as_rational,
+    _balanced_product,
+    screened_le,
+    settled_from,
+)
 
 # Deterministic Miller-Rabin bases, valid for all inputs below 3.3 * 10^24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -60,13 +67,21 @@ def legendre_valuation(n: int, p: int) -> int:
     return _legendre(n, p)
 
 
+def _beta(n: int, p: int) -> int:
+    # unchecked core; p must be prime.  Once p*p > 4n every Legendre sum
+    # is a single floor.
+    if p * p > 4 * n:
+        return 4 * n // p - 3 * n // p - n // p
+    return _legendre(4 * n, p) - _legendre(3 * n, p) - _legendre(n, p)
+
+
 def beta(n: int, p: int) -> int:
     """Exponent of the prime p in C(4n, 3n)."""
     if n < 1:
         raise DomainError("beta requires n >= 1")
     if not is_prime_int(p):
         raise DomainError(f"{p} is not prime")
-    return _legendre(4 * n, p) - _legendre(3 * n, p) - _legendre(n, p)
+    return _beta(n, p)
 
 
 @dataclass(frozen=True)
@@ -130,14 +145,9 @@ def decompose(n: int, sieve: PrimeSieve) -> Decomposition:
     t1, t2, t3 = [], [], []
     stop = bisect_right(sieve.primes, 4 * n)
     for p in sieve.primes[:stop]:
-        if p * p <= 4 * n:
-            b = _legendre(4 * n, p) - _legendre(3 * n, p) - _legendre(n, p)
-            bucket = t1
-        else:
-            # only the first Legendre term survives once p^2 > 4n
-            b = 4 * n // p - 3 * n // p - n // p
-            bucket = t2 if p <= 3 * n else t3
+        b = _beta(n, p)
         if b:
+            bucket = t1 if p * p <= 4 * n else t2 if p <= 3 * n else t3
             bucket.append((p, b))
     return Decomposition(
         n=n,
@@ -155,9 +165,7 @@ def beta_at_most_one(n: int, sieve: PrimeSieve) -> bool:
         raise CoverageError(f"n={n} needs sieve coverage {4 * n}")
     start = bisect_right(sieve.primes, math.isqrt(4 * n))
     stop = bisect_right(sieve.primes, 3 * n)
-    return all(
-        4 * n // p - 3 * n // p - n // p <= 1 for p in sieve.primes[start:stop]
-    )
+    return all(_beta(n, p) <= 1 for p in sieve.primes[start:stop])
 
 
 def floor_of(x) -> int:
@@ -259,12 +267,8 @@ def absorber_valuation(which: str, n: int, p: int) -> int:
 def _t2_value(n: int, sieve: PrimeSieve) -> int:
     start = bisect_right(sieve.primes, math.isqrt(4 * n))
     stop = bisect_right(sieve.primes, 3 * n)
-    factors = []
-    for p in sieve.primes[start:stop]:
-        b = 4 * n // p - 3 * n // p - n // p
-        if b:
-            factors.append(p**b)
-    return _balanced_product(factors)
+    betas = ((p, _beta(n, p)) for p in sieve.primes[start:stop])
+    return _balanced_product(p**b for p, b in betas if b)
 
 
 def check_t2_divisibility_bound(n: int, sieve: PrimeSieve) -> bool:
@@ -283,17 +287,14 @@ def t2_bound_minimal_n(n_max: int, sieve: PrimeSieve):
     An n where an absorber index is not yet valid counts as a failure.
     Returns None if the bound fails at n_max itself.
     """
-    last_failure = 0
-    for n in range(1, n_max + 1):
+
+    def fails(n):
         try:
-            ok = check_t2_divisibility_bound(n, sieve)
+            return not check_t2_divisibility_bound(n, sieve)
         except DomainError:
-            ok = False
-        if not ok:
-            last_failure = n
-    if last_failure == n_max:
-        return None
-    return last_failure + 1
+            return True
+
+    return settled_from(filter(fails, range(1, n_max + 1)), 1, n_max)
 
 
 def check_t1_bound(n: int, sieve: PrimeSieve) -> bool:
@@ -312,10 +313,4 @@ def check_t1_bound(n: int, sieve: PrimeSieve) -> bool:
     lhs = math.log(t1)
     rhs = k * math.log(4 * n)
     margin = 2.0**-40 * max(1.0, lhs, rhs)
-    if lhs + margin < rhs:
-        first = True
-    elif lhs - margin >= rhs:
-        first = False
-    else:
-        first = t1 < (4 * n) ** k
-    return first and k * k <= n
+    return screened_le(lhs, rhs, margin, lambda: t1 < (4 * n) ** k) and k * k <= n

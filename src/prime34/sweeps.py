@@ -11,17 +11,18 @@ CSV for the same inputs.
 from __future__ import annotations
 
 import math
+import os
 from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 from time import perf_counter
 from typing import Optional
 
-from mpmath import mpf
-
 from .bounds import (
     DEFAULT_PREC,
-    MAX_PREC,
+    _decide,
+    _zero,
     build_bound_report,
     count_lower_bound,
     ln_a_upper,
@@ -31,7 +32,6 @@ from .bounds import (
     ln_d_upper,
     ln_of_int,
     ln_t3_lower,
-    LogReal,
 )
 from .claims import (
     check_chain,
@@ -40,9 +40,9 @@ from .claims import (
     claim_table,
     claim_to_dict,
 )
-from .errors import DomainError, PrecisionError
+from .errors import DomainError
 from .exact import absorber, check_t1_bound, check_t2_divisibility_bound, decompose
-from .sieve import PrimeSieve, build_sieve
+from .sieve import PrimeSieve, _check_capacity, build_sieve, settled_from
 
 DEFAULT_DIRECT_NMAX = 162755  # ceiling of e^12, closing the n < e^12 range
 CONTRACT_N = 250  # claim failures below this n are reported, not fatal
@@ -86,24 +86,19 @@ def _scan_corollary(sieve: PrimeSieve, start: int, stop: int) -> list:
 
 
 def _scan_observations(sieve: PrimeSieve, start: int, stop: int) -> list:
-    """Per-claim (primes_checked, claim_failures, chain_failures, last_bad_n)
+    """Per-claim (primes_checked, claim_failures, chain_failures)
     accumulated over n in [start, stop]."""
     table = claim_table()
-    acc = [[0, [], [], 0] for _ in table]
+    acc = [[0, [], []] for _ in table]
     for n in range(start, stop + 1):
         for slot, claim in zip(acc, table):
             result = check_claim(claim, n, sieve)
             slot[0] += result.primes_checked
-            bad = False
             if result.failures:
                 slot[1].extend((n, p, detail) for p, detail in result.failures)
-                bad = True
             if claim.chain and not check_chain(claim, n):
                 slot[2].append(n)
-                bad = True
-            if bad:
-                slot[3] = n
-    return [(c, tuple(f), tuple(ch), last) for c, f, ch, last in acc]
+    return [(c, tuple(f), tuple(ch)) for c, f, ch in acc]
 
 
 _WORKER_SIEVE = None
@@ -114,29 +109,37 @@ def _init_worker(limit: int) -> None:
     _WORKER_SIEVE = build_sieve(limit)
 
 
-def _direct_chunk(span):
-    return _scan_direct(_WORKER_SIEVE, *span)
+def _worker_scan(scan, span):
+    return scan(_WORKER_SIEVE, *span)
 
 
-def _corollary_chunk(span):
-    return _scan_corollary(_WORKER_SIEVE, *span)
-
-
-def _obs_chunk(span):
-    return _scan_observations(_WORKER_SIEVE, *span)
-
-
-def _run_chunked(scan, chunk_fn, limit, n_min, n_max, threads, chunk):
+def _run_chunked(scan, limit, n_min, n_max, threads, chunk):
     """Run scan over [n_min, n_max] in fixed chunks; merge in range order.
-    Chunk boundaries depend only on the range, never on the worker count."""
-    spans = [(s, min(s + chunk - 1, n_max)) for s in range(n_min, n_max + 1, chunk)]
-    if threads <= 1:
+    Chunk boundaries depend only on the range, never on the worker count,
+    which is capped by the chunk count and the CPU count."""
+    if threads < 1:
+        raise DomainError(f"threads must be >= 1, got {threads}")
+    starts = range(n_min, n_max + 1, chunk)
+    spans = ((s, min(s + chunk - 1, n_max)) for s in starts)
+    workers = min(threads, len(starts), os.cpu_count() or 1)
+    if workers <= 1:
         sieve = build_sieve(limit)
         return [scan(sieve, *span) for span in spans]
+    _check_capacity(limit)  # here, not as a broken pool after forking
     with ProcessPoolExecutor(
-        max_workers=threads, initializer=_init_worker, initargs=(limit,)
+        max_workers=workers, initializer=_init_worker, initargs=(limit,)
     ) as pool:
-        return list(pool.map(chunk_fn, spans))
+        return list(pool.map(_worker_scan, repeat(scan), spans))
+
+
+def _existence_sweep(scan, limit, n_min, n_max, witnesses, threads) -> SweepReport:
+    """A SweepReport of scan's (n, witness or 0) rows over [n_min, n_max]."""
+    t0 = perf_counter()
+    parts = _run_chunked(scan, limit, n_min, n_max, threads, _DIRECT_CHUNK)
+    rows = [row for part in parts for row in part]
+    failures = tuple(n for n, w in rows if w == 0)
+    witness = {n: w for n, w in rows if w} if witnesses else None
+    return SweepReport(n_min, n_max, failures, witness, (perf_counter() - t0) * 1e3)
 
 
 def verify_direct(
@@ -145,14 +148,7 @@ def verify_direct(
     """For every n in [1, n_max], find the smallest prime in [3n, 4n]."""
     if n_max < 1:
         raise DomainError("direct sweep requires n_max >= 1")
-    t0 = perf_counter()
-    parts = _run_chunked(
-        _scan_direct, _direct_chunk, 4 * n_max, 1, n_max, threads, _DIRECT_CHUNK
-    )
-    rows = [row for part in parts for row in part]
-    failures = tuple(n for n, w in rows if w == 0)
-    witness = {n: w for n, w in rows if w} if witnesses else None
-    return SweepReport(1, n_max, failures, witness, (perf_counter() - t0) * 1e3)
+    return _existence_sweep(_scan_direct, 4 * n_max, 1, n_max, witnesses, threads)
 
 
 def verify_corollary(
@@ -163,14 +159,7 @@ def verify_corollary(
     if n_max < 3:
         raise DomainError("corollary sweep requires n_max >= 3")
     limit = 4 * (n_max + 2) // 3 + 1
-    t0 = perf_counter()
-    parts = _run_chunked(
-        _scan_corollary, _corollary_chunk, limit, 3, n_max, threads, _DIRECT_CHUNK
-    )
-    rows = [row for part in parts for row in part]
-    failures = tuple(n for n, w in rows if w == 0)
-    witness = {n: w for n, w in rows if w} if witnesses else None
-    return SweepReport(3, n_max, failures, witness, (perf_counter() - t0) * 1e3)
+    return _existence_sweep(_scan_corollary, limit, 3, n_max, witnesses, threads)
 
 
 def sweep_to_json_dict(report: SweepReport) -> dict:
@@ -267,7 +256,7 @@ def observations_sweep(n_min: int, n_max: int, threads: int = 1) -> Observations
         raise DomainError("observations sweep requires 1 <= n_min <= n_max")
     t0 = perf_counter()
     parts = _run_chunked(
-        _scan_observations, _obs_chunk, 4 * n_max, n_min, n_max, threads, _OBS_CHUNK
+        _scan_observations, 4 * n_max, n_min, n_max, threads, _OBS_CHUNK
     )
     table = claim_table()
     entries = []
@@ -276,13 +265,8 @@ def observations_sweep(n_min: int, n_max: int, threads: int = 1) -> Observations
         checked = sum(part[k][0] for part in parts)
         failures = tuple(row for part in parts for row in part[k][1])
         chain_bad = tuple(n for part in parts for n in part[k][2])
-        last_bad = max(part[k][3] for part in parts)
-        if last_bad == 0:
-            minimal = n_min
-        elif last_bad == n_max:
-            minimal = None
-        else:
-            minimal = last_bad + 1
+        bad = [n for n, _, _ in failures] + list(chain_bad)
+        minimal = settled_from(bad, n_min, n_max)
         violations += sum(1 for n, _, _ in failures if n >= CONTRACT_N)
         violations += sum(1 for n in chain_bad if n >= CONTRACT_N)
         entries.append(
@@ -331,18 +315,6 @@ def observations_csv_lines(report: ObservationsReport):
         )
 
 
-def _decide_less(make_pair, prec: int) -> bool:
-    """Evaluate (lhs, rhs) at doubling precision until lhs < rhs decides."""
-    p = prec
-    while p <= MAX_PREC:
-        lhs, rhs = make_pair(p)
-        verdict = lhs.less_than(rhs)
-        if verdict is not None:
-            return verdict
-        p *= 2
-    raise PrecisionError("comparison undecided at maximum precision")
-
-
 def lower_bound_report(
     n: int, sieve: Optional[PrimeSieve] = None, prec: int = DEFAULT_PREC
 ) -> dict:
@@ -369,18 +341,17 @@ def analytic_report(samples=None, prec: int = DEFAULT_PREC) -> dict:
     if any(b <= a for a, b in zip(samples, samples[1:])):
         raise DomainError("analytic samples must be strictly ascending")
 
-    def zero(p):
-        return LogReal(mpf(0), mpf(0), p)
-
     values = [ln_t3_lower(s, prec) for s in samples]
     positive = [
-        _decide_less(lambda p, s=s: (zero(p), ln_t3_lower(s, p)), prec)
+        _decide(lambda p, s=s: _zero(p).less_than(ln_t3_lower(s, p)), prec)
         for s in samples
     ]
     floats = [float(v.ln_value) for v in values]
     diffs = [b - a for a, b in zip(floats, floats[1:])]
     increasing = [
-        _decide_less(lambda p, a=a, b=b: (ln_t3_lower(a, p), ln_t3_lower(b, p)), prec)
+        _decide(
+            lambda p, a=a, b=b: ln_t3_lower(a, p).less_than(ln_t3_lower(b, p)), prec
+        )
         for a, b in zip(samples, samples[1:])
     ]
     return {
@@ -400,7 +371,7 @@ def absorber_below_bound(which: str, n: int, prec: int = DEFAULT_PREC) -> bool:
     upper = _ABSORBER_UPPER[which]
     value = absorber(which, n)
     upper(n, prec)  # surface domain errors (poles) before deciding
-    return _decide_less(lambda p: (ln_of_int(value, p), upper(n, p)), prec)
+    return _decide(lambda p: ln_of_int(value, p).less_than(upper(n, p)), prec)
 
 
 def _factors_ln(entries) -> float:
@@ -428,8 +399,10 @@ def decompose_report(
             "pass" if product == math.comb(4 * n, 3 * n) else "fail"
         )
         checks["binomial_above_lower_bound"] = _verdict(
-            _decide_less(
-                lambda p: (ln_binom_lower(n, p), ln_of_int(math.comb(4 * n, 3 * n), p)),
+            _decide(
+                lambda p: ln_binom_lower(n, p).less_than(
+                    ln_of_int(math.comb(4 * n, 3 * n), p)
+                ),
                 prec,
             )
         )
@@ -469,7 +442,7 @@ def decompose_report(
     elif exact_scale:
         t3_value = dec.t3.value()
         checks["t3_above_lower_bound"] = _verdict(
-            _decide_less(lambda p: (ln_t3_lower(n, p), ln_of_int(t3_value, p)), prec)
+            _decide(lambda p: ln_t3_lower(n, p).less_than(ln_of_int(t3_value, p)), prec)
         )
     else:
         checks["t3_above_lower_bound"] = "skipped above exact-check cutoff"

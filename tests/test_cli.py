@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -100,6 +101,30 @@ def test_capacity_exit_code(capsys):
     code, _, err = run(capsys, ["verify-direct", "--nmax", "600000000"])
     assert code == 3
     assert "error:" in err
+
+
+def test_sieve_over_byte_budget_exits_3_before_allocating(capsys):
+    # limit 2 * 10^9 is within the old limit cap but needs about 8.6 GB
+    tracemalloc.start()
+    try:
+        code, _, err = run(capsys, ["verify-direct", "--nmax", "500000000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert "budget" in err
+    assert peak < 2**20
+
+
+def test_threads_below_one_exit_code(capsys):
+    for command in (
+        ["verify-direct", "--nmax", "50"],
+        ["verify-corollary", "--nmax", "50"],
+        ["observations", "--nmin", "1", "--nmax", "5"],
+    ):
+        code, out, err = run(capsys, [*command, "--threads", "0"])
+        assert code == 2 and out == ""
+        assert "threads" in err
 
 
 def test_failure_exit_code(capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,10 @@ from prime34 import (
     build_sieve,
     check_pi_bound,
     check_primorial_bound,
+    replacement_minimal_n,
+    t2_bound_minimal_n,
 )
+from prime34.sieve import _peak_bytes, screened_le, settled_from
 
 
 def test_build_rejects_bad_limits():
@@ -22,6 +26,17 @@ def test_build_rejects_bad_limits():
         build_sieve(1)
     with pytest.raises(CapacityError):
         build_sieve(10**7, memory_cap=10**6)
+
+
+@pytest.mark.parametrize("limit", [10**5, 10**6, 4 * 10**6])
+def test_peak_estimate_covers_measured_peak(limit):
+    tracemalloc.start()
+    try:
+        build_sieve(limit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < _peak_bytes(limit)
 
 
 def test_membership_and_counts(sieve_small):
@@ -116,3 +131,38 @@ def test_primorial_bound_rejects_infeasible_escalation(sieve_mid):
     # a huge denominator alone is no obstacle while the screen can decide
     assert check_primorial_bound(sieve_mid, Fraction(2**60 + 1, 2**52))
     assert check_primorial_bound(sieve_mid, Fraction(1, 2048))
+
+
+def test_screened_le_calls_exact_only_inside_the_band():
+    calls = []
+
+    def exact(verdict):
+        def decide():
+            calls.append(verdict)
+            return verdict
+
+        return decide
+
+    # the floats settle comparisons more than the margin apart ...
+    assert screened_le(1.0, 1.5, 0.5, exact(False)) is True
+    assert screened_le(2.0, 1.0, 0.5, exact(True)) is False
+    assert calls == []
+    # ... and exact() settles the rest, whatever the floats suggest
+    assert screened_le(1.0, 1.25, 0.5, exact(False)) is False
+    assert screened_le(1.5, 1.0, 0.5, exact(True)) is True
+    assert calls == [False, True]
+
+
+def test_settled_from_edges(sieve_small):
+    assert settled_from([4, 7], 1, 10) == 8
+    assert settled_from(iter([4, 7]), 1, 10) == 8
+    # no failure at all: the floor n_min itself
+    assert settled_from([], 1, 10) == 1
+    assert settled_from([], 222, 1000) == 222
+    # failing at n_max leaves nothing settled
+    assert settled_from([3, 10], 1, 10) is None
+    assert settled_from([10], 10, 10) is None
+    # the empty range [1, 0] has nothing to settle either
+    assert settled_from([], 1, 0) is None
+    assert replacement_minimal_n(0) is None
+    assert t2_bound_minimal_n(0, sieve_small) is None

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from prime34 import (
+    CapacityError,
     DEFAULT_ANALYTIC_SAMPLES,
     DEFAULT_DIRECT_NMAX,
     DomainError,
@@ -20,6 +21,7 @@ from prime34 import (
     verify_corollary,
     verify_direct,
 )
+from prime34 import sweeps
 
 
 def test_direct_sweep_small():
@@ -129,6 +131,60 @@ def test_parallel_runs_match_serial_byte_for_byte():
     serial = list(observations_csv_lines(observations_sweep(1, 260)))
     parallel = list(observations_csv_lines(observations_sweep(1, 260, threads=2)))
     assert serial == parallel
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the worker count it was
+    asked for and runs the chunks in this process."""
+
+    opened = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.opened.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+def test_worker_count_is_clamped(monkeypatch):
+    opened = []
+    monkeypatch.setattr(_RecordingPool, "opened", opened)
+    monkeypatch.setattr(sweeps, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(sweeps, "_WORKER_SIEVE", None)
+    monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 4)
+    serial = list(sweep_csv_lines(verify_direct(20000, witnesses=True)))
+
+    # one 8192-n chunk: no pool at all, however many threads are asked for
+    verify_direct(1000, threads=8)
+    assert opened == []
+    # three chunks: at most three workers, and no more than the CPU count
+    parallel = list(sweep_csv_lines(verify_direct(20000, witnesses=True, threads=8)))
+    assert parallel == serial
+    monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 2)
+    verify_direct(20000, threads=8)
+    assert opened == [3, 2]
+    monkeypatch.setattr(sweeps.os, "cpu_count", lambda: None)
+    verify_direct(20000, threads=8)
+    assert opened == [3, 2]
+
+    # an over-budget sieve is refused before any worker starts
+    monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 4)
+    with pytest.raises(CapacityError):
+        verify_direct(500_000_000, threads=2)
+    assert opened == [3, 2]
+
+    for threads in (0, -1):
+        with pytest.raises(DomainError):
+            verify_direct(1000, threads=threads)
+        with pytest.raises(DomainError):
+            observations_sweep(1, 10, threads=threads)
 
 
 def test_lower_bound_report():
