@@ -534,6 +534,12 @@ def _t3_float(n: int, lm: float) -> float:
     )
 
 
+def _require_scan_range(n_min: int, n_max: int) -> None:
+    # an empty scan finds no failure and would report n_min as settled
+    if n_max < n_min:
+        raise DomainError(f"threshold scan requires n_min <= n_max, got [{n_min}, {n_max}]")
+
+
 def simplified_bound_minimal_n(n_max: int, n_min: int = 222):
     """Smallest n such that simplified <= exact holds for all n' in [n, n_max].
 
@@ -542,6 +548,7 @@ def simplified_bound_minimal_n(n_max: int, n_min: int = 222):
     that threshold.  Scanned in float arithmetic: the two forms separate at
     a rate that dwarfs double rounding away from the single crossover.
     """
+    _require_scan_range(n_min, n_max)
     lm = float(ln_m().ln_value)
 
     def simplified_above_exact(n):
@@ -560,6 +567,7 @@ def t3_positive_minimal_n(n_max: int, n_min: int = 222):
     (the bound climbs at about ln M per step, far above double rounding);
     the endpoints of the scan are re-verified in tracked log arithmetic.
     """
+    _require_scan_range(n_min, n_max)
     lm = float(ln_m().ln_value)
     bad = (n for n in range(n_min, n_max + 1) if _t3_float(n, lm) <= 0)
     minimal = settled_from(bad, n_min, n_max)

@@ -12,7 +12,13 @@ consequence.  Chains are verified exactly over the rationals at both window
 endpoints: the open endpoint is evaluated at p = lo*n + epsilon via
 lexicographic (value, epsilon-coefficient) comparison, the closed endpoint
 at p = hi*n directly.  Every side of every link is linear in p, so endpoint
-validity implies validity across the whole window.
+validity implies validity across the whole window; every side is also a
+multiple of n, so a chain's verdict is the same at every n and is decided
+once per claim.
+
+Window bounds and absorber valuations are integer arithmetic: bounds are
+floored as (num * n) // den, and valuations are Legendre sums at the
+integer floors of the absorber index, computed once per (absorber, n).
 """
 
 from __future__ import annotations
@@ -21,12 +27,14 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import isqrt
 from typing import Optional
 
 from .errors import DomainError
-from .exact import _beta, absorber_index, absorber_valuation
+# absorber_valuation is no longer called here but stays in the namespace:
+# bench/tracing.py counts calls to it through this module
+from .exact import _absorber_floors, _beta, _legendre, absorber_valuation  # noqa: F401
 from .sieve import PrimeSieve, screened_le, settled_from
 
 BETA_ZERO = "BETA_ZERO"
@@ -106,6 +114,23 @@ class ClaimSpec:
         is isqrt(4n), since p > sqrt(4n) iff p > isqrt(4n) for integer p."""
         lo = Fraction(isqrt(4 * n)) if self.lo_coeff is None else self.lo_coeff * n
         return lo, self.hi_coeff * n
+
+    def floor_window(self, n: int):
+        """Integer floors of window(n), computed without Fractions; the
+        window's primes are exactly the p with lo < p <= hi."""
+        hi = self.hi_coeff.numerator * n // self.hi_coeff.denominator
+        if self.lo_coeff is None:
+            return isqrt(4 * n), hi
+        return self.lo_coeff.numerator * n // self.lo_coeff.denominator, hi
+
+    @cached_property
+    def _chain_verdict(self) -> bool:
+        # evaluated on first use; frozen dataclasses still allow the
+        # instance-dict write that cached_property makes
+        sides, ops = parse_chain(self.chain)
+        return _chain_holds_at(sides, ops, 1, self.lo_coeff, True) and _chain_holds_at(
+            sides, ops, 1, self.hi_coeff, False
+        )
 
 
 @dataclass(frozen=True)
@@ -254,17 +279,23 @@ def _chain_holds_at(sides, ops, n: int, p_coeff: Fraction, open_end: bool) -> bo
 
 def check_chain(claim: ClaimSpec, n: int) -> bool:
     """Whether the claim's inequality chain holds over its whole window at
-    this n, decided exactly at the two rational endpoints."""
+    this n, decided exactly at the two rational endpoints.
+
+    The verdict does not depend on n.  At p = c*n (+ epsilon) every side of
+    a link is a pair (x*n, dx): x*n with a rational x fixed by the chain and
+    the endpoint coefficient, dx the side's epsilon coefficient, which holds
+    no n.  For n > 0, x*n > y*n iff x > y and x*n == y*n iff x == y, so
+    each lexicographic link comparison, and with it the chain, comes out
+    the same at every n >= 1.  The verdict is therefore evaluated once, at
+    n = 1, and cached on the claim.
+    """
     if not claim.chain:
         raise DomainError(f"claim {claim.id} has no chain")
     if claim.lo_coeff is None:
         raise DomainError("chain endpoints require a rational window")
     if n < 1:
         raise DomainError("chain check requires n >= 1")
-    sides, ops = parse_chain(claim.chain)
-    return _chain_holds_at(sides, ops, n, claim.lo_coeff, True) and _chain_holds_at(
-        sides, ops, n, claim.hi_coeff, False
-    )
+    return claim._chain_verdict
 
 
 def check_claim(claim: ClaimSpec, n: int, sieve: PrimeSieve) -> ClaimResult:
@@ -276,7 +307,7 @@ def check_claim(claim: ClaimSpec, n: int, sieve: PrimeSieve) -> ClaimResult:
     """
     if n < 1:
         raise DomainError("claims are checked for n >= 1")
-    lo, hi = claim.window(n)
+    lo, hi = claim.floor_window(n)
     if lo >= hi:
         return ClaimResult(claim.id, n, 0, ())
     primes = sieve.primes_in(lo, hi)
@@ -300,13 +331,13 @@ def check_claim(claim: ClaimSpec, n: int, sieve: PrimeSieve) -> ClaimResult:
     else:
         which = _ABSORBER_OF[claim.consequence]
         try:
-            absorber_index(which, n)
+            fs, fsr, fr = _absorber_floors(which, n)
         except DomainError:
             failures.extend((p, f"absorber {which} undefined at n={n}") for p in primes)
         else:
             for p in primes:
                 b = _beta(n, p)
-                v = absorber_valuation(which, n, p)
+                v = _legendre(fs, p) - _legendre(fsr, p) - _legendre(fr, p)
                 if v < b:
                     failures.append((p, f"valuation {v} in {which} < beta {b}"))
     return ClaimResult(claim.id, n, len(primes), tuple(failures))

@@ -254,14 +254,26 @@ def absorber(which: str, n: int) -> int:
     return gen_binomial(absorber_index(which, n))
 
 
+def _absorber_floors(which: str, n: int) -> tuple:
+    """Integer floors ([s], [s - r], [r]) of the named absorber's index at n,
+    under the same s > r >= 1 validation as absorber_index, but computed as
+    (num * n) // den without building a Fraction or a GenBinomIndex."""
+    if which not in ABSORBER_COEFFS:
+        raise DomainError(f"unknown absorber {which!r}")
+    if n < 1:
+        raise DomainError("absorber requires n >= 1")
+    sc, rc = ABSORBER_COEFFS[which]
+    sn, sd, rn, rd = sc.numerator, sc.denominator, rc.numerator, rc.denominator
+    # with n >= 1: s > r iff sn * rd > rn * sd, and r >= 1 iff rn * n >= rd
+    if not (sn * rd > rn * sd and rn * n >= rd):
+        raise DomainError(f"need s > r >= 1, got s={sc * n}, r={rc * n}")
+    return sn * n // sd, (sn * rd - rn * sd) * n // (sd * rd), rn * n // rd
+
+
 def absorber_valuation(which: str, n: int, p: int) -> int:
     """Exponent of a prime p in the named absorber, via Legendre sums."""
-    idx = absorber_index(which, n)
-    return (
-        _legendre(floor_of(idx.s), p)
-        - _legendre(floor_of(idx.s - idx.r), p)
-        - _legendre(floor_of(idx.r), p)
-    )
+    fs, fsr, fr = _absorber_floors(which, n)
+    return _legendre(fs, p) - _legendre(fsr, p) - _legendre(fr, p)
 
 
 def _t2_value(n: int, sieve: PrimeSieve) -> int:

@@ -23,12 +23,16 @@ _LN4 = math.log(4)
 Rational = Fraction
 
 
-def _as_rational(x) -> Fraction:
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, Fraction):
+def _as_exact(x):
+    """x itself when it is an int or a Fraction; floats are refused."""
+    if isinstance(x, (int, Fraction)):
         return x
     raise DomainError(f"expected an int or Fraction endpoint, got {type(x).__name__}")
+
+
+def _as_rational(x) -> Fraction:
+    x = _as_exact(x)
+    return Fraction(x) if isinstance(x, int) else x
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,10 +62,10 @@ class PrimeSieve:
 
         Membership is decided by integer floors of the endpoints, never by
         floating point: p > lo iff p >= floor(lo) + 1, p <= hi iff
-        p <= floor(hi).
+        p <= floor(hi).  Int endpoints are used as they are.
         """
-        lo = _as_rational(lo_exclusive)
-        hi = _as_rational(hi_inclusive)
+        lo = _as_exact(lo_exclusive)
+        hi = _as_exact(hi_inclusive)
         if lo < 0:
             raise DomainError("lower endpoint must be >= 0")
         if lo >= hi:

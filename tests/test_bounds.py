@@ -247,6 +247,18 @@ def test_t3_positivity_threshold():
     assert t3_positive_minimal_n(60000, n_min=59300) == 59300
 
 
+def test_simplified_bound_threshold_rejects_empty_range():
+    with pytest.raises(DomainError):
+        simplified_bound_minimal_n(100)  # [222, 100] is empty
+    assert simplified_bound_minimal_n(222, n_min=222) is None
+
+
+def test_t3_positivity_threshold_rejects_empty_range():
+    with pytest.raises(DomainError):
+        t3_positive_minimal_n(100)  # [222, 100] is empty
+    assert t3_positive_minimal_n(222, n_min=222) is None
+
+
 def test_bound_report_shape_and_validation():
     report = build_bound_report(300)
     assert isinstance(report, BoundReport)

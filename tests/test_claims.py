@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from prime34 import (
     minimal_valid_n,
     parse_chain,
 )
+from prime34.claims import _chain_holds_at
 from prime34.exact import beta
 
 HI_COEFFS = [
@@ -134,6 +136,34 @@ def test_chain_nonstrict_link_is_required():
     )
     assert not check_chain(strict, 1)
     assert not check_chain(strict, 1000)
+
+
+def test_cached_chain_verdict_matches_direct_evaluation():
+    # check_chain answers from a verdict decided once at n = 1; evaluating
+    # the chain at each n must agree, for the 17 table chains (all true)
+    # and for the strict window-6 counter-example (false)
+    strict = ClaimSpec(
+        6, Fraction(2, 9), Fraction(3, 13), BETA_ZERO,
+        "4p < n < 5p < 13p < 3n < 14p < 17p < 4n < 18p",
+    )
+    chained = [c for c in claim_table() if c.chain]
+    assert len(chained) == 17
+    for claim, expected in [(c, True) for c in chained] + [(strict, False)]:
+        sides, ops = parse_chain(claim.chain)
+        for n in (1, 249, 250, 5000, 10**6 + 7):
+            direct = _chain_holds_at(
+                sides, ops, n, claim.lo_coeff, True
+            ) and _chain_holds_at(sides, ops, n, claim.hi_coeff, False)
+            assert check_chain(claim, n) == direct == expected, (claim.id, n)
+
+
+def test_floor_window_is_floor_of_exact_window():
+    for claim in claim_table():
+        for n in range(1, 2001):
+            lo, hi = claim.window(n)
+            bounds = claim.floor_window(n)
+            assert bounds == (math.floor(lo), math.floor(hi)), (claim.id, n)
+            assert all(type(b) is int for b in bounds)
 
 
 def test_check_chain_domain_errors():

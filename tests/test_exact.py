@@ -28,6 +28,7 @@ from prime34 import (
     legendre_valuation,
     t2_bound_minimal_n,
 )
+from prime34.exact import _absorber_floors, floor_of
 
 
 def test_deterministic_primality(sieve_mid):
@@ -175,6 +176,23 @@ def test_absorber_valuation_matches_factorization():
             idx = absorber_index(which, n)
             for p in sympy.primerange(2, math.floor(idx.s) + 1):
                 assert absorber_valuation(which, n, p) == factors.get(p, 0)
+
+
+def test_absorber_floors_match_index():
+    # the integer floors agree with the Fraction index wherever it is
+    # valid, and both refuse exactly the same n
+    for which in "ABCD":
+        for n in range(0, 2001):
+            try:
+                idx = absorber_index(which, n)
+            except DomainError:
+                with pytest.raises(DomainError):
+                    _absorber_floors(which, n)
+                continue
+            expected = (floor_of(idx.s), floor_of(idx.s - idx.r), floor_of(idx.r))
+            assert _absorber_floors(which, n) == expected, (which, n)
+    with pytest.raises(DomainError):
+        _absorber_floors("E", 10)
 
 
 def test_t2_divisibility_bound(sieve_mid):

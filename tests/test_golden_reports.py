@@ -51,6 +51,10 @@ GOLDEN = {
         "05c430af2d54df737b807a68b61ce961a9fe049641f345eb44774122d9840891",
     "observations --nmin 1 --nmax 400 --format csv":
         "258f4b7b755a50dddb19aef2bfa9b79583a8a1848af1ca276000caccbbf1b9b7",
+    "observations --nmin 4990 --nmax 5000":
+        "06cc56a8d9e7816875efbc36092b4cfa5f4eb0ee9ae32278f3246f23b103af2a",
+    "observations --nmin 4990 --nmax 5000 --format csv":
+        "752ed88f139f989d024b2baa570021f303cfc63f46f9f572a4e7e2f8bf3abef6",
 }
 
 
