@@ -23,7 +23,6 @@ integer floors of the absorber index, computed once per (absorber, n).
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,7 +34,7 @@ from .errors import DomainError
 # absorber_valuation is no longer called here but stays in the namespace:
 # bench/tracing.py counts calls to it through this module
 from .exact import _absorber_floors, _beta, _legendre, absorber_valuation  # noqa: F401
-from .sieve import PrimeSieve, screened_le, settled_from
+from .sieve import PrimeSieve, primorial_le, settled_from
 
 BETA_ZERO = "BETA_ZERO"
 DIVIDES_A = "DIVIDES_A"
@@ -321,12 +320,8 @@ def check_claim(claim: ClaimSpec, n: int, sieve: PrimeSieve) -> ClaimResult:
             if b != 0:
                 failures.append((p, f"beta={b}"))
     elif claim.consequence == PRIMORIAL_16TH:
-        # product of window primes <= 4^(n/6), i.e. (product)^6 <= 4^n;
-        # float log screen first, exact big-int comparison inside the band
-        lhs = 6.0 * sum(map(math.log, primes))
-        rhs = n * math.log(4.0)
-        margin = (len(primes) + 8) * 2.0**-50 * max(1.0, lhs, rhs)
-        if not screened_le(lhs, rhs, margin, lambda: math.prod(primes) ** 6 <= 4**n):
+        # product of window primes <= 4^(n/6), i.e. (product)^6 <= 4^n
+        if not primorial_le(primes, n, 6):
             failures.append((0, "window primorial exceeds 4^(n/6)"))
     else:
         which = _ABSORBER_OF[claim.consequence]

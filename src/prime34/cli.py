@@ -114,50 +114,41 @@ def _emit(text: str, out) -> None:
         Path(out).write_text(text)
 
 
-def _render(json_dict, csv_lines, fmt: str) -> str:
+def _render(report, to_json, to_csv, fmt: str) -> str:
+    """The report in fmt, built only by the formatter for that format."""
     if fmt == "csv":
-        return "\n".join(csv_lines) + "\n"
-    return json.dumps(json_dict, indent=2, sort_keys=True) + "\n"
+        return "\n".join(to_csv(report)) + "\n"
+    return json.dumps(to_json(report), indent=2, sort_keys=True) + "\n"
 
 
 def _dispatch(args) -> int:
     if args.command in ("verify-direct", "verify-corollary"):
         verify = verify_direct if args.command == "verify-direct" else verify_corollary
         report = verify(args.nmax, args.witnesses, args.threads)
-        _emit(
-            _render(
-                sweep_to_json_dict(report), sweep_csv_lines(report), args.format
-            ),
-            args.out,
-        )
+        text = _render(report, sweep_to_json_dict, sweep_csv_lines, args.format)
+        _emit(text, args.out)
         return 1 if report.failures else 0
 
     if args.command == "lower-bound":
         report = lower_bound_report(args.n)
-        _emit(_render(report, None, "json"), args.out)
+        _emit(_render(report, dict, None, "json"), args.out)
         return 0 if report["satisfied"] else 1
 
     if args.command == "verify-analytic":
         report = analytic_report(args.samples)
-        _emit(_render(report, None, "json"), args.out)
+        _emit(_render(report, dict, None, "json"), args.out)
         return 0 if report["all_positive"] and report["strictly_increasing"] else 1
 
     if args.command == "decompose":
         report = decompose_report(args.n)
-        _emit(_render(report, None, "json"), args.out)
+        _emit(_render(report, dict, None, "json"), args.out)
         failed = any(value == "fail" for value in report["checks"].values())
         return 1 if failed else 0
 
     if args.command == "observations":
         report = observations_sweep(args.nmin, args.nmax, args.threads)
-        _emit(
-            _render(
-                observations_to_json_dict(report),
-                observations_csv_lines(report),
-                args.format,
-            ),
-            args.out,
-        )
+        to_json, to_csv = observations_to_json_dict, observations_csv_lines
+        _emit(_render(report, to_json, to_csv, args.format), args.out)
         return 1 if report.contract_violations or not report.tiling_ok else 0
 
     raise DomainError(f"unknown command {args.command!r}")

@@ -7,12 +7,9 @@ exact comparison, and the "smallest n from which a check holds" scanner.
 from __future__ import annotations
 
 import math
-from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from itertools import accumulate
 
 from .errors import CapacityError, CoverageError, DomainError, PrecisionError
 
@@ -127,12 +124,6 @@ def check_pi_bound(sieve: PrimeSieve, n: int) -> bool:
     return 2 * sieve.pi(n) <= n
 
 
-@lru_cache(maxsize=4)
-def _log_prefix(sieve: PrimeSieve) -> array:
-    """prefix[k] = sum of ln p over the first k primes of the sieve."""
-    return array("d", accumulate((math.log(p) for p in sieve.primes), initial=0.0))
-
-
 def _balanced_product(parts) -> int:
     """Product of a sequence of ints via halving, cheap for many factors."""
     parts = list(parts)
@@ -166,31 +157,38 @@ def settled_from(bad_ns, n_min: int, n_max: int):
     return None if last == n_max else max(n_min, last + 1)
 
 
-def check_primorial_bound(sieve: PrimeSieve, x) -> bool:
-    """prod_{p <= x} p <= 4^x for rational x > 0.
+def primorial_le(primes, a: int, b: int) -> bool:
+    """Whether (prod primes)^b <= 4^a, for a sequence of primes and ints
+    a >= 0, b >= 1.
 
-    Compared in log domain first.  The margin scales the per-term 2^-50
-    allowance by the magnitude of the compared values, since the plain
-    term-count bound is only valid for sums below 1.  A comparison inside
-    the margin escalates to an exact big-integer check of
-    (prod p)^b <= 4^a for x = a/b.
+    Compared in log domain first, as fsum(ln p) against (a/b) ln 4.  The
+    margin scales the per-term 2^-50 allowance by the magnitude of the
+    compared values, since the plain term-count bound is only valid for sums
+    below 1.  A comparison inside the margin escalates to the exact
+    big-integer check, refused for b > 4096.
     """
+    lhs = math.fsum(map(math.log, primes))
+    rhs = a / b * _LN4
+
+    def exact():
+        if b > 4096:
+            raise PrecisionError(
+                "comparison within float margin and exact escalation infeasible "
+                f"for denominator {b}"
+            )
+        return _balanced_product(primes) ** b <= 4**a
+
+    margin = (len(primes) + 8) * 2.0**-50 * max(1.0, lhs, abs(rhs))
+    return screened_le(lhs, rhs, margin, exact)
+
+
+def check_primorial_bound(sieve: PrimeSieve, x) -> bool:
+    """prod_{p <= x} p <= 4^x for rational x > 0, as primorial_le on
+    x = a/b."""
     x = _as_rational(x)
     if x <= 0:
         raise DomainError("primorial bound requires x > 0")
     if x > sieve.limit:
         raise CoverageError(f"x={x} beyond sieve limit {sieve.limit}")
-    k = sieve.pi(math.floor(x))
-    lhs = _log_prefix(sieve)[k]
-    rhs = float(x) * _LN4
-
-    def exact():
-        if x.denominator > 4096:
-            raise PrecisionError(
-                "comparison within float margin and exact escalation infeasible "
-                f"for denominator {x.denominator}"
-            )
-        return _balanced_product(sieve.primes[:k]) ** x.denominator <= 4**x.numerator
-
-    margin = (k + 4) * 2.0**-50 * max(1.0, lhs, abs(rhs))
-    return screened_le(lhs, rhs, margin, exact)
+    primes = sieve.primes[: sieve.pi(math.floor(x))]
+    return primorial_le(primes, x.numerator, x.denominator)

@@ -42,7 +42,7 @@ from .claims import (
 )
 from .errors import DomainError
 from .exact import absorber, check_t1_bound, check_t2_divisibility_bound, decompose
-from .sieve import PrimeSieve, _check_capacity, build_sieve, settled_from
+from .sieve import PrimeSieve, build_sieve, settled_from
 
 DEFAULT_DIRECT_NMAX = 162755  # ceiling of e^12, closing the n < e^12 range
 CONTRACT_N = 250  # claim failures below this n are reported, not fatal
@@ -104,9 +104,9 @@ def _scan_observations(sieve: PrimeSieve, start: int, stop: int) -> list:
 _WORKER_SIEVE = None
 
 
-def _init_worker(limit: int) -> None:
+def _init_worker(sieve: PrimeSieve) -> None:
     global _WORKER_SIEVE
-    _WORKER_SIEVE = build_sieve(limit)
+    _WORKER_SIEVE = sieve
 
 
 def _worker_scan(scan, span):
@@ -116,18 +116,18 @@ def _worker_scan(scan, span):
 def _run_chunked(scan, limit, n_min, n_max, threads, chunk):
     """Run scan over [n_min, n_max] in fixed chunks; merge in range order.
     Chunk boundaries depend only on the range, never on the worker count,
-    which is capped by the chunk count and the CPU count."""
+    which is capped by the chunk count and the CPU count.  The sieve is
+    built once, before any worker starts, and handed to each worker."""
     if threads < 1:
         raise DomainError(f"threads must be >= 1, got {threads}")
     starts = range(n_min, n_max + 1, chunk)
     spans = ((s, min(s + chunk - 1, n_max)) for s in starts)
     workers = min(threads, len(starts), os.cpu_count() or 1)
+    sieve = build_sieve(limit)
     if workers <= 1:
-        sieve = build_sieve(limit)
         return [scan(sieve, *span) for span in spans]
-    _check_capacity(limit)  # here, not as a broken pool after forking
     with ProcessPoolExecutor(
-        max_workers=workers, initializer=_init_worker, initargs=(limit,)
+        max_workers=workers, initializer=_init_worker, initargs=(sieve,)
     ) as pool:
         return list(pool.map(_worker_scan, repeat(scan), spans))
 
@@ -370,7 +370,6 @@ def absorber_below_bound(which: str, n: int, prec: int = DEFAULT_PREC) -> bool:
     """Exact absorber value strictly below its closed-form upper bound."""
     upper = _ABSORBER_UPPER[which]
     value = absorber(which, n)
-    upper(n, prec)  # surface domain errors (poles) before deciding
     return _decide(lambda p: ln_of_int(value, p).less_than(upper(n, p)), prec)
 
 
@@ -390,62 +389,46 @@ def decompose_report(
     if sieve is None:
         sieve = build_sieve(4 * n if n > 1 else 4)
     dec = decompose(n, sieve)
-    checks = {}
-    exact_scale = n <= EXACT_CHECK_CUTOFF
 
-    if exact_scale:
-        product = dec.product()
-        checks["binomial_identity"] = (
-            "pass" if product == math.comb(4 * n, 3 * n) else "fail"
-        )
+    if n > EXACT_CHECK_CUTOFF:
+        # n > 5000 also means n >= 16 and n >= 222: every check applies
+        absorbers = [f"absorber_{which}_below_bound" for which in "ABCD"]
+        keys = ["binomial_identity", "binomial_above_lower_bound", "t1_cap"]
+        keys += ["t2_divisibility", *absorbers, "t3_above_lower_bound"]
+        checks = dict.fromkeys(keys, "skipped above exact-check cutoff")
+    else:
+        checks = {}
+        binomial = math.comb(4 * n, 3 * n)
+        checks["binomial_identity"] = "pass" if dec.product() == binomial else "fail"
         checks["binomial_above_lower_bound"] = _verdict(
             _decide(
-                lambda p: ln_binom_lower(n, p).less_than(
-                    ln_of_int(math.comb(4 * n, 3 * n), p)
-                ),
-                prec,
+                lambda p: ln_binom_lower(n, p).less_than(ln_of_int(binomial, p)), prec
             )
         )
-    else:
-        checks["binomial_identity"] = "skipped above exact-check cutoff"
-        checks["binomial_above_lower_bound"] = "skipped above exact-check cutoff"
-
-    if n >= 16 and exact_scale:
-        checks["t1_cap"] = _verdict(check_t1_bound(n, sieve))
-    elif n < 16:
-        checks["t1_cap"] = "not applicable"
-    else:
-        checks["t1_cap"] = "skipped above exact-check cutoff"
-
-    if exact_scale:
+        checks["t1_cap"] = (
+            _verdict(check_t1_bound(n, sieve)) if n >= 16 else "not applicable"
+        )
         try:
             checks["t2_divisibility"] = _verdict(check_t2_divisibility_bound(n, sieve))
         except DomainError:
             checks["t2_divisibility"] = "not applicable"
-    else:
-        checks["t2_divisibility"] = "skipped above exact-check cutoff"
-
-    for which in "ABCD":
-        key = f"absorber_{which}_below_bound"
-        if not exact_scale:
-            checks[key] = "skipped above exact-check cutoff"
-            continue
-        try:
-            checks[key] = _verdict(absorber_below_bound(which, n, prec))
-        except DomainError as exc:
-            checks[key] = (
-                "pole: not applicable" if "pole" in str(exc) else "not applicable"
+        for which in "ABCD":
+            key = f"absorber_{which}_below_bound"
+            try:
+                checks[key] = _verdict(absorber_below_bound(which, n, prec))
+            except DomainError as exc:
+                checks[key] = (
+                    "pole: not applicable" if "pole" in str(exc) else "not applicable"
+                )
+        if n < 222:
+            checks["t3_above_lower_bound"] = "not applicable"
+        else:
+            t3_value = dec.t3.value()
+            checks["t3_above_lower_bound"] = _verdict(
+                _decide(
+                    lambda p: ln_t3_lower(n, p).less_than(ln_of_int(t3_value, p)), prec
+                )
             )
-
-    if n < 222:
-        checks["t3_above_lower_bound"] = "not applicable"
-    elif exact_scale:
-        t3_value = dec.t3.value()
-        checks["t3_above_lower_bound"] = _verdict(
-            _decide(lambda p: ln_t3_lower(n, p).less_than(ln_of_int(t3_value, p)), prec)
-        )
-    else:
-        checks["t3_above_lower_bound"] = "skipped above exact-check cutoff"
 
     report = {
         "n": n,

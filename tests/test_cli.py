@@ -97,6 +97,20 @@ def test_observations_cli(capsys):
     assert len(lines) == 23
 
 
+def test_csv_output_builds_no_json_report(capsys, monkeypatch):
+    def refuse(report):
+        raise AssertionError("JSON report built for CSV output")
+
+    monkeypatch.setattr(cli, "sweep_to_json_dict", refuse)
+    monkeypatch.setattr(cli, "observations_to_json_dict", refuse)
+    for command in (
+        ["verify-direct", "--nmax", "50"],
+        ["observations", "--nmin", "1", "--nmax", "20"],
+    ):
+        code, out, _ = run(capsys, [*command, "--format", "csv"])
+        assert code == 0 and out
+
+
 def test_capacity_exit_code(capsys):
     code, _, err = run(capsys, ["verify-direct", "--nmax", "600000000"])
     assert code == 3

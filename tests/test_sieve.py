@@ -18,7 +18,7 @@ from prime34 import (
     replacement_minimal_n,
     t2_bound_minimal_n,
 )
-from prime34.sieve import _peak_bytes, screened_le, settled_from
+from prime34.sieve import _peak_bytes, primorial_le, screened_le, settled_from
 
 
 def test_build_rejects_bad_limits():
@@ -118,6 +118,13 @@ def test_primorial_at_most_4_to_x(sieve_mid):
         check_primorial_bound(sieve_mid, 0)
     with pytest.raises(CoverageError):
         check_primorial_bound(sieve_mid, 8001)
+    # primorial_le on the windows of claim 1, (sqrt(4n), n/6], as (prod)^6 <= 4^n
+    for n in range(1, 3001):
+        window = [p for p in sieve_mid.primes if math.isqrt(4 * n) < p <= n // 6]
+        assert primorial_le(window, n, 6) == (math.prod(window) ** 6 <= 4**n)
+    assert not primorial_le([2, 3, 5], 1, 1)
+    # 2^2 == 4^1: inside every float margin, decided by the exact comparison
+    assert primorial_le([2], 1, 2)
 
 
 def test_primorial_bound_rejects_infeasible_escalation(sieve_mid):

@@ -8,6 +8,7 @@ from prime34 import (
     DEFAULT_DIRECT_NMAX,
     DomainError,
     M_CORRECTION_NOTE,
+    PrimeSieve,
     analytic_report,
     decompose_report,
     lower_bound_report,
@@ -134,13 +135,15 @@ def test_parallel_runs_match_serial_byte_for_byte():
 
 
 class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records the worker count it was
-    asked for and runs the chunks in this process."""
+    """Stands in for ProcessPoolExecutor: records the worker count and the
+    initializer arguments it was given and runs the chunks in this process."""
 
     opened = []
+    initargs = []
 
     def __init__(self, max_workers, initializer, initargs):
         self.opened.append(max_workers)
+        self.initargs.append(initargs)
         initializer(*initargs)
 
     def __enter__(self):
@@ -154,8 +157,9 @@ class _RecordingPool:
 
 
 def test_worker_count_is_clamped(monkeypatch):
-    opened = []
+    opened, initargs = [], []
     monkeypatch.setattr(_RecordingPool, "opened", opened)
+    monkeypatch.setattr(_RecordingPool, "initargs", initargs)
     monkeypatch.setattr(sweeps, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(sweeps, "_WORKER_SIEVE", None)
     monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 4)
@@ -170,6 +174,9 @@ def test_worker_count_is_clamped(monkeypatch):
     monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 2)
     verify_direct(20000, threads=8)
     assert opened == [3, 2]
+    # the parent's sieve is handed to the workers, not rebuilt by each
+    (sieve,) = initargs[-1]
+    assert isinstance(sieve, PrimeSieve) and sieve.limit == 80000
     monkeypatch.setattr(sweeps.os, "cpu_count", lambda: None)
     verify_direct(20000, threads=8)
     assert opened == [3, 2]
