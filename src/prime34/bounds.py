@@ -387,27 +387,24 @@ def ln_t1_upper(n: int, prec: int = DEFAULT_PREC) -> LogReal:
     return _log_real(v, 4, v, prec)
 
 
+# The 15 terms of E(n), each k / (a*n + b) as (k, a, b).
+_E_TERMS = (
+    (1, 48, 1), (-1, 36, 0), (-1, 12, 0), (-1, 16, 0), (1, 12, 1),
+    (1, 4, 1), (-1, 24, 0), (1, 18, 1), (1, 6, 1), (-17, 48, 0),
+    (13, 36, 13), (221, 12, 221), (-7, 24, 0), (5, 16, 5), (35, 8, 35),
+)
+
+
 def e_term(n: int) -> Fraction:
     """The 15-term correction aggregate E(n), as an exact rational."""
     if n < 1:
         raise DomainError("E is defined for n >= 1")
-    return (
-        Fraction(1, 48 * n + 1)
-        - Fraction(1, 36 * n)
-        - Fraction(1, 12 * n)
-        - Fraction(1, 16 * n)
-        + Fraction(1, 12 * n + 1)
-        + Fraction(1, 4 * n + 1)
-        - Fraction(1, 24 * n)
-        + Fraction(1, 18 * n + 1)
-        + Fraction(1, 6 * n + 1)
-        - Fraction(17, 48 * n)
-        + Fraction(13, 36 * n + 13)
-        + Fraction(221, 12 * n + 221)
-        - Fraction(7, 24 * n)
-        + Fraction(5, 16 * n + 5)
-        + Fraction(35, 8 * n + 35)
-    )
+    return sum((Fraction(k, a * n + b) for k, a, b in _E_TERMS), Fraction(0))
+
+
+def _e_float(n: int) -> float:
+    """E(n) in double precision, for the threshold scans."""
+    return math.fsum(k / (a * n + b) for k, a, b in _E_TERMS)
 
 
 @lru_cache(maxsize=8)
@@ -529,7 +526,7 @@ _T3_CONST = math.log(math.sqrt(3) * math.pi**1.5 / 332800)
 def _t3_float(n: int, lm: float) -> float:
     """ln_t3_lower(n) in double precision, for the threshold scans."""
     return (
-        _T3_CONST + float(e_term(n)) + n * lm - math.sqrt(n) * math.log(4 * n)
+        _T3_CONST + _e_float(n) + n * lm - math.sqrt(n) * math.log(4 * n)
         - 2.5 * math.log(n)
     )
 
@@ -546,7 +543,8 @@ def simplified_bound_minimal_n(n_max: int, n_min: int = 222):
     The simplification drops negative terms, so unlike the blanket n >= 4
     reading it only holds from an empirical threshold onward; this reports
     that threshold.  Scanned in float arithmetic: the two forms separate at
-    a rate that dwarfs double rounding away from the single crossover.
+    a rate that dwarfs double rounding away from the single crossover; the
+    endpoints of the scan are re-checked with the mpmath forms.
     """
     _require_scan_range(n_min, n_max)
     lm = float(ln_m().ln_value)
@@ -557,7 +555,18 @@ def simplified_bound_minimal_n(n_max: int, n_min: int = 222):
         return simplified > _t3_float(n, lm) / l4n
 
     bad = filter(simplified_above_exact, range(n_min, n_max + 1))
-    return settled_from(bad, n_min, n_max)
+    minimal = settled_from(bad, n_min, n_max)
+    if minimal is None:
+        return None
+
+    def above_in_mpmath(n):
+        return count_lower_bound_simplified(n) > count_lower_bound(n)
+
+    if above_in_mpmath(minimal):
+        raise ConsistencyError(f"float scan and log arithmetic disagree at {minimal}")
+    if minimal > n_min and not above_in_mpmath(minimal - 1):
+        raise ConsistencyError(f"float scan and log arithmetic disagree at {minimal - 1}")
+    return minimal
 
 
 def t3_positive_minimal_n(n_max: int, n_min: int = 222):

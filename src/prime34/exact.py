@@ -217,7 +217,7 @@ def gen_binomial(idx: GenBinomIndex) -> int:
     fs = floor_of(idx.s)
     fr = floor_of(idx.r)
     fsr = floor_of(idx.s - idx.r)
-    numerator = _balanced_product(range(fsr + 1, fs + 1))
+    numerator = math.perm(fs, fs - fsr)  # the integers in (fsr, fs]
     quotient, remainder = divmod(numerator, math.factorial(fr))
     if remainder:
         raise ConsistencyError(f"non-integral quotient for (s, r) = ({idx.s}, {idx.r})")

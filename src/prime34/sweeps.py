@@ -12,10 +12,13 @@ from __future__ import annotations
 
 import math
 import os
-from bisect import bisect_left, bisect_right
+from array import array
+from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import repeat
+from functools import partial
+from itertools import chain, compress, repeat
+from operator import not_
 from time import perf_counter
 from typing import Optional
 
@@ -63,26 +66,39 @@ class SweepReport:
     runtime_ms: Optional[float]
 
 
-def _scan_direct(sieve: PrimeSieve, start: int, stop: int) -> list:
-    """Rows (n, smallest prime in [3n, 4n] or 0) for n in [start, stop]."""
-    primes = sieve.primes
-    rows = []
-    for n in range(start, stop + 1):
-        i = bisect_left(primes, 3 * n)
-        p = primes[i] if i < len(primes) else 0
-        rows.append((n, p if p and p <= 4 * n else 0))
-    return rows
+# Witness forms (a, b, c, d): the witness of n is the smallest prime
+# p >= a*n + b, kept when c*p <= 4n + d.
+_DIRECT_FORM = (3, 0, 1, 0)  # p in [3n, 4n]
+_COROLLARY_FORM = (1, 1, 3, 7)  # n < p and 3p < 4(n + 2)
 
 
-def _scan_corollary(sieve: PrimeSieve, start: int, stop: int) -> list:
-    """Rows (n, smallest prime p with n < p and 3p < 4(n+2), or 0)."""
+def _scan_witnesses(sieve: PrimeSieve, start: int, stop: int, form: tuple) -> array:
+    """Witnesses for n in [start, stop] in the given form, 0 where the
+    candidate is rejected or the sieve runs out of primes, as one int64
+    buffer, which a worker pool pickles whole.
+
+    Each prime p is the candidate for the run of n up to (p - b) // a, so the
+    primes are walked once instead of bisected per n.  Acceptance grows with
+    n, so only the front of a run, n < ceil((c*p - d) / 4), can fail."""
+    a, b, c, d = form
     primes = sieve.primes
-    rows = []
-    for n in range(start, stop + 1):
-        i = bisect_right(primes, n)
-        p = primes[i] if i < len(primes) else 0
-        rows.append((n, p if p and 3 * p < 4 * (n + 2) else 0))
-    return rows
+    lo = bisect_left(primes, a * start + b)
+    hi = bisect_left(primes, a * stop + b) + 1
+    found = []
+    extend = found.extend
+    n = start
+    for p in primes[lo:hi]:
+        last = (p - b) // a
+        ok = -((d - c * p) // 4)
+        if ok > n:
+            k = min(ok, last + 1) - n
+            extend(repeat(0, k))
+            n += k
+        extend(repeat(p, last + 1 - n))
+        n = last + 1
+    extend(repeat(0, stop + 1 - n))
+    del found[stop + 1 - start :]  # the last run may reach past stop
+    return array("q", found)
 
 
 def _scan_observations(sieve: PrimeSieve, start: int, stop: int) -> list:
@@ -132,13 +148,19 @@ def _run_chunked(scan, limit, n_min, n_max, threads, chunk):
         return list(pool.map(_worker_scan, repeat(scan), spans))
 
 
-def _existence_sweep(scan, limit, n_min, n_max, witnesses, threads) -> SweepReport:
-    """A SweepReport of scan's (n, witness or 0) rows over [n_min, n_max]."""
+def _existence_sweep(form, limit, n_min, n_max, witnesses, threads) -> SweepReport:
+    """A SweepReport of the witnesses in this form over [n_min, n_max]."""
     t0 = perf_counter()
+    scan = partial(_scan_witnesses, form=form)
     parts = _run_chunked(scan, limit, n_min, n_max, threads, _DIRECT_CHUNK)
-    rows = [row for part in parts for row in part]
-    failures = tuple(n for n, w in rows if w == 0)
-    witness = {n: w for n, w in rows if w} if witnesses else None
+    found = list(chain.from_iterable(parts))
+    ns = range(n_min, n_max + 1)
+    failures = tuple(compress(ns, map(not_, found))) if 0 in found else ()
+    witness = None
+    if witnesses:
+        witness = dict(zip(ns, found))
+        for n in failures:
+            del witness[n]
     return SweepReport(n_min, n_max, failures, witness, (perf_counter() - t0) * 1e3)
 
 
@@ -148,7 +170,7 @@ def verify_direct(
     """For every n in [1, n_max], find the smallest prime in [3n, 4n]."""
     if n_max < 1:
         raise DomainError("direct sweep requires n_max >= 1")
-    return _existence_sweep(_scan_direct, 4 * n_max, 1, n_max, witnesses, threads)
+    return _existence_sweep(_DIRECT_FORM, 4 * n_max, 1, n_max, witnesses, threads)
 
 
 def verify_corollary(
@@ -159,7 +181,7 @@ def verify_corollary(
     if n_max < 3:
         raise DomainError("corollary sweep requires n_max >= 3")
     limit = 4 * (n_max + 2) // 3 + 1
-    return _existence_sweep(_scan_corollary, limit, 3, n_max, witnesses, threads)
+    return _existence_sweep(_COROLLARY_FORM, limit, 3, n_max, witnesses, threads)
 
 
 def sweep_to_json_dict(report: SweepReport) -> dict:

@@ -39,6 +39,7 @@ from prime34 import (
     simplified_bound_minimal_n,
     t3_positive_minimal_n,
 )
+from prime34 import bounds
 from prime34.bounds import _decide
 
 
@@ -237,6 +238,29 @@ def test_simplified_bound_threshold():
     assert simplified_bound_minimal_n(59000) == 58198
     assert count_lower_bound_simplified(58198) <= count_lower_bound(58198)
     assert count_lower_bound_simplified(58197) > count_lower_bound(58197)
+
+
+def test_e_term_exact_and_float_forms():
+    assert e_term(1) == Fraction(845258813, 445444740)
+    assert e_term(221) == Fraction(
+        44632442067616205934062210291, 455023917459249503110249746060
+    )
+    for n in [*range(1, 400), *range(58000, 59300, 7), 10**6, 10**9]:
+        assert abs(bounds._e_float(n) - float(e_term(n))) <= 4.5e-16
+
+
+def test_simplified_threshold_endpoints_are_rechecked(monkeypatch):
+    assert simplified_bound_minimal_n(58300, n_min=58000) == 58198
+    exact = bounds.count_lower_bound
+    # a disagreement at the returned n, then at the n just below it
+    monkeypatch.setattr(bounds, "count_lower_bound", lambda n, p=128: exact(n, p) - 1)
+    with pytest.raises(ConsistencyError, match="at 58198"):
+        simplified_bound_minimal_n(58300, n_min=58000)
+    monkeypatch.setattr(bounds, "count_lower_bound", lambda n, p=128: exact(n, p) + 1)
+    with pytest.raises(ConsistencyError, match="at 58197"):
+        simplified_bound_minimal_n(58300, n_min=58000)
+    # with n_min at the threshold there is no n below it to re-check
+    assert simplified_bound_minimal_n(58300, n_min=58198) == 58198
 
 
 def test_t3_positivity_threshold():

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -10,6 +11,7 @@ from prime34 import (
     M_CORRECTION_NOTE,
     PrimeSieve,
     analytic_report,
+    build_sieve,
     decompose_report,
     lower_bound_report,
     observations_csv_lines,
@@ -192,6 +194,83 @@ def test_worker_count_is_clamped(monkeypatch):
             verify_direct(1000, threads=threads)
         with pytest.raises(DomainError):
             observations_sweep(1, 10, threads=threads)
+
+
+def _thinned_sieve(limit, density, rng, top=None):
+    """A PrimeSieve over [0, limit] with each prime dropped at the given
+    density, and every prime above top dropped, so scans can fail."""
+    top = limit if top is None else top
+    primes = build_sieve(limit).primes
+    kept = (p for p in primes if p <= top and rng.random() >= density)
+    return PrimeSieve(limit, tuple(kept))
+
+
+def _brute_witnesses(sieve, n_min, n_max, form):
+    """Per-n witnesses read off a next-prime table: the smallest prime
+    p >= a*n + b, kept when c*p <= 4n + d, else 0."""
+    a, b, c, d = form
+    nxt = [0] * (sieve.limit + 2)
+    members = set(sieve.primes)
+    for k in range(sieve.limit, -1, -1):
+        nxt[k] = k if k in members else nxt[k + 1]
+    rows = []
+    for n in range(n_min, n_max + 1):
+        p = nxt[a * n + b] if a * n + b <= sieve.limit else 0
+        rows.append(p if p and c * p <= 4 * n + d else 0)
+    return rows
+
+
+def test_witness_forms_state_the_sweeps():
+    # direct: a prime in [3n, 4n]; corollary: n < p and 3p < 4(n + 2).  Real
+    # sieves never fail these, so an off-by-one in c or d would show in no
+    # report
+    assert sweeps._DIRECT_FORM == (3, 0, 1, 0)
+    assert sweeps._COROLLARY_FORM == (1, 1, 3, 7)
+
+
+# (1, 0, 3, -1000) is no sweep of the package: it rejects whole runs of n
+# for p below about 1000, which neither real form ever does
+_FORMS = (sweeps._DIRECT_FORM, sweeps._COROLLARY_FORM, (1, 0, 3, -1000))
+
+
+@pytest.mark.parametrize("density", [0.0, 0.2, 0.6, 0.95])
+def test_witness_scan_matches_brute_force_on_thinned_sieves(density):
+    rng = random.Random(f"thinned:{density}")
+    for _ in range(40):
+        limit = rng.randint(2, 4000)
+        sieve = _thinned_sieve(limit, density, rng)
+        # spans reach past limit / 3 and past limit, where the primes run out
+        start = rng.randint(1, limit // 2 + 2)
+        stop = start + rng.randint(0, limit // 2)
+        for form in _FORMS:
+            got = sweeps._scan_witnesses(sieve, start, stop, form)
+            assert list(got) == _brute_witnesses(sieve, start, stop, form)
+
+
+def test_sweep_failures_reach_reports(monkeypatch):
+    def thinned(limit):
+        # the same sieve for the same limit; 60 % of the primes dropped and
+        # none above 18,000, so both sweeps fail across three 8192-n chunks
+        return _thinned_sieve(limit, 0.6, random.Random(limit), top=18_000)
+
+    monkeypatch.setattr(sweeps, "build_sieve", thinned)
+    for sweep, limit, n_min, form in (
+        (verify_direct, 80_000, 1, (3, 0, 1, 0)),
+        (verify_corollary, 26_670, 3, (1, 1, 3, 7)),
+    ):
+        found = _brute_witnesses(thinned(limit), n_min, 20_000, form)
+        rows = list(enumerate(found, n_min))
+        failures = tuple(n for n, w in rows if w == 0)
+        assert len(failures) > 100 and failures[-1] == 20_000
+
+        report = sweep(20_000, witnesses=True)
+        assert report.failures == failures
+        assert report.witness == {n: w for n, w in rows if w}
+        assert list(sweep_csv_lines(report))[1:] == [f"{n},{w}" for n, w in rows]
+        bare = list(sweep_csv_lines(sweep(20_000)))
+        assert bare[1:] == [f"{n},{int(w > 0)}" for n, w in rows]
+        pooled = sweep(20_000, witnesses=True, threads=2)
+        assert (pooled.failures, pooled.witness) == (failures, report.witness)
 
 
 def test_lower_bound_report():
