@@ -3,22 +3,25 @@ monotonicity scans for h1 and h2, closed-form bounds on C(4n,3n) and the
 four absorbers, the correction term E(n), the growth constant M, the T3
 lower bound, and the prime-count lower bound derived from it.
 
-All strictly positive quantities are carried as LogReal values: a high
-precision natural log plus an accumulated absolute error bound.  Boolean
-comparisons must clear the joint error band; otherwise they report
-indeterminate and callers escalate the working precision.
+All strictly positive quantities are carried as LogReal values: an
+outward-rounded mpmath.iv interval that contains the natural log, plus the
+precision it was evaluated at.  A comparison is decided only when the two
+intervals do not overlap; otherwise it reports indeterminate and callers
+escalate the working precision.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import pairwise
+from types import SimpleNamespace
 from typing import Optional
 
-from mpmath import log, mpf, pi, sqrt, workprec
+from mpmath import iv, log, mpf, sqrt, workprec
 
 from .errors import ConsistencyError, DomainError, PrecisionError
 from .sieve import settled_from
@@ -42,68 +45,82 @@ def _coerce_rational(x) -> Fraction:
     raise DomainError(f"expected a rational value, got {type(x).__name__}")
 
 
-def _to_mpf(x) -> mpf:
-    # one rounding for Fractions, exact for ints and floats that fit
+@contextmanager
+def _working(prec: int):
+    """Run mpmath.iv arithmetic at prec bits, every result rounded outward."""
+    saved = iv.prec
+    iv.prec = prec
+    try:
+        yield
+    finally:
+        iv.prec = saved
+
+
+def _rational(x):
+    """An interval enclosing the rational x, at the working precision."""
     x = _coerce_rational(x)
-    return mpf(x.numerator) / mpf(x.denominator)
+    return iv.mpf(x.numerator) / x.denominator
 
 
-def _round_eps(prec: int, value) -> mpf:
-    return mpf(2) ** (1 - prec) * max(mpf(1), abs(value))
-
-
-@dataclass(frozen=True)
 class LogReal:
-    """Natural log of a strictly positive real, with an error bound.
+    """Natural log of a strictly positive real, as an interval enclosing it.
 
     Adding LogReals multiplies the underlying quantities; the ordering of
-    ln values is the ordering of the quantities.
+    ln values is the ordering of the quantities.  LogReal(ln_value, err,
+    prec) encloses the ball ln_value +- err.
     """
 
-    ln_value: mpf
-    err: mpf
-    prec: int
+    __slots__ = ("interval", "prec")
+
+    def __init__(self, ln_value, err, prec: int):
+        with _working(prec):
+            self.interval = iv.mpf(ln_value) + iv.mpf((-err, err))
+        self.prec = prec
+
+    @classmethod
+    def from_interval(cls, interval, prec: int) -> "LogReal":
+        """Hold an interval already evaluated at prec."""
+        out = cls.__new__(cls)
+        out.interval = interval
+        out.prec = prec
+        return out
+
+    @property
+    def ln_value(self) -> mpf:
+        """The interval's midpoint, rounded to nearest at prec; reports
+        print this point value."""
+        with _working(self.prec), workprec(self.prec):
+            return mpf(self.interval.mid)
+
+    @property
+    def err(self) -> mpf:
+        """Half the interval's width, rounded up to 53 bits."""
+        with _working(53), workprec(53):
+            return mpf(self.interval.delta) / 2
 
     def __add__(self, other: "LogReal") -> "LogReal":
         prec = min(self.prec, other.prec)
-        with workprec(prec):
-            v = self.ln_value + other.ln_value
-        return LogReal(v, self.err + other.err + _round_eps(prec, v), prec)
+        with _working(prec):
+            return LogReal.from_interval(self.interval + other.interval, prec)
 
     def __sub__(self, other: "LogReal") -> "LogReal":
         prec = min(self.prec, other.prec)
-        with workprec(prec):
-            v = self.ln_value - other.ln_value
-        return LogReal(v, self.err + other.err + _round_eps(prec, v), prec)
+        with _working(prec):
+            return LogReal.from_interval(self.interval - other.interval, prec)
 
     def scaled(self, k) -> "LogReal":
         """The underlying quantity raised to the rational power k."""
-        with workprec(self.prec):
-            kf = _to_mpf(k)
-            v = self.ln_value * kf
-        err = self.err * abs(kf) + 2 * _round_eps(self.prec, v)
-        return LogReal(v, err, self.prec)
+        with _working(self.prec):
+            return LogReal.from_interval(self.interval * _rational(k), self.prec)
 
     def less_than(self, other: "LogReal") -> Optional[bool]:
-        """True/False when decidable outside the joint band, else None."""
-        band = self.err + other.err
-        gap = self.ln_value - other.ln_value
-        if gap < -band:
-            return True
-        if gap > band:
-            return False
-        return None
+        """True when this interval lies wholly below other's, False when
+        wholly at or above it, None when the two overlap."""
+        return self.interval < other.interval
 
     def consistent_with(self, other: "LogReal") -> bool:
-        """Whether the two values agree within the joint error band."""
-        return abs(self.ln_value - other.ln_value) <= self.err + other.err
-
-
-def _log_real(value: mpf, ops: int, magnitude, prec: int) -> LogReal:
-    """Wrap a freshly evaluated value with a conservative error bound:
-    ops roundings, each bounded by the largest intermediate magnitude."""
-    mag = max(mpf(1), abs(mpf(magnitude)))
-    return LogReal(value, mpf(ops) * mpf(2) ** (1 - prec) * mag, prec)
+        """Whether the two intervals overlap."""
+        return self.interval.a <= other.interval.b and other.interval.a <= self.interval.b
 
 
 def _decide(attempt, prec: int) -> bool:
@@ -116,14 +133,41 @@ def _decide(attempt, prec: int) -> bool:
     raise PrecisionError(f"comparison undecided at {MAX_PREC} bits")
 
 
+@lru_cache(maxsize=8)
+def _constants(prec: int) -> SimpleNamespace:
+    """The intervals every bound shares, evaluated once per precision.  The
+    rates are the exponential growth rates of the four absorber bounds; the
+    prefactors are ln(sqrt(3) pi^(3/2) / d) for the two forms of T3."""
+    with _working(prec):
+        pi = +iv.pi
+        pi_3_2 = iv.sqrt(3) * pi * iv.sqrt(pi)
+        return SimpleNamespace(
+            pi=pi,
+            half_ln_2pi=iv.log(2 * pi) / 2,
+            rate_a=4 * iv.log(4) / 3 - iv.log(3),
+            rate_b=iv.log(16) - 3 * iv.log(3) / 2,
+            rate_c=(
+                iv.log(221) / 221
+                + 3 * iv.log(iv.mpf(13) / 3) / 13
+                + 4 * iv.log(iv.mpf(4) / 17) / 17
+            ),
+            rate_d=(
+                2 * iv.log(iv.mpf(105) / 2) / 105
+                + 4 * iv.log(iv.mpf(15) / 4) / 15
+                + 2 * iv.log(iv.mpf(2) / 7) / 7
+            ),
+            t3_prefactor=iv.log(pi_3_2 / 332800),
+            t3_prefactor_intermediate=iv.log(pi_3_2 / 4160),
+        )
+
+
 def ln_of_int(value: int, prec: int = DEFAULT_PREC) -> LogReal:
     """ln of an exactly known positive integer, for comparisons against
-    the closed-form bounds (one conversion rounding plus one log)."""
+    the closed-form bounds."""
     if not isinstance(value, int) or value <= 0:
         raise DomainError("ln_of_int requires a positive integer")
-    with workprec(prec):
-        v = log(mpf(value))
-    return _log_real(v, 2, v, prec)
+    with _working(prec):
+        return LogReal.from_interval(iv.log(value), prec)
 
 
 def _ln_stirling(name: str, x, shift: int, prec: int) -> LogReal:
@@ -131,12 +175,10 @@ def _ln_stirling(name: str, x, shift: int, prec: int) -> LogReal:
     x = _coerce_rational(x)
     if x <= 0:
         raise DomainError(f"{name} is defined for x > 0")
-    with workprec(prec):
-        xf = _to_mpf(x)
-        lead = (xf + mpf(1) / 2) * log(xf)
-        v = log(2 * pi) / 2 + lead - xf + 1 / (12 * xf + shift)
-        mag = abs(lead) + xf + 2
-    return _log_real(v, 12, mag, prec)
+    with _working(prec):
+        xi = _rational(x)
+        v = _constants(prec).half_ln_2pi + (xi + 0.5) * iv.log(xi) - xi + 1 / (12 * xi + shift)
+        return LogReal.from_interval(v, prec)
 
 
 def ln_f(x, prec: int = DEFAULT_PREC) -> LogReal:
@@ -153,11 +195,11 @@ def ln_factorial(n: int, prec: int = DEFAULT_PREC) -> LogReal:
     """ln(n!) by direct summation of ln k, independent of f and g."""
     if n < 0:
         raise DomainError("factorial requires n >= 0")
-    with workprec(prec):
-        total = mpf(0)
+    with _working(prec):
+        total = iv.mpf(0)
         for k in range(2, n + 1):
-            total += log(k)
-    return _log_real(total, 2 * max(n, 1), total, prec)
+            total += iv.log(k)
+        return LogReal.from_interval(total, prec)
 
 
 def check_factorial_sandwich(n: int, prec: int = DEFAULT_PREC) -> bool:
@@ -185,11 +227,11 @@ def factorial_sandwich_sweep(n_max: int, prec: int = DEFAULT_PREC) -> list:
     comparison cleared its band strictly at this precision.
     """
     bad = []
-    with workprec(prec):
-        total = mpf(0)
+    with _working(prec):
+        total = iv.mpf(0)
         for n in range(1, n_max + 1):
-            total += log(n)
-            mid = _log_real(total, 2 * n, total, prec)
+            total += iv.log(n)
+            mid = LogReal.from_interval(total, prec)
             below = ln_g(n, prec).less_than(mid)
             above = mid.less_than(ln_f(n, prec))
             if below is None or above is None:
@@ -272,37 +314,14 @@ def ln_binom_lower(n: int, prec: int = DEFAULT_PREC) -> LogReal:
     if n < 1:
         raise DomainError("binomial lower bound requires n >= 1")
     corr = Fraction(1, 48 * n + 1) - Fraction(1, 36 * n) - Fraction(1, 12 * n)
-    with workprec(prec):
-        lead = n * log(mpf(256) / 27)
-        v = log(mpf(2)) - log(6 * pi * n) / 2 + _to_mpf(corr) + lead
-        mag = abs(lead) + 8
-    closed = _log_real(v, 14, mag, prec)
+    c = _constants(prec)
+    with _working(prec):
+        v = iv.log(2) - iv.log(6 * c.pi * n) / 2 + _rational(corr) + n * iv.log(iv.mpf(256) / 27)
+        closed = LogReal.from_interval(v, prec)
     route = ln_g(4 * n, prec) - ln_f(3 * n, prec) - ln_f(n, prec)
     if not closed.consistent_with(route):
         raise ConsistencyError(f"binomial lower bound routes disagree at n={n}")
     return closed
-
-
-# Exponential growth rates of the four absorber upper bounds.  Each is
-# evaluated under the caller's working precision.
-def _rate_a():
-    return 4 * log(mpf(4)) / 3 - log(mpf(3))
-
-
-def _rate_b():
-    return log(mpf(16)) - 3 * log(mpf(3)) / 2
-
-
-def _rate_c():
-    return log(mpf(221)) / 221 + 3 * log(mpf(13) / 3) / 13 + 4 * log(mpf(4) / 17) / 17
-
-
-def _rate_d():
-    return (
-        2 * log(mpf(105) / 2) / 105
-        + 4 * log(mpf(15) / 4) / 15
-        + 2 * log(mpf(2) / 7) / 7
-    )
 
 
 def ln_a_upper(n: int, prec: int = DEFAULT_PREC) -> LogReal:
@@ -311,11 +330,11 @@ def ln_a_upper(n: int, prec: int = DEFAULT_PREC) -> LogReal:
     if n < 1:
         raise DomainError("A bound requires n >= 1")
     corr = Fraction(1, 16 * n) - Fraction(1, 12 * n + 1) - Fraction(1, 4 * n + 1)
-    with workprec(prec):
-        lead = n * _rate_a()
-        v = log(mpf(4 * n) / 3) + log(mpf(2) / (pi * n)) / 2 + _to_mpf(corr) + lead
-        mag = abs(lead) + log(mpf(4 * n)) + 8
-    return _log_real(v, 16, mag, prec)
+    c = _constants(prec)
+    with _working(prec):
+        lead = iv.log(iv.mpf(4 * n) / 3) + iv.log(2 / (c.pi * n)) / 2
+        v = lead + _rational(corr) + n * c.rate_a
+        return LogReal.from_interval(v, prec)
 
 
 def ln_b_upper(n: int, prec: int = DEFAULT_PREC) -> LogReal:
@@ -324,11 +343,10 @@ def ln_b_upper(n: int, prec: int = DEFAULT_PREC) -> LogReal:
     if n < 1:
         raise DomainError("B bound requires n >= 1")
     corr = Fraction(1, 24 * n) - Fraction(1, 18 * n + 1) - Fraction(1, 6 * n + 1)
-    with workprec(prec):
-        lead = n * _rate_b()
-        v = log(mpf(12 * n + 8)) - log(3 * pi * n) / 2 + _to_mpf(corr) + lead
-        mag = abs(lead) + log(mpf(12 * n + 8)) + 8
-    return _log_real(v, 16, mag, prec)
+    c = _constants(prec)
+    with _working(prec):
+        v = iv.log(12 * n + 8) - iv.log(3 * c.pi * n) / 2 + _rational(corr) + n * c.rate_b
+        return LogReal.from_interval(v, prec)
 
 
 def ln_c_upper(n: int, prec: int = DEFAULT_PREC) -> LogReal:
@@ -342,19 +360,11 @@ def ln_c_upper(n: int, prec: int = DEFAULT_PREC) -> LogReal:
         - Fraction(13, 36 * n + 13)
         - Fraction(221, 12 * n + 221)
     )
-    with workprec(prec):
-        lead = n * _rate_c()
-        v = (
-            log(mpf(4 * n) / 17)
-            + log(mpf(51 * n + 221))
-            - log(mpf(n - 221))
-            + log(mpf(26))
-            - log(6 * pi * n) / 2
-            + _to_mpf(corr)
-            + lead
-        )
-        mag = abs(lead) + log(mpf(51 * n + 221)) + 16
-    return _log_real(v, 24, mag, prec)
+    ratio = Fraction(4 * n * (51 * n + 221) * 26, 17 * (n - 221))
+    c = _constants(prec)
+    with _working(prec):
+        v = iv.log(_rational(ratio)) - iv.log(6 * c.pi * n) / 2 + _rational(corr) + n * c.rate_c
+        return LogReal.from_interval(v, prec)
 
 
 def ln_d_upper(n: int, prec: int = DEFAULT_PREC) -> LogReal:
@@ -364,27 +374,19 @@ def ln_d_upper(n: int, prec: int = DEFAULT_PREC) -> LogReal:
     if 2 * n <= 105:
         raise DomainError("D bound has a pole at 2n = 105; requires n >= 53")
     corr = Fraction(7, 24 * n) - Fraction(5, 16 * n + 5) - Fraction(35, 8 * n + 35)
-    with workprec(prec):
-        lead = n * _rate_d()
-        v = (
-            log(mpf(4 * n * n + 15 * n))
-            - log(mpf(2 * n - 105))
-            + log(mpf(15))
-            - log(2 * pi * n) / 2
-            + _to_mpf(corr)
-            + lead
-        )
-        mag = abs(lead) + log(mpf(4 * n * n + 15 * n)) + 16
-    return _log_real(v, 24, mag, prec)
+    ratio = Fraction(15 * (4 * n * n + 15 * n), 2 * n - 105)
+    c = _constants(prec)
+    with _working(prec):
+        v = iv.log(_rational(ratio)) - iv.log(2 * c.pi * n) / 2 + _rational(corr) + n * c.rate_d
+        return LogReal.from_interval(v, prec)
 
 
 def ln_t1_upper(n: int, prec: int = DEFAULT_PREC) -> LogReal:
     """ln of (4n)^sqrt(n), the analytic cap on T1."""
     if n < 1:
         raise DomainError("T1 cap requires n >= 1")
-    with workprec(prec):
-        v = sqrt(mpf(n)) * log(mpf(4 * n))
-    return _log_real(v, 4, v, prec)
+    with _working(prec):
+        return LogReal.from_interval(iv.sqrt(n) * iv.log(4 * n), prec)
 
 
 # The 15 terms of E(n), each k / (a*n + b) as (k, a, b).
@@ -412,41 +414,35 @@ def ln_m(prec: int = DEFAULT_PREC) -> LogReal:
     """ln M for the ten-factor growth constant, first factor 256/27.
 
     See M_CORRECTION_NOTE for why 256/27 replaces the printed 256/7.
-    ln M is asserted positive (M > 1 drives the T3 bound to infinity).
+    ln M is checked positive (M > 1 drives the T3 bound to infinity).
     """
-    with workprec(prec):
+    with _working(prec):
         v = (
-            log(mpf(256) / 27)
-            + 4 * log(mpf(1) / 4) / 3
-            + log(mpf(3))
-            + log(mpf(3) ** mpf("1.5") / 16)
-            + log(mpf(1) / 221) / 221
-            + 3 * log(mpf(3) / 13) / 13
-            + 4 * log(mpf(17) / 4) / 17
-            + 2 * log(mpf(2) / 105) / 105
-            + 4 * log(mpf(4) / 15) / 15
-            + 2 * log(mpf(7) / 2) / 7
-            - log(mpf(4)) / 6
+            iv.log(iv.mpf(256) / 27)
+            + 4 * iv.log(iv.mpf(1) / 4) / 3
+            + iv.log(3)
+            + iv.log(3 * iv.sqrt(3) / 16)
+            + iv.log(iv.mpf(1) / 221) / 221
+            + 3 * iv.log(iv.mpf(3) / 13) / 13
+            + 4 * iv.log(iv.mpf(17) / 4) / 17
+            + 2 * iv.log(iv.mpf(2) / 105) / 105
+            + 4 * iv.log(iv.mpf(4) / 15) / 15
+            + 2 * iv.log(iv.mpf(7) / 2) / 7
+            - iv.log(4) / 6
         )
-    out = _log_real(v, 40, 8, prec)
-    if not v > out.err:
+    if not v.a > 0:
         raise ConsistencyError("ln M must be positive")
-    return out
+    return LogReal.from_interval(v, prec)
 
 
 def ln_m_rate_identity(prec: int = DEFAULT_PREC) -> bool:
     """ln M == ln(256/27) - rate_A - rate_B - rate_C - rate_D - (1/6)ln 4,
     the defining cancellation against the absorber growth rates."""
-    with workprec(prec):
-        rhs = (
-            log(mpf(256) / 27)
-            - _rate_a()
-            - _rate_b()
-            - _rate_c()
-            - _rate_d()
-            - log(mpf(4)) / 6
-        )
-    return ln_m(prec).consistent_with(_log_real(rhs, 40, 8, prec))
+    c = _constants(prec)
+    with _working(prec):
+        rates = c.rate_a + c.rate_b + c.rate_c + c.rate_d
+        rhs = iv.log(iv.mpf(256) / 27) - rates - iv.log(4) / 6
+    return ln_m(prec).consistent_with(LogReal.from_interval(rhs, prec))
 
 
 def replacement_step_holds(n: int) -> bool:
@@ -464,20 +460,21 @@ def replacement_minimal_n(n_max: int = 10_000):
     return settled_from(bad, 1, n_max)
 
 
-def _e_term_logreal(n: int, prec: int) -> LogReal:
-    with workprec(prec):
-        return _log_real(_to_mpf(e_term(n)), 2, 4, prec)
+def _t3_terms(n: int, prefactor, n_power, prec: int):
+    """prefactor + E + n ln M - sqrt(n) ln 4n - n_power ln n, the terms the
+    two T3 forms share, as an interval."""
+    lm = ln_m(prec).interval
+    with _working(prec):
+        tail = iv.sqrt(n) * iv.log(4 * n) + n_power * iv.log(n)
+        return prefactor + _rational(e_term(n)) + n * lm - tail
 
 
 def ln_t3_lower(n: int, prec: int = DEFAULT_PREC) -> LogReal:
     """ln of (sqrt(3) pi^(3/2) / 332800) e^E M^n (4n)^(-sqrt n) n^(-5/2)."""
     if n < 222:
         raise DomainError("T3 lower bound requires n >= 222")
-    with workprec(prec):
-        const = _log_real(log(sqrt(mpf(3)) * pi ** mpf("1.5") / 332800), 8, 16, prec)
-        tail_v = sqrt(mpf(n)) * log(mpf(4 * n)) + mpf("2.5") * log(mpf(n))
-        tail = _log_real(tail_v, 8, tail_v, prec)
-    return const + _e_term_logreal(n, prec) + ln_m(prec).scaled(n) - tail
+    v = _t3_terms(n, _constants(prec).t3_prefactor, 2.5, prec)
+    return LogReal.from_interval(v, prec)
 
 
 def ln_t3_lower_intermediate(n: int, prec: int = DEFAULT_PREC) -> LogReal:
@@ -485,19 +482,10 @@ def ln_t3_lower_intermediate(n: int, prec: int = DEFAULT_PREC) -> LogReal:
     the rational factor n^(-3/2)(n-221)(2n-105)/((3n+2)(3n+13)(4n+15))."""
     if n < 222:
         raise DomainError("intermediate T3 bound requires n >= 222")
-    with workprec(prec):
-        const = _log_real(log(sqrt(mpf(3)) * pi ** mpf("1.5") / 4160), 8, 16, prec)
-        tail_v = sqrt(mpf(n)) * log(mpf(4 * n)) + mpf("1.5") * log(mpf(n))
-        tail = _log_real(tail_v, 8, tail_v, prec)
-        ratio_v = (
-            log(mpf(n - 221))
-            + log(mpf(2 * n - 105))
-            - log(mpf(3 * n + 2))
-            - log(mpf(3 * n + 13))
-            - log(mpf(4 * n + 15))
-        )
-        ratio = _log_real(ratio_v, 10, 6 * log(mpf(4 * n + 15)), prec)
-    return const + _e_term_logreal(n, prec) + ln_m(prec).scaled(n) - tail + ratio
+    v = _t3_terms(n, _constants(prec).t3_prefactor_intermediate, 1.5, prec)
+    ratio = Fraction((n - 221) * (2 * n - 105), (3 * n + 2) * (3 * n + 13) * (4 * n + 15))
+    with _working(prec):
+        return LogReal.from_interval(v + iv.log(_rational(ratio)), prec)
 
 
 def count_lower_bound(n: int, prec: int = DEFAULT_PREC) -> float:
@@ -532,7 +520,10 @@ def _t3_float(n: int, lm: float) -> float:
 
 
 def _require_scan_range(n_min: int, n_max: int) -> None:
-    # an empty scan finds no failure and would report n_min as settled
+    # below 222 the T3 bound is undefined; an empty scan finds no failure
+    # and would report n_min as settled
+    if n_min < 222:
+        raise DomainError(f"threshold scan requires n_min >= 222, got {n_min}")
     if n_max < n_min:
         raise DomainError(f"threshold scan requires n_min <= n_max, got [{n_min}, {n_max}]")
 
@@ -574,7 +565,7 @@ def t3_positive_minimal_n(n_max: int, n_min: int = 222):
     i.e. the empirical threshold past which T3 > 1 is guaranteed; None if
     the bound is still nonpositive at n_max.  Scanned in float arithmetic
     (the bound climbs at about ln M per step, far above double rounding);
-    the endpoints of the scan are re-verified in tracked log arithmetic.
+    the endpoints of the scan are re-verified in interval arithmetic.
     """
     _require_scan_range(n_min, n_max)
     lm = float(ln_m().ln_value)
@@ -633,9 +624,8 @@ class BoundReport:
         the intermediate wherever the prefactor replacement step holds.
         """
         prec = self.ln_T3_lower.prec
-        with workprec(prec):
-            v = mpf(self.n) * log(mpf(4)) / 6
-            ln4_sixth = _log_real(v, 4, v, prec)
+        with _working(prec):
+            ln4_sixth = LogReal.from_interval(self.n * iv.log(4) / 6, prec)
         chain = (
             self.ln_binom_lower
             - self.ln_T1_upper

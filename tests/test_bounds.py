@@ -1,8 +1,9 @@
+import inspect
 import math
 from fractions import Fraction
 
 import pytest
-from mpmath import mpf
+from mpmath import mp, mpf
 
 from prime34 import (
     BoundReport,
@@ -39,7 +40,7 @@ from prime34 import (
     simplified_bound_minimal_n,
     t3_positive_minimal_n,
 )
-from prime34 import bounds
+from prime34 import bounds, sweeps
 from prime34.bounds import _decide
 
 
@@ -316,3 +317,107 @@ def test_ln_of_int():
         ln_of_int(0)
     with pytest.raises(DomainError):
         ln_of_int(Fraction(3, 2))
+
+
+def test_threshold_scans_reject_n_below_222():
+    # the T3 bound and the count bound are undefined below 222
+    for n_min in (1, 2, 221):
+        with pytest.raises(DomainError):
+            simplified_bound_minimal_n(300, n_min=n_min)
+        with pytest.raises(DomainError):
+            t3_positive_minimal_n(300, n_min=n_min)
+
+
+ENCLOSURE_NS = (222, 1000, 162755, 162755 * 2**14)
+
+
+def _reference_forms(n):
+    """Every closed form at n, written out again in mpmath.mp at 1024 bits."""
+    with mp.workprec(1024):
+        ln, pi, q = mp.log, mp.pi, mp.mpf
+
+        def stirling(x, shift):
+            return ln(2 * pi) / 2 + (x + q(1) / 2) * ln(x) - x + 1 / (12 * x + shift)
+
+        rate_a = 4 * ln(4) / 3 - ln(3)
+        rate_b = ln(16) - 3 * ln(3) / 2
+        rate_c = ln(221) / 221 + 3 * ln(q(13) / 3) / 13 + 4 * ln(q(4) / 17) / 17
+        rate_d = 2 * ln(q(105) / 2) / 105 + 4 * ln(q(15) / 4) / 15 + 2 * ln(q(2) / 7) / 7
+        lm = ln(q(256) / 27) - rate_a - rate_b - rate_c - rate_d - ln(4) / 6
+        e = q(e_term(n).numerator) / e_term(n).denominator
+        t3_common = e + n * lm - mp.sqrt(n) * ln(4 * n)
+        prefactor = ln(mp.sqrt(3) * pi**1.5)
+        return {
+            ln_f: stirling(q(n), 0),
+            ln_g: stirling(q(n), 1),
+            ln_binom_lower: ln(2) - ln(6 * pi * n) / 2 + 1 / q(48 * n + 1)
+            - 1 / q(36 * n) - 1 / q(12 * n) + n * ln(q(256) / 27),
+            ln_a_upper: ln(q(4 * n) / 3) + ln(2 / (pi * n)) / 2 + 1 / q(16 * n)
+            - 1 / q(12 * n + 1) - 1 / q(4 * n + 1) + n * rate_a,
+            ln_b_upper: ln(12 * n + 8) - ln(3 * pi * n) / 2 + 1 / q(24 * n)
+            - 1 / q(18 * n + 1) - 1 / q(6 * n + 1) + n * rate_b,
+            ln_c_upper: ln(q(4 * n) / 17) + ln(51 * n + 221) - ln(n - 221) + ln(26)
+            - ln(6 * pi * n) / 2 + q(17) / (48 * n) - q(13) / (36 * n + 13)
+            - q(221) / (12 * n + 221) + n * rate_c,
+            ln_d_upper: ln(4 * n * n + 15 * n) - ln(2 * n - 105) + ln(15)
+            - ln(2 * pi * n) / 2 + q(7) / (24 * n) - q(5) / (16 * n + 5)
+            - q(35) / (8 * n + 35) + n * rate_d,
+            ln_t1_upper: mp.sqrt(n) * ln(4 * n),
+            ln_t3_lower: prefactor - ln(332800) + t3_common - q(5) / 2 * ln(n),
+            ln_t3_lower_intermediate: prefactor - ln(4160) + t3_common
+            - q(3) / 2 * ln(n) + ln(n - 221) + ln(2 * n - 105) - ln(3 * n + 2)
+            - ln(3 * n + 13) - ln(4 * n + 15),
+            ln_m: lm,
+        }
+
+
+def _assert_encloses(value, reference):
+    with mp.workprec(1024):  # the endpoints convert exactly
+        lo, hi = mpf(value.interval.a), mpf(value.interval.b)
+    assert value.prec == 128
+    assert lo <= reference <= hi
+    # an enclosure as wide as the value itself would prove nothing
+    assert hi - lo <= mpf(2) ** -100 * max(1, abs(reference))
+
+
+@pytest.mark.parametrize("n", ENCLOSURE_NS)
+def test_closed_forms_are_enclosed_at_128_bits(n):
+    for fn, reference in _reference_forms(n).items():
+        _assert_encloses(fn(128) if fn is ln_m else fn(n, 128), reference)
+    with mp.workprec(1024):
+        _assert_encloses(ln_of_int(n**7 + 1, 128), mp.log(mp.mpf(n**7 + 1)))
+        if n <= 1000:  # ln_factorial sums n logs
+            _assert_encloses(ln_factorial(n, 128), mp.loggamma(n + 1))
+            binom = math.comb(4 * n, 3 * n)
+            _assert_encloses(ln_of_int(binom, 128), mp.log(mp.mpf(binom)))
+        x = mp.mpf(n) / 3
+        reference = mp.log(2 * mp.pi) / 2 + (x + 0.5) * mp.log(x) - x + 1 / (12 * x + 1)
+        _assert_encloses(ln_g(Fraction(n, 3), 128), reference)
+
+
+def test_escalation_sharpens_a_decision():
+    low, high = 2**300, 2**300 + 1  # ln values 2^-300 apart
+    assert ln_of_int(low, 128).less_than(ln_of_int(high, 128)) is None
+    assert _decide(lambda p: ln_of_int(low, p).less_than(ln_of_int(high, p)), 128) is True
+    assert _decide(lambda p: ln_of_int(high, p).less_than(ln_of_int(low, p)), 128) is False
+
+
+def test_bound_functions_keep_the_traced_contract():
+    # bench/tracing.py wraps every ln_* function of bounds and reads its
+    # prec, patches LogReal.less_than on the class, and patches the
+    # absorber bounds inside sweeps._ABSORBER_UPPER
+    ln_functions = [
+        fn
+        for name, fn in inspect.getmembers(bounds, callable)
+        if name.startswith("ln_") and getattr(fn, "__module__", None) == bounds.__name__
+    ]
+    assert len(ln_functions) >= 14
+    for fn in ln_functions:
+        assert "prec" in inspect.signature(fn).parameters, fn.__name__
+    assert "less_than" in vars(bounds.LogReal)
+    assert sweeps._ABSORBER_UPPER == {
+        "A": bounds.ln_a_upper,
+        "B": bounds.ln_b_upper,
+        "C": bounds.ln_c_upper,
+        "D": bounds.ln_d_upper,
+    }
