@@ -59,7 +59,8 @@ def _working(prec: int):
 def _rational(x):
     """An interval enclosing the rational x, at the working precision."""
     x = _coerce_rational(x)
-    return iv.mpf(x.numerator) / x.denominator
+    xi = iv.mpf(x.numerator)
+    return xi if x.denominator == 1 else xi / x.denominator
 
 
 class LogReal:
@@ -142,6 +143,9 @@ def _constants(prec: int) -> SimpleNamespace:
         pi = +iv.pi
         pi_3_2 = iv.sqrt(3) * pi * iv.sqrt(pi)
         return SimpleNamespace(
+            half=iv.mpf(0.5),
+            one=iv.mpf(1),
+            twelve=iv.mpf(12),
             pi=pi,
             half_ln_2pi=iv.log(2 * pi) / 2,
             rate_a=4 * iv.log(4) / 3 - iv.log(3),
@@ -175,9 +179,11 @@ def _ln_stirling(name: str, x, shift: int, prec: int) -> LogReal:
     x = _coerce_rational(x)
     if x <= 0:
         raise DomainError(f"{name} is defined for x > 0")
+    c = _constants(prec)
     with _working(prec):
         xi = _rational(x)
-        v = _constants(prec).half_ln_2pi + (xi + 0.5) * iv.log(xi) - xi + 1 / (12 * xi + shift)
+        denom = c.twelve * xi + c.one if shift else c.twelve * xi
+        v = c.half_ln_2pi + (xi + c.half) * iv.log(xi) - xi + c.one / denom
         return LogReal.from_interval(v, prec)
 
 

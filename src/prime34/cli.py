@@ -27,7 +27,7 @@ from .sweeps import (
     observations_csv_lines,
     observations_sweep,
     observations_to_json_dict,
-    sweep_csv_lines,
+    sweep_csv_text,
     sweep_to_json_dict,
     verify_corollary,
     verify_direct,
@@ -115,17 +115,22 @@ def _emit(text: str, out) -> None:
 
 
 def _render(report, to_json, to_csv, fmt: str) -> str:
-    """The report in fmt, built only by the formatter for that format."""
+    """The report in fmt, built only by the formatter for that format;
+    to_csv gives the whole CSV text."""
     if fmt == "csv":
-        return "\n".join(to_csv(report)) + "\n"
+        return to_csv(report)
     return json.dumps(to_json(report), indent=2, sort_keys=True) + "\n"
+
+
+def _observations_csv_text(report) -> str:
+    return "\n".join(observations_csv_lines(report)) + "\n"
 
 
 def _dispatch(args) -> int:
     if args.command in ("verify-direct", "verify-corollary"):
         verify = verify_direct if args.command == "verify-direct" else verify_corollary
         report = verify(args.nmax, args.witnesses, args.threads)
-        text = _render(report, sweep_to_json_dict, sweep_csv_lines, args.format)
+        text = _render(report, sweep_to_json_dict, sweep_csv_text, args.format)
         _emit(text, args.out)
         return 1 if report.failures else 0
 
@@ -147,7 +152,7 @@ def _dispatch(args) -> int:
 
     if args.command == "observations":
         report = observations_sweep(args.nmin, args.nmax, args.threads)
-        to_json, to_csv = observations_to_json_dict, observations_csv_lines
+        to_json, to_csv = observations_to_json_dict, _observations_csv_text
         _emit(_render(report, to_json, to_csv, args.format), args.out)
         return 1 if report.contract_violations or not report.tiling_ok else 0
 

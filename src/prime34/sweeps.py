@@ -17,7 +17,7 @@ from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, compress, repeat
+from itertools import compress, repeat
 from operator import not_
 from time import perf_counter
 from typing import Optional
@@ -57,13 +57,24 @@ _OBS_CHUNK = 256
 
 @dataclass(frozen=True)
 class SweepReport:
-    """Result of a per-n existence sweep (direct or corollary form)."""
+    """Result of a per-n existence sweep (direct or corollary form).
+
+    found holds the witness of each n in [n_min, n_max], at n - n_min, with
+    0 for a failure; it is None when witnesses were not kept."""
 
     n_min: int
     n_max: int
     failures: tuple
-    witness: Optional[dict]
+    found: Optional[array]
     runtime_ms: Optional[float]
+
+    @property
+    def witness(self) -> Optional[dict]:
+        """{n: witness} over the n that did not fail, or None."""
+        if self.found is None:
+            return None
+        ns = range(self.n_min, self.n_max + 1)
+        return dict(compress(zip(ns, self.found), self.found))
 
 
 # Witness forms (a, b, c, d): the witness of n is the smallest prime
@@ -152,16 +163,19 @@ def _existence_sweep(form, limit, n_min, n_max, witnesses, threads) -> SweepRepo
     """A SweepReport of the witnesses in this form over [n_min, n_max]."""
     t0 = perf_counter()
     scan = partial(_scan_witnesses, form=form)
-    parts = _run_chunked(scan, limit, n_min, n_max, threads, _DIRECT_CHUNK)
-    found = list(chain.from_iterable(parts))
-    ns = range(n_min, n_max + 1)
-    failures = tuple(compress(ns, map(not_, found))) if 0 in found else ()
-    witness = None
-    if witnesses:
-        witness = dict(zip(ns, found))
-        for n in failures:
-            del witness[n]
-    return SweepReport(n_min, n_max, failures, witness, (perf_counter() - t0) * 1e3)
+    found = array("q")
+    for part in _run_chunked(scan, limit, n_min, n_max, threads, _DIRECT_CHUNK):
+        found += part
+    failures = _failures(n_min, found)
+    runtime_ms = (perf_counter() - t0) * 1e3
+    return SweepReport(n_min, n_max, failures, found if witnesses else None, runtime_ms)
+
+
+def _failures(n_min: int, found) -> tuple:
+    """The n whose witness in found (indexed from n_min) is 0."""
+    if 0 not in found:
+        return ()
+    return tuple(compress(range(n_min, n_min + len(found)), map(not_, found)))
 
 
 def verify_direct(
@@ -196,55 +210,61 @@ def sweep_to_json_dict(report: SweepReport) -> dict:
 
 
 def sweep_from_json_dict(d: dict) -> SweepReport:
-    witness = d["witness"]
-    return SweepReport(
-        d["n_min"],
-        d["n_max"],
-        tuple(d["failures"]),
-        None if witness is None else {int(n): p for n, p in witness.items()},
-        d["runtime_ms"],
-    )
+    n_min, witness = d["n_min"], d["witness"]
+    found = None
+    if witness is not None:
+        found = array("q", [0]) * (d["n_max"] - n_min + 1)
+        for n, p in witness.items():
+            found[int(n) - n_min] = p
+    return SweepReport(n_min, d["n_max"], tuple(d["failures"]), found, d["runtime_ms"])
 
 
-def sweep_csv_lines(report: SweepReport):
+def sweep_csv_text(report: SweepReport) -> str:
     """One row per swept n; 'n,witness' with the witnessing prime (0 on
     failure) when witnesses were kept, else 'n,ok' with a 0/1 flag.
-    Runtime is deliberately excluded so reruns are byte-identical."""
-    if report.witness is not None:
-        yield "n,witness"
-        for n in range(report.n_min, report.n_max + 1):
-            yield f"{n},{report.witness.get(n, 0)}"
+    Runtime is deliberately excluded so reruns are byte-identical.  All
+    rows come from one format call over the n interleaved with the values."""
+    n_min, n_max = report.n_min, report.n_max
+    rows = n_max - n_min + 1
+    if report.found is not None:
+        header, values = "n,witness", report.found
     else:
-        yield "n,ok"
-        failed = set(report.failures)
-        for n in range(report.n_min, report.n_max + 1):
-            yield f"{n},{0 if n in failed else 1}"
+        header, values = "n,ok", [1] * rows
+        for n in report.failures:
+            values[n - n_min] = 0
+    cells = [0] * (2 * rows)
+    cells[::2] = range(n_min, n_max + 1)
+    cells[1::2] = values
+    return header + "\n" + ("%d,%d\n" * rows) % tuple(cells)
+
+
+def sweep_csv_lines(report: SweepReport) -> list:
+    """The lines of sweep_csv_text, without their newlines."""
+    return sweep_csv_text(report).splitlines()
 
 
 def sweep_from_csv_lines(lines) -> SweepReport:
-    """Rebuild a SweepReport (without runtime) from sweep_csv_lines output."""
+    """Rebuild a SweepReport (without runtime) from sweep_csv_lines output.
+    The rows must cover consecutive n, in order."""
     it = iter(lines)
     header = next(it).strip()
     if header not in ("n,witness", "n,ok"):
         raise DomainError(f"unrecognized sweep CSV header {header!r}")
-    with_witness = header == "n,witness"
-    ns, failures, witness = [], [], {}
+    ns, values = [], array("q")
     for line in it:
         line = line.strip()
         if not line:
             continue
         n_text, value_text = line.split(",")
-        n, value = int(n_text), int(value_text)
-        ns.append(n)
-        if value == 0:
-            failures.append(n)
-        elif with_witness:
-            witness[n] = value
+        ns.append(int(n_text))
+        values.append(int(value_text))
     if not ns:
         raise DomainError("sweep CSV has no data rows")
-    return SweepReport(
-        ns[0], ns[-1], tuple(failures), witness if with_witness else None, None
-    )
+    n_min, n_max = ns[0], ns[-1]
+    if ns != list(range(n_min, n_min + len(ns))):
+        raise DomainError("sweep CSV rows must cover consecutive n in order")
+    found = values if header == "n,witness" else None
+    return SweepReport(n_min, n_max, _failures(n_min, values), found, None)
 
 
 @dataclass(frozen=True)

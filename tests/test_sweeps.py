@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -24,7 +25,7 @@ from prime34 import (
     verify_corollary,
     verify_direct,
 )
-from prime34 import sweeps
+from prime34 import cli, sweeps
 
 
 def test_direct_sweep_small():
@@ -271,6 +272,63 @@ def test_sweep_failures_reach_reports(monkeypatch):
         assert bare[1:] == [f"{n},{int(w > 0)}" for n, w in rows]
         pooled = sweep(20_000, witnesses=True, threads=2)
         assert (pooled.failures, pooled.witness) == (failures, report.witness)
+
+
+def _failing_sieve(limit):
+    """The thinned sieve of test_sweep_failures_reach_reports."""
+    return _thinned_sieve(limit, 0.6, random.Random(limit), top=18_000)
+
+
+@pytest.mark.parametrize("witnesses", [True, False])
+@pytest.mark.parametrize(
+    "command, limit, n_min, form, failing_chunks",
+    [
+        ("verify-direct", 80_000, 1, (3, 0, 1, 0), {0, 1, 2}),
+        # every corollary window below 13,500 keeps a prime under 18,000
+        ("verify-corollary", 26_670, 3, (1, 1, 3, 7), {0, 2}),
+    ],
+)
+def test_sweep_csv_matches_per_n_reference(
+    command, limit, n_min, form, failing_chunks, witnesses, monkeypatch, capsys
+):
+    monkeypatch.setattr(sweeps, "build_sieve", _failing_sieve)
+    found = _brute_witnesses(_failing_sieve(limit), n_min, 20_000, form)
+    rows = list(enumerate(found, n_min))
+    failures = tuple(n for n, w in rows if w == 0)
+    # the 8192-n chunks (first, middle, last) that hold failures
+    assert {(n - n_min) // 8192 for n in failures} == failing_chunks
+
+    flag = ["--witnesses"] if witnesses else []
+    assert cli.main([command, "--nmax", "20000", "--format", "csv", *flag]) == 1
+    text = capsys.readouterr().out
+    if witnesses:
+        expected = "n,witness\n" + "".join(f"{n},{w}\n" for n, w in rows)
+    else:
+        expected = "n,ok\n" + "".join(f"{n},{0 if w == 0 else 1}\n" for n, w in rows)
+    assert text == expected
+
+    sweep = verify_direct if command == "verify-direct" else verify_corollary
+    report = sweep(20_000, witnesses=witnesses)
+    assert report.failures == failures
+    if witnesses:
+        assert report.witness == {n: w for n, w in rows if w}
+        assert not report.witness.keys() & set(failures)
+    else:
+        assert report.witness is None
+    assert list(sweep_csv_lines(report)) == text.splitlines()
+    assert sweep_from_csv_lines(text.splitlines()) == replace(report, runtime_ms=None)
+    back = sweep_from_json_dict(json.loads(json.dumps(sweep_to_json_dict(report))))
+    assert back == report
+
+
+def test_sweep_csv_rows_must_be_consecutive():
+    for lines in (
+        ["n,witness", "1,3", "2,7", "4,13"],  # a gap
+        ["n,ok", "5,1", "2,1"],  # descending
+        ["n,ok", "1,1", "1,1"],  # repeated
+    ):
+        with pytest.raises(DomainError):
+            sweep_from_csv_lines(lines)
 
 
 def test_lower_bound_report():
