@@ -8,6 +8,12 @@ outward-rounded mpmath.iv interval that contains the natural log, plus the
 precision it was evaluated at.  A comparison is decided only when the two
 intervals do not overlap; otherwise it reports indeterminate and callers
 escalate the working precision.
+
+The closed forms one report evaluates more than once (the binomial lower
+bound, the four absorber upper bounds and the T3 lower bound) are cached
+per (n, prec).  Callers pass prec positionally: lru_cache keys f(n, p),
+f(n, prec=p) and f(n) apart.  An escalated comparison asks for a new
+precision, hence a new key, so the cache never pins a first attempt.
 """
 
 from __future__ import annotations
@@ -310,6 +316,7 @@ def scan_h2_unimodal(c, grid, prec: int = DEFAULT_PREC) -> bool:
     return _decide(attempt, prec)
 
 
+@lru_cache(maxsize=64)
 def ln_binom_lower(n: int, prec: int = DEFAULT_PREC) -> LogReal:
     """ln of 2/sqrt(6 pi n) * e^(1/(48n+1) - 1/(36n) - 1/(12n)) * (256/27)^n,
     the closed-form lower bound on C(4n, 3n).
@@ -330,6 +337,7 @@ def ln_binom_lower(n: int, prec: int = DEFAULT_PREC) -> LogReal:
     return closed
 
 
+@lru_cache(maxsize=64)
 def ln_a_upper(n: int, prec: int = DEFAULT_PREC) -> LogReal:
     """ln of (4n/3) sqrt(2/(pi n)) e^(1/(16n) - 1/(12n+1) - 1/(4n+1))
     * (4^(4/3)/3)^n, the closed-form upper bound on A."""
@@ -343,6 +351,7 @@ def ln_a_upper(n: int, prec: int = DEFAULT_PREC) -> LogReal:
         return LogReal.from_interval(v, prec)
 
 
+@lru_cache(maxsize=64)
 def ln_b_upper(n: int, prec: int = DEFAULT_PREC) -> LogReal:
     """ln of ((12n+8)/sqrt(3 pi n)) e^(1/(24n) - 1/(18n+1) - 1/(6n+1))
     * (16/3^(3/2))^n, the closed-form upper bound on B."""
@@ -355,6 +364,7 @@ def ln_b_upper(n: int, prec: int = DEFAULT_PREC) -> LogReal:
         return LogReal.from_interval(v, prec)
 
 
+@lru_cache(maxsize=64)
 def ln_c_upper(n: int, prec: int = DEFAULT_PREC) -> LogReal:
     """ln of (4n/17) ((51n+221)/(n-221)) (26/sqrt(6 pi n))
     * e^(17/(48n) - 13/(36n+13) - 221/(12n+221))
@@ -373,6 +383,7 @@ def ln_c_upper(n: int, prec: int = DEFAULT_PREC) -> LogReal:
         return LogReal.from_interval(v, prec)
 
 
+@lru_cache(maxsize=64)
 def ln_d_upper(n: int, prec: int = DEFAULT_PREC) -> LogReal:
     """ln of ((4n^2+15n)/(2n-105)) (15/sqrt(2 pi n))
     * e^(7/(24n) - 5/(16n+5) - 35/(8n+35))
@@ -475,6 +486,7 @@ def _t3_terms(n: int, prefactor, n_power, prec: int):
         return prefactor + _rational(e_term(n)) + n * lm - tail
 
 
+@lru_cache(maxsize=64)
 def ln_t3_lower(n: int, prec: int = DEFAULT_PREC) -> LogReal:
     """ln of (sqrt(3) pi^(3/2) / 332800) e^E M^n (4n)^(-sqrt n) n^(-5/2)."""
     if n < 222:

@@ -276,21 +276,29 @@ def absorber_valuation(which: str, n: int, p: int) -> int:
     return _legendre(fs, p) - _legendre(fsr, p) - _legendre(fr, p)
 
 
-def _t2_value(n: int, sieve: PrimeSieve) -> int:
-    start = bisect_right(sieve.primes, math.isqrt(4 * n))
-    stop = bisect_right(sieve.primes, 3 * n)
-    betas = ((p, _beta(n, p)) for p in sieve.primes[start:stop])
-    return _balanced_product(p**b for p, b in betas if b)
-
-
 def check_t2_divisibility_bound(n: int, sieve: PrimeSieve) -> bool:
-    """T2 <= 4^(n/6) * A * B * C * D, decided exactly on sixth powers."""
+    """T2 <= 4^(n/6) * A * B * C * D.
+
+    Compared in log domain first, sum(beta(p) ln p) against n ln 4 / 6 plus
+    the ln of each absorber; every term is positive and within a few ulps,
+    so 2^-40 of the larger side bounds the joint error.  Inside that margin
+    the exact comparison on sixth powers decides.
+    """
     if 4 * n > sieve.limit:
         raise CoverageError(f"n={n} needs sieve coverage {4 * n}")
-    product = 1
-    for which in "ABCD":
-        product *= absorber(which, n)
-    return _t2_value(n, sieve) ** 6 <= 4**n * product**6
+    absorbers = [absorber(which, n) for which in "ABCD"]
+    start = bisect_right(sieve.primes, math.isqrt(4 * n))
+    stop = bisect_right(sieve.primes, 3 * n)
+    betas = [(p, b) for p in sieve.primes[start:stop] if (b := _beta(n, p))]
+    lhs = math.fsum(b * math.log(p) for p, b in betas)
+    rhs = n * math.log(4) / 6 + math.fsum(map(math.log, absorbers))
+    margin = 2.0**-40 * max(1.0, lhs, rhs)
+
+    def exact():
+        t2 = _balanced_product(p**b for p, b in betas)
+        return t2**6 <= 4**n * math.prod(absorbers) ** 6
+
+    return screened_le(lhs, rhs, margin, exact)
 
 
 def t2_bound_minimal_n(n_max: int, sieve: PrimeSieve):

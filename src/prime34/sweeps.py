@@ -378,6 +378,8 @@ def analytic_report(samples=None, prec: int = DEFAULT_PREC) -> dict:
     differences over a geometric ladder standing in for the n -> infinity
     trend (the literal all-n claim is out of desk-scale reach)."""
     samples = DEFAULT_ANALYTIC_SAMPLES if samples is None else tuple(samples)
+    if not samples:
+        raise DomainError("analytic report requires at least one sample")
     if any(s <= DEFAULT_DIRECT_NMAX - 1 for s in samples):
         raise DomainError(f"analytic samples must exceed {DEFAULT_DIRECT_NMAX - 1}")
     if any(b <= a for a, b in zip(samples, samples[1:])):
@@ -441,7 +443,8 @@ def decompose_report(
     else:
         checks = {}
         binomial = math.comb(4 * n, 3 * n)
-        checks["binomial_identity"] = "pass" if dec.product() == binomial else "fail"
+        t1, t2, t3 = dec.t1.value(), dec.t2.value(), dec.t3.value()
+        checks["binomial_identity"] = "pass" if t1 * t2 * t3 == binomial else "fail"
         checks["binomial_above_lower_bound"] = _verdict(
             _decide(
                 lambda p: ln_binom_lower(n, p).less_than(ln_of_int(binomial, p)), prec
@@ -465,11 +468,8 @@ def decompose_report(
         if n < 222:
             checks["t3_above_lower_bound"] = "not applicable"
         else:
-            t3_value = dec.t3.value()
             checks["t3_above_lower_bound"] = _verdict(
-                _decide(
-                    lambda p: ln_t3_lower(n, p).less_than(ln_of_int(t3_value, p)), prec
-                )
+                _decide(lambda p: ln_t3_lower(n, p).less_than(ln_of_int(t3, p)), prec)
             )
 
     report = {

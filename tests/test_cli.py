@@ -75,6 +75,13 @@ def test_verify_analytic_cli(capsys):
     assert code == 2 and "error:" in err
 
 
+def test_verify_analytic_cli_rejects_empty_samples(capsys):
+    for samples in (",", ""):
+        code, out, err = run(capsys, ["verify-analytic", "--samples", samples])
+        assert code == 2 and out == ""
+        assert "at least one sample" in err
+
+
 def test_decompose_cli(capsys):
     code, out, _ = run(capsys, ["decompose", "--n", "300"])
     assert code == 0

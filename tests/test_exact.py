@@ -28,6 +28,7 @@ from prime34 import (
     legendre_valuation,
     t2_bound_minimal_n,
 )
+from prime34 import exact
 from prime34.exact import _absorber_floors, floor_of
 
 
@@ -200,6 +201,20 @@ def test_t2_divisibility_bound(sieve_mid):
     with pytest.raises(DomainError):
         check_t2_divisibility_bound(4, sieve_mid)  # absorber C undefined
     assert t2_bound_minimal_n(120, sieve_mid) == 5
+
+
+def test_t2_divisibility_bound_matches_exact_reference(sieve_mid, monkeypatch):
+    def reference(n):
+        t2 = decompose(n, sieve_mid).t2.value()
+        product = math.prod(absorber(which, n) for which in "ABCD")
+        return t2**6 <= 4**n * product**6
+
+    ns = range(5, 401)
+    expected = [reference(n) for n in ns]
+    assert [check_t2_divisibility_bound(n, sieve_mid) for n in ns] == expected
+    # every comparison inside the band: the exact route alone decides
+    monkeypatch.setattr(exact, "screened_le", lambda lhs, rhs, margin, decide: decide())
+    assert [check_t2_divisibility_bound(n, sieve_mid) for n in ns] == expected
 
 
 def test_t1_cap(sieve_mid):

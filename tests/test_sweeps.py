@@ -25,7 +25,7 @@ from prime34 import (
     verify_corollary,
     verify_direct,
 )
-from prime34 import cli, sweeps
+from prime34 import bounds, cli, sweeps
 
 
 def test_direct_sweep_small():
@@ -353,6 +353,76 @@ def test_analytic_report():
         analytic_report([100])
     with pytest.raises(DomainError):
         analytic_report([162755, 162755])
+
+
+@pytest.fixture
+def t3_evaluations(monkeypatch):
+    """The precision of every _t3_terms evaluation, counted from empty caches."""
+
+    def clear_caches():
+        for form in vars(bounds).values():
+            if hasattr(form, "cache_clear"):
+                form.cache_clear()
+
+    clear_caches()
+    precs = []
+    terms = bounds._t3_terms
+
+    def counted(n, prefactor, n_power, prec):
+        precs.append(prec)
+        return terms(n, prefactor, n_power, prec)
+
+    monkeypatch.setattr(bounds, "_t3_terms", counted)
+    yield precs
+    clear_caches()
+
+
+_EIGHT_STEP_LADDER = [200_000 << k for k in range(8)]
+
+
+def test_decompose_report_evaluates_each_bound_once(t3_evaluations):
+    report = decompose_report(2600)
+    assert all(v == "pass" for v in report["checks"].values())
+    # the T3 check, the bound report and the count share one ln_t3_lower;
+    # the chain validation adds the intermediate form
+    assert t3_evaluations == [128, 128]
+    for form in (
+        bounds.ln_binom_lower,
+        bounds.ln_a_upper,
+        bounds.ln_b_upper,
+        bounds.ln_c_upper,
+        bounds.ln_d_upper,
+        bounds.ln_t3_lower,
+    ):
+        assert form.cache_info().misses == 1, form.__name__
+
+
+def test_analytic_report_evaluates_each_sample_once(t3_evaluations):
+    report = analytic_report(_EIGHT_STEP_LADDER)
+    assert report["all_positive"] and report["strictly_increasing"]
+    assert t3_evaluations == [128] * 8
+
+
+def test_escalated_decisions_evaluate_afresh(t3_evaluations, monkeypatch):
+    """With every 128-bit comparison undecided, the verdicts are unchanged
+    and come from 256-bit evaluations, not from the cached first attempt."""
+    expected_ladder = analytic_report(_EIGHT_STEP_LADDER)
+    expected_decompose = decompose_report(2600)
+    less_than = bounds.LogReal.less_than
+
+    def undecided_at_default(self, other):
+        if min(self.prec, other.prec) == bounds.DEFAULT_PREC:
+            return None
+        return less_than(self, other)
+
+    monkeypatch.setattr(bounds.LogReal, "less_than", undecided_at_default)
+    t3_evaluations.clear()
+    assert analytic_report(_EIGHT_STEP_LADDER) == expected_ladder
+    assert t3_evaluations == [256] * 8
+    t3_evaluations.clear()
+    assert decompose_report(2600) == expected_decompose
+    # the T3 check escalates; the uncached intermediate form is evaluated again
+    assert t3_evaluations == [256, 128]
 
 
 def test_default_analytic_ladder_shape():
