@@ -20,16 +20,17 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from itertools import pairwise
 from types import SimpleNamespace
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from mpmath import iv, log, mpf, sqrt, workprec
 
 from .errors import ConsistencyError, DomainError, PrecisionError
+from .exact import ABSORBER_COEFFS
 from .sieve import settled_from
 
 DEFAULT_PREC = 128
@@ -140,10 +141,58 @@ def _decide(attempt, prec: int) -> bool:
     raise PrecisionError(f"comparison undecided at {MAX_PREC} bits")
 
 
+class _Form(NamedTuple):
+    """A Stirling closed form for the generalized binomial {s n \\ r n}:
+    lead(n) / sqrt(k pi n) * e^(sum of c/(a n + b) over the corrections)
+    * rate^n, with ln rate from _rate(s, r); it applies from n_min on."""
+
+    index: tuple
+    lead: Callable
+    k: int
+    corrections: tuple
+    n_min: int
+    domain_error: str
+
+
+# The lower bound on C(4n, 3n) and the upper bounds on the four absorbers.
+_FORMS = {
+    "binomial": _Form(
+        (4, 3), lambda n: 2, 6, ((1, 48, 1), (-1, 36, 0), (-1, 12, 0)),
+        1, "binomial lower bound requires n >= 1",
+    ),
+    "A": _Form(
+        ABSORBER_COEFFS["A"], lambda n: Fraction(8 * n, 3), 2,
+        ((1, 16, 0), (-1, 12, 1), (-1, 4, 1)), 1, "A bound requires n >= 1",
+    ),
+    "B": _Form(
+        ABSORBER_COEFFS["B"], lambda n: 12 * n + 8, 3,
+        ((1, 24, 0), (-1, 18, 1), (-1, 6, 1)), 1, "B bound requires n >= 1",
+    ),
+    "C": _Form(
+        ABSORBER_COEFFS["C"],
+        lambda n: Fraction(4 * n * (51 * n + 221) * 26, 17 * (n - 221)), 6,
+        ((17, 48, 0), (-13, 36, 13), (-221, 12, 221)),
+        222, "C bound has a pole at n = 221; requires n >= 222",
+    ),
+    "D": _Form(
+        ABSORBER_COEFFS["D"],
+        lambda n: Fraction(15 * (4 * n * n + 15 * n), 2 * n - 105), 2,
+        ((7, 24, 0), (-5, 16, 5), (-35, 8, 35)),
+        53, "D bound has a pole at 2n = 105; requires n >= 53",
+    ),
+}
+
+
+def _rate(s, r):
+    """ln of the growth rate of {s n \\ r n}: s ln s - r ln r - (s-r) ln(s-r)."""
+    s, r = _rational(s), _rational(r)
+    return s * iv.log(s) - r * iv.log(r) - (s - r) * iv.log(s - r)
+
+
 @lru_cache(maxsize=8)
 def _constants(prec: int) -> SimpleNamespace:
     """The intervals every bound shares, evaluated once per precision.  The
-    rates are the exponential growth rates of the four absorber bounds; the
+    rates are the exponential growth rates of the five closed forms; the
     prefactors are ln(sqrt(3) pi^(3/2) / d) for the two forms of T3."""
     with _working(prec):
         pi = +iv.pi
@@ -154,21 +203,22 @@ def _constants(prec: int) -> SimpleNamespace:
             twelve=iv.mpf(12),
             pi=pi,
             half_ln_2pi=iv.log(2 * pi) / 2,
-            rate_a=4 * iv.log(4) / 3 - iv.log(3),
-            rate_b=iv.log(16) - 3 * iv.log(3) / 2,
-            rate_c=(
-                iv.log(221) / 221
-                + 3 * iv.log(iv.mpf(13) / 3) / 13
-                + 4 * iv.log(iv.mpf(4) / 17) / 17
-            ),
-            rate_d=(
-                2 * iv.log(iv.mpf(105) / 2) / 105
-                + 4 * iv.log(iv.mpf(15) / 4) / 15
-                + 2 * iv.log(iv.mpf(2) / 7) / 7
-            ),
+            rates={name: _rate(*form.index) for name, form in _FORMS.items()},
             t3_prefactor=iv.log(pi_3_2 / 332800),
             t3_prefactor_intermediate=iv.log(pi_3_2 / 4160),
         )
+
+
+def _closed_form(name: str, n: int, prec: int) -> LogReal:
+    """The named row of _FORMS evaluated at n."""
+    form = _FORMS[name]
+    if n < form.n_min:
+        raise DomainError(form.domain_error)
+    corr = sum((Fraction(c, a * n + b) for c, a, b in form.corrections), Fraction(0))
+    c = _constants(prec)
+    with _working(prec):
+        v = iv.log(_rational(form.lead(n))) - iv.log(form.k * c.pi * n) / 2
+        return LogReal.from_interval(v + _rational(corr) + n * c.rates[name], prec)
 
 
 def ln_of_int(value: int, prec: int = DEFAULT_PREC) -> LogReal:
@@ -324,13 +374,7 @@ def ln_binom_lower(n: int, prec: int = DEFAULT_PREC) -> LogReal:
     Cross-checked against ln g(4n) - ln f(3n) - ln f(n), which it equals
     identically; disagreement raises ConsistencyError.
     """
-    if n < 1:
-        raise DomainError("binomial lower bound requires n >= 1")
-    corr = Fraction(1, 48 * n + 1) - Fraction(1, 36 * n) - Fraction(1, 12 * n)
-    c = _constants(prec)
-    with _working(prec):
-        v = iv.log(2) - iv.log(6 * c.pi * n) / 2 + _rational(corr) + n * iv.log(iv.mpf(256) / 27)
-        closed = LogReal.from_interval(v, prec)
+    closed = _closed_form("binomial", n, prec)
     route = ln_g(4 * n, prec) - ln_f(3 * n, prec) - ln_f(n, prec)
     if not closed.consistent_with(route):
         raise ConsistencyError(f"binomial lower bound routes disagree at n={n}")
@@ -341,27 +385,14 @@ def ln_binom_lower(n: int, prec: int = DEFAULT_PREC) -> LogReal:
 def ln_a_upper(n: int, prec: int = DEFAULT_PREC) -> LogReal:
     """ln of (4n/3) sqrt(2/(pi n)) e^(1/(16n) - 1/(12n+1) - 1/(4n+1))
     * (4^(4/3)/3)^n, the closed-form upper bound on A."""
-    if n < 1:
-        raise DomainError("A bound requires n >= 1")
-    corr = Fraction(1, 16 * n) - Fraction(1, 12 * n + 1) - Fraction(1, 4 * n + 1)
-    c = _constants(prec)
-    with _working(prec):
-        lead = iv.log(iv.mpf(4 * n) / 3) + iv.log(2 / (c.pi * n)) / 2
-        v = lead + _rational(corr) + n * c.rate_a
-        return LogReal.from_interval(v, prec)
+    return _closed_form("A", n, prec)
 
 
 @lru_cache(maxsize=64)
 def ln_b_upper(n: int, prec: int = DEFAULT_PREC) -> LogReal:
     """ln of ((12n+8)/sqrt(3 pi n)) e^(1/(24n) - 1/(18n+1) - 1/(6n+1))
     * (16/3^(3/2))^n, the closed-form upper bound on B."""
-    if n < 1:
-        raise DomainError("B bound requires n >= 1")
-    corr = Fraction(1, 24 * n) - Fraction(1, 18 * n + 1) - Fraction(1, 6 * n + 1)
-    c = _constants(prec)
-    with _working(prec):
-        v = iv.log(12 * n + 8) - iv.log(3 * c.pi * n) / 2 + _rational(corr) + n * c.rate_b
-        return LogReal.from_interval(v, prec)
+    return _closed_form("B", n, prec)
 
 
 @lru_cache(maxsize=64)
@@ -369,18 +400,7 @@ def ln_c_upper(n: int, prec: int = DEFAULT_PREC) -> LogReal:
     """ln of (4n/17) ((51n+221)/(n-221)) (26/sqrt(6 pi n))
     * e^(17/(48n) - 13/(36n+13) - 221/(12n+221))
     * (221^(1/221) (13/3)^(3/13) (4/17)^(4/17))^n, upper bound on C."""
-    if n <= 221:
-        raise DomainError("C bound has a pole at n = 221; requires n >= 222")
-    corr = (
-        Fraction(17, 48 * n)
-        - Fraction(13, 36 * n + 13)
-        - Fraction(221, 12 * n + 221)
-    )
-    ratio = Fraction(4 * n * (51 * n + 221) * 26, 17 * (n - 221))
-    c = _constants(prec)
-    with _working(prec):
-        v = iv.log(_rational(ratio)) - iv.log(6 * c.pi * n) / 2 + _rational(corr) + n * c.rate_c
-        return LogReal.from_interval(v, prec)
+    return _closed_form("C", n, prec)
 
 
 @lru_cache(maxsize=64)
@@ -388,14 +408,7 @@ def ln_d_upper(n: int, prec: int = DEFAULT_PREC) -> LogReal:
     """ln of ((4n^2+15n)/(2n-105)) (15/sqrt(2 pi n))
     * e^(7/(24n) - 5/(16n+5) - 35/(8n+35))
     * ((105/2)^(2/105) (15/4)^(4/15) (2/7)^(2/7))^n, upper bound on D."""
-    if 2 * n <= 105:
-        raise DomainError("D bound has a pole at 2n = 105; requires n >= 53")
-    corr = Fraction(7, 24 * n) - Fraction(5, 16 * n + 5) - Fraction(35, 8 * n + 35)
-    ratio = Fraction(15 * (4 * n * n + 15 * n), 2 * n - 105)
-    c = _constants(prec)
-    with _working(prec):
-        v = iv.log(_rational(ratio)) - iv.log(2 * c.pi * n) / 2 + _rational(corr) + n * c.rate_d
-        return LogReal.from_interval(v, prec)
+    return _closed_form("D", n, prec)
 
 
 def ln_t1_upper(n: int, prec: int = DEFAULT_PREC) -> LogReal:
@@ -406,11 +419,10 @@ def ln_t1_upper(n: int, prec: int = DEFAULT_PREC) -> LogReal:
         return LogReal.from_interval(iv.sqrt(n) * iv.log(4 * n), prec)
 
 
-# The 15 terms of E(n), each k / (a*n + b) as (k, a, b).
-_E_TERMS = (
-    (1, 48, 1), (-1, 36, 0), (-1, 12, 0), (-1, 16, 0), (1, 12, 1),
-    (1, 4, 1), (-1, 24, 0), (1, 18, 1), (1, 6, 1), (-17, 48, 0),
-    (13, 36, 13), (221, 12, 221), (-7, 24, 0), (5, 16, 5), (35, 8, 35),
+# The 15 terms of E(n), each k / (a*n + b) as (k, a, b): the binomial
+# bound's corrections less those of the four absorber bounds.
+_E_TERMS = _FORMS["binomial"].corrections + tuple(
+    (-k, a, b) for name in "ABCD" for k, a, b in _FORMS[name].corrections
 )
 
 
@@ -454,11 +466,12 @@ def ln_m(prec: int = DEFAULT_PREC) -> LogReal:
 
 def ln_m_rate_identity(prec: int = DEFAULT_PREC) -> bool:
     """ln M == ln(256/27) - rate_A - rate_B - rate_C - rate_D - (1/6)ln 4,
-    the defining cancellation against the absorber growth rates."""
-    c = _constants(prec)
+    the defining cancellation against the growth rates, which here are
+    derived from the binomial's and the absorbers' indices."""
+    rates = _constants(prec).rates
     with _working(prec):
-        rates = c.rate_a + c.rate_b + c.rate_c + c.rate_d
-        rhs = iv.log(iv.mpf(256) / 27) - rates - iv.log(4) / 6
+        absorbed = rates["A"] + rates["B"] + rates["C"] + rates["D"]
+        rhs = rates["binomial"] - absorbed - iv.log(4) / 6
     return ln_m(prec).consistent_with(LogReal.from_interval(rhs, prec))
 
 
@@ -537,13 +550,27 @@ def _t3_float(n: int, lm: float) -> float:
     )
 
 
-def _require_scan_range(n_min: int, n_max: int) -> None:
+def _float_threshold(float_bad, exact_bad, n_min: int, n_max: int):
+    """Smallest n such that float_bad(n', ln M) is false for all n' in
+    [n, n_max], or None.  The float scan's answer is re-checked with
+    exact_bad, the same test in log arithmetic: it must be false at n and,
+    when n > n_min, true at n - 1."""
     # below 222 the T3 bound is undefined; an empty scan finds no failure
     # and would report n_min as settled
     if n_min < 222:
         raise DomainError(f"threshold scan requires n_min >= 222, got {n_min}")
     if n_max < n_min:
         raise DomainError(f"threshold scan requires n_min <= n_max, got [{n_min}, {n_max}]")
+    lm = float(ln_m().ln_value)
+    bad = (n for n in range(n_min, n_max + 1) if float_bad(n, lm))
+    minimal = settled_from(bad, n_min, n_max)
+    if minimal is None:
+        return None
+    if exact_bad(minimal):
+        raise ConsistencyError(f"float scan and log arithmetic disagree at {minimal}")
+    if minimal > n_min and not exact_bad(minimal - 1):
+        raise ConsistencyError(f"float scan and log arithmetic disagree at {minimal - 1}")
+    return minimal
 
 
 def simplified_bound_minimal_n(n_max: int, n_min: int = 222):
@@ -555,27 +582,16 @@ def simplified_bound_minimal_n(n_max: int, n_min: int = 222):
     a rate that dwarfs double rounding away from the single crossover; the
     endpoints of the scan are re-checked with the mpmath forms.
     """
-    _require_scan_range(n_min, n_max)
-    lm = float(ln_m().ln_value)
 
-    def simplified_above_exact(n):
+    def simplified_above_exact(n, lm):
         l4n = math.log(4 * n)
         simplified = n * (lm - l4n / math.sqrt(n)) / (2 * math.log(n)) - 2.5
         return simplified > _t3_float(n, lm) / l4n
 
-    bad = filter(simplified_above_exact, range(n_min, n_max + 1))
-    minimal = settled_from(bad, n_min, n_max)
-    if minimal is None:
-        return None
-
     def above_in_mpmath(n):
         return count_lower_bound_simplified(n) > count_lower_bound(n)
 
-    if above_in_mpmath(minimal):
-        raise ConsistencyError(f"float scan and log arithmetic disagree at {minimal}")
-    if minimal > n_min and not above_in_mpmath(minimal - 1):
-        raise ConsistencyError(f"float scan and log arithmetic disagree at {minimal - 1}")
-    return minimal
+    return _float_threshold(simplified_above_exact, above_in_mpmath, n_min, n_max)
 
 
 def t3_positive_minimal_n(n_max: int, n_min: int = 222):
@@ -585,37 +601,15 @@ def t3_positive_minimal_n(n_max: int, n_min: int = 222):
     (the bound climbs at about ln M per step, far above double rounding);
     the endpoints of the scan are re-verified in interval arithmetic.
     """
-    _require_scan_range(n_min, n_max)
-    lm = float(ln_m().ln_value)
-    bad = (n for n in range(n_min, n_max + 1) if _t3_float(n, lm) <= 0)
-    minimal = settled_from(bad, n_min, n_max)
-    if minimal is None:
-        return None
-    if _decide(lambda p: ln_t3_lower(minimal, p).less_than(_zero(p)), DEFAULT_PREC):
-        raise ConsistencyError(f"float scan and log arithmetic disagree at {minimal}")
-    if minimal > n_min and not _decide(
-        lambda p: ln_t3_lower(minimal - 1, p).less_than(_zero(p)), DEFAULT_PREC
-    ):
-        raise ConsistencyError(f"float scan and log arithmetic disagree at {minimal - 1}")
-    return minimal
+
+    def nonpositive(n):
+        return _decide(lambda p: ln_t3_lower(n, p).less_than(_zero(p)), DEFAULT_PREC)
+
+    return _float_threshold(lambda n, lm: _t3_float(n, lm) <= 0, nonpositive, n_min, n_max)
 
 
 def _zero(prec: int) -> LogReal:
     return LogReal(mpf(0), mpf(0), prec)
-
-
-BOUND_REPORT_FIELDS = (
-    "n",
-    "ln_binom_lower",
-    "ln_A_upper",
-    "ln_B_upper",
-    "ln_C_upper",
-    "ln_D_upper",
-    "ln_T1_upper",
-    "e_term",
-    "ln_T3_lower",
-    "count_lower_bound",
-)
 
 
 @dataclass(frozen=True)
@@ -666,23 +660,21 @@ class BoundReport:
                 )
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "ln_binom_lower": float(self.ln_binom_lower.ln_value),
-            "ln_A_upper": float(self.ln_A_upper.ln_value),
-            "ln_B_upper": float(self.ln_B_upper.ln_value),
-            "ln_C_upper": float(self.ln_C_upper.ln_value),
-            "ln_D_upper": float(self.ln_D_upper.ln_value),
-            "ln_T1_upper": float(self.ln_T1_upper.ln_value),
-            "e_term": float(self.e_term),
-            "ln_T3_lower": float(self.ln_T3_lower.ln_value),
-            "count_lower_bound": self.count_lower_bound,
-            "m_constant_note": M_CORRECTION_NOTE,
-        }
+        d = {}
+        for name in BOUND_REPORT_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, LogReal):
+                value = value.ln_value
+            d[name] = value if name == "n" else float(value)
+        d["m_constant_note"] = M_CORRECTION_NOTE
+        return d
 
     def to_csv_row(self) -> list:
         d = self.to_json_dict()
         return [str(self.n)] + [repr(d[k]) for k in BOUND_REPORT_FIELDS[1:]]
+
+
+BOUND_REPORT_FIELDS = tuple(f.name for f in fields(BoundReport))
 
 
 def build_bound_report(n: int, prec: int = DEFAULT_PREC) -> BoundReport:

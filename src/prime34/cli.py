@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 from .errors import (
@@ -47,7 +48,10 @@ def _add_threads_flag(sub):
     )
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The prime34 argument parser, built once per process and shared by
+    every call, so callers parse with it and never modify it."""
     parser = argparse.ArgumentParser(
         prog="prime34",
         description="Verify that [3n, 4n] always contains a prime: finite "

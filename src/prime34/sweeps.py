@@ -385,19 +385,18 @@ def analytic_report(samples=None, prec: int = DEFAULT_PREC) -> dict:
     if any(b <= a for a, b in zip(samples, samples[1:])):
         raise DomainError("analytic samples must be strictly ascending")
 
-    values = [ln_t3_lower(s, prec) for s in samples]
-    positive = [
-        _decide(lambda p, s=s: _zero(p).less_than(ln_t3_lower(s, p)), prec)
-        for s in samples
-    ]
-    floats = [float(v.ln_value) for v in values]
+    # each sample is decided right after its evaluation, while the cache
+    # still holds it and the previous sample
+    floats, positive, increasing = [], [], []
+    for i, s in enumerate(samples):
+        floats.append(float(ln_t3_lower(s, prec).ln_value))
+        positive.append(_decide(lambda p: _zero(p).less_than(ln_t3_lower(s, p)), prec))
+        if i:
+            a = samples[i - 1]
+            increasing.append(
+                _decide(lambda p: ln_t3_lower(a, p).less_than(ln_t3_lower(s, p)), prec)
+            )
     diffs = [b - a for a, b in zip(floats, floats[1:])]
-    increasing = [
-        _decide(
-            lambda p, a=a, b=b: ln_t3_lower(a, p).less_than(ln_t3_lower(b, p)), prec
-        )
-        for a, b in zip(samples, samples[1:])
-    ]
     return {
         "samples": list(samples),
         "ln_t3_lower": floats,

@@ -264,6 +264,23 @@ def test_simplified_threshold_endpoints_are_rechecked(monkeypatch):
     assert simplified_bound_minimal_n(58300, n_min=58198) == 58198
 
 
+def test_t3_threshold_endpoints_are_rechecked(monkeypatch):
+    assert t3_positive_minimal_n(60000, n_min=59000) == 59201
+    exact = bounds.ln_t3_lower
+    # ln T3 is within 0.03 of 0 at 59200 and 59201, so a factor 2 forces a
+    # disagreement at the returned n, then at the n just below it
+    monkeypatch.setattr(
+        bounds, "ln_t3_lower", lambda n, p=128: exact(n, p) - bounds.ln_of_int(2, p)
+    )
+    with pytest.raises(ConsistencyError, match="at 59201"):
+        t3_positive_minimal_n(60000, n_min=59000)
+    monkeypatch.setattr(
+        bounds, "ln_t3_lower", lambda n, p=128: exact(n, p) + bounds.ln_of_int(2, p)
+    )
+    with pytest.raises(ConsistencyError, match="at 59200"):
+        t3_positive_minimal_n(60000, n_min=59000)
+
+
 def test_t3_positivity_threshold():
     assert t3_positive_minimal_n(60000) == 59201
     assert float(ln_t3_lower(59201).ln_value) > 0

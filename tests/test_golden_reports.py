@@ -41,8 +41,14 @@ GOLDEN = {
         "c10b0e68d769583f654325ace8d38a3826c335a55e8f5f05ab142f964b42fd5f",
     "decompose --n 16":
         "1ac8303e363c2c4ff059355b55a226415b12f4b005c9ee9e76d9ed0affddb83e",
+    "decompose --n 52":
+        "49e9c216c7f779075d44d1e2a455b09793bd8f7b61671fbf73a6c91708a94181",
+    "decompose --n 53":
+        "1a33c9e5e66d5d41c6d19bb328653e568546dc8808bc8b5545900d5abfed20c4",
     "decompose --n 221":
         "4c889dfa6811eae5c7c1fd6232b642570b42add20470dfe0396c37765f0f649a",
+    "decompose --n 222":
+        "d788999d7f847cd9481306f49589ee2b53e6c7b0705e11529bfc074581cf3adb",
     "decompose --n 5000":
         "a6efdc5e62f5935e5ccbfa51ff29a7051e3eafea9de55d8fb52e8e263b863c37",
     "decompose --n 5001":

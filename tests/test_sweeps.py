@@ -403,6 +403,13 @@ def test_analytic_report_evaluates_each_sample_once(t3_evaluations):
     assert t3_evaluations == [128] * 8
 
 
+def test_analytic_report_outgrowing_the_cache_evaluates_each_sample_once(t3_evaluations):
+    # more samples than the 64 entries of ln_t3_lower's cache
+    report = analytic_report([200_000 + 1000 * k for k in range(70)])
+    assert report["all_positive"] and report["strictly_increasing"]
+    assert t3_evaluations == [128] * 70
+
+
 def test_escalated_decisions_evaluate_afresh(t3_evaluations, monkeypatch):
     """With every 128-bit comparison undecided, the verdicts are unchanged
     and come from 256-bit evaluations, not from the cached first attempt."""
