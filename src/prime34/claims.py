@@ -18,7 +18,12 @@ once per claim.
 
 Window bounds and absorber valuations are integer arithmetic: bounds are
 floored as (num * n) // den, and valuations are Legendre sums at the
-integer floors of the absorber index, computed once per (absorber, n).
+integer floors of the absorber index, computed once per (claim, n).
+Every prime is still decided on its own, but when (lo + 1)^2 > 4n for the
+floored window start lo, each window prime p has p^2 > 4n, which exceeds
+every absorber floor too, so each Legendre sum is the single floor m//p:
+beta(p) = 4n//p - 3n//p - n//p and v(p) = fs//p - fsr//p - fr//p.  Windows
+that open at or below sqrt(4n) keep the full sums.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from typing import Optional
 from .errors import DomainError
 # absorber_valuation is no longer called here but stays in the namespace:
 # bench/tracing.py counts calls to it through this module
-from .exact import _absorber_floors, _beta, _legendre, absorber_valuation  # noqa: F401
+from .exact import _absorber_floors, _beta, _floors_valuation, absorber_valuation  # noqa: F401
 from .sieve import PrimeSieve, primorial_le, settled_from
 
 BETA_ZERO = "BETA_ZERO"
@@ -107,6 +112,13 @@ class ClaimSpec:
             raise DomainError(f"claim {self.id}: unknown consequence")
         if self.chain:
             parse_chain(self.chain)  # fail fast on typos
+        # integer numerators and denominators for floor_window, kept off
+        # the dataclass fields so equality and repr are unchanged
+        lo = self.lo_coeff
+        lo_nd = None if lo is None else (lo.numerator, lo.denominator)
+        object.__setattr__(
+            self, "_floor_coeffs", (lo_nd, self.hi_coeff.numerator, self.hi_coeff.denominator)
+        )
 
     def window(self, n: int):
         """Exact rational (lo, hi] bounds at this n; lo of sqrt(4n) windows
@@ -117,10 +129,10 @@ class ClaimSpec:
     def floor_window(self, n: int):
         """Integer floors of window(n), computed without Fractions; the
         window's primes are exactly the p with lo < p <= hi."""
-        hi = self.hi_coeff.numerator * n // self.hi_coeff.denominator
-        if self.lo_coeff is None:
-            return isqrt(4 * n), hi
-        return self.lo_coeff.numerator * n // self.lo_coeff.denominator, hi
+        lo_nd, hi_num, hi_den = self._floor_coeffs
+        if lo_nd is None:
+            return isqrt(4 * n), hi_num * n // hi_den
+        return lo_nd[0] * n // lo_nd[1], hi_num * n // hi_den
 
     @cached_property
     def _chain_verdict(self) -> bool:
@@ -303,6 +315,13 @@ def check_claim(claim: ClaimSpec, n: int, sieve: PrimeSieve) -> ClaimResult:
     An empty window passes vacuously.  A divisibility claim whose absorber
     is undefined at this n (index outside s > r >= 1) fails for every
     window prime, since nothing is available to absorb them.
+
+    When (lo + 1)^2 > 4n for the floored window start lo, every window
+    prime p has p^2 > 4n, and 4n bounds every absorber floor (each is at
+    most 2n).  Each Legendre sum is then the single floor m//p, so the
+    primes are decided in one pass of integer floors, with beta(p) =
+    4n//p - 3n//p - n//p.  Other windows keep the full Legendre sums.
+    Detail strings are built, by the full sums, for failing primes only.
     """
     if n < 1:
         raise DomainError("claims are checked for n >= 1")
@@ -313,29 +332,39 @@ def check_claim(claim: ClaimSpec, n: int, sieve: PrimeSieve) -> ClaimResult:
     if not primes:
         return ClaimResult(claim.id, n, 0, ())
 
-    failures = []
-    if claim.consequence == BETA_ZERO:
-        for p in primes:
-            b = _beta(n, p)
-            if b != 0:
-                failures.append((p, f"beta={b}"))
-    elif claim.consequence == PRIMORIAL_16TH:
-        # product of window primes <= 4^(n/6), i.e. (product)^6 <= 4^n
-        if not primorial_le(primes, n, 6):
-            failures.append((0, "window primorial exceeds 4^(n/6)"))
-    else:
-        which = _ABSORBER_OF[claim.consequence]
-        try:
-            fs, fsr, fr = _absorber_floors(which, n)
-        except DomainError:
-            failures.extend((p, f"absorber {which} undefined at n={n}") for p in primes)
+    consequence = claim.consequence
+    single = (lo + 1) * (lo + 1) > 4 * n
+    n3, n4 = 3 * n, 4 * n
+    if consequence == BETA_ZERO:
+        if single:
+            bad = [p for p in primes if n4 // p - n3 // p - n // p]
         else:
-            for p in primes:
-                b = _beta(n, p)
-                v = _legendre(fs, p) - _legendre(fsr, p) - _legendre(fr, p)
-                if v < b:
-                    failures.append((p, f"valuation {v} in {which} < beta {b}"))
-    return ClaimResult(claim.id, n, len(primes), tuple(failures))
+            bad = [p for p in primes if _beta(n, p)]
+        failures = tuple((p, f"beta={_beta(n, p)}") for p in bad)
+    elif consequence == PRIMORIAL_16TH:
+        # product of window primes <= 4^(n/6), i.e. (product)^6 <= 4^n
+        ok = primorial_le(primes, n, 6)
+        failures = () if ok else ((0, "window primorial exceeds 4^(n/6)"),)
+    else:
+        which = _ABSORBER_OF[consequence]
+        try:
+            floors = _absorber_floors(which, n)
+        except DomainError:
+            detail = f"absorber {which} undefined at n={n}"
+            return ClaimResult(claim.id, n, len(primes), tuple((p, detail) for p in primes))
+        if single:
+            fs, fsr, fr = floors
+            bad = [
+                p for p in primes
+                if fs // p - fsr // p - fr // p < n4 // p - n3 // p - n // p
+            ]
+        else:
+            bad = [p for p in primes if _floors_valuation(floors, p) < _beta(n, p)]
+        failures = tuple(
+            (p, f"valuation {_floors_valuation(floors, p)} in {which} < beta {_beta(n, p)}")
+            for p in bad
+        )
+    return ClaimResult(claim.id, n, len(primes), failures)
 
 
 def minimal_valid_n(claim: ClaimSpec, n_max: int, sieve: PrimeSieve):

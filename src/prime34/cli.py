@@ -42,6 +42,12 @@ def _add_output_flags(sub, formats=("csv", "json")):
     sub.add_argument("--out", type=Path, default=None, help="write report to PATH")
 
 
+def comma_separated_ints(text: str) -> list:
+    """The ints of a comma-separated list, skipping empty items; argparse
+    names this function when an item is not an int."""
+    return [int(x) for x in text.split(",") if x]
+
+
 def _add_threads_flag(sub):
     sub.add_argument(
         "--threads", type=int, default=1, help="worker processes for the sweep"
@@ -90,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--samples",
-        type=lambda s: [int(x) for x in s.split(",") if x],
+        type=comma_separated_ints,
         default=None,
         help="comma-separated n values, each above 162754",
     )

@@ -270,10 +270,15 @@ def _absorber_floors(which: str, n: int) -> tuple:
     return sn * n // sd, (sn * rd - rn * sd) * n // (sd * rd), rn * n // rd
 
 
+def _floors_valuation(floors: tuple, p: int) -> int:
+    # unchecked core; p must be prime, floors as from _absorber_floors
+    fs, fsr, fr = floors
+    return _legendre(fs, p) - _legendre(fsr, p) - _legendre(fr, p)
+
+
 def absorber_valuation(which: str, n: int, p: int) -> int:
     """Exponent of a prime p in the named absorber, via Legendre sums."""
-    fs, fsr, fr = _absorber_floors(which, n)
-    return _legendre(fs, p) - _legendre(fsr, p) - _legendre(fr, p)
+    return _floors_valuation(_absorber_floors(which, n), p)
 
 
 def check_t2_divisibility_bound(n: int, sieve: PrimeSieve) -> bool:

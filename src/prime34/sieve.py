@@ -61,17 +61,19 @@ class PrimeSieve:
         floating point: p > lo iff p >= floor(lo) + 1, p <= hi iff
         p <= floor(hi).  Int endpoints are used as they are.
         """
-        lo = _as_exact(lo_exclusive)
-        hi = _as_exact(hi_inclusive)
-        if lo < 0:
-            raise DomainError("lower endpoint must be >= 0")
-        if lo >= hi:
-            raise DomainError(f"empty interval: lo={lo} >= hi={hi}")
-        if hi > self.limit:
-            raise CoverageError(f"endpoint {hi} beyond sieve limit {self.limit}")
-        start = bisect_right(self.primes, math.floor(lo))
-        stop = bisect_right(self.primes, math.floor(hi))
-        return list(self.primes[start:stop])
+        lo, hi = lo_exclusive, hi_inclusive
+        if not (type(lo) is int and type(hi) is int and 0 <= lo < hi <= self.limit):
+            lo, hi = _as_exact(lo), _as_exact(hi)
+            if lo < 0:
+                raise DomainError("lower endpoint must be >= 0")
+            if lo >= hi:
+                raise DomainError(f"empty interval: lo={lo} >= hi={hi}")
+            if hi > self.limit:
+                raise CoverageError(f"endpoint {hi} beyond sieve limit {self.limit}")
+            lo, hi = math.floor(lo), math.floor(hi)
+        primes = self.primes
+        stop = bisect_right(primes, hi)
+        return list(primes[bisect_right(primes, lo, 0, stop) : stop])
 
 
 def _peak_bytes(limit: int) -> int:

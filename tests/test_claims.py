@@ -1,5 +1,7 @@
 import math
+import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 import sympy
@@ -13,6 +15,7 @@ from prime34 import (
     DomainError,
     PRIMORIAL_16TH,
     ClaimSpec,
+    build_sieve,
     check_chain,
     check_claim,
     check_tiling,
@@ -21,8 +24,8 @@ from prime34 import (
     minimal_valid_n,
     parse_chain,
 )
-from prime34.claims import _chain_holds_at
-from prime34.exact import beta
+from prime34.claims import ClaimResult, _chain_holds_at
+from prime34.exact import absorber_valuation, beta
 
 HI_COEFFS = [
     Fraction(1, 6), Fraction(2, 11), Fraction(4, 21), Fraction(1, 5),
@@ -244,3 +247,56 @@ def test_minimal_valid_n_spots(sieve_mid):
     assert minimal_valid_n(table[9], 40, sieve_mid) is None
     with pytest.raises(DomainError):
         minimal_valid_n(table[0], 0, sieve_mid)
+
+
+def _reference_check(claim, n, prime_set, beta_of):
+    """check_claim rebuilt prime by prime from the exact rational window
+    and the public beta and absorber_valuation."""
+    lo, hi = claim.window(n)
+    primes = [p for p in range(math.floor(lo) + 1, math.floor(hi) + 1) if p in prime_set]
+    failures = []
+    if claim.consequence == PRIMORIAL_16TH:
+        if math.prod(primes) ** 6 > 4**n:
+            failures.append((0, "window primorial exceeds 4^(n/6)"))
+    elif claim.consequence == BETA_ZERO:
+        failures = [(p, f"beta={beta_of(n, p)}") for p in primes if beta_of(n, p)]
+    else:
+        which = claim.consequence[-1]
+        for p in primes:
+            try:
+                v = absorber_valuation(which, n, p)
+            except DomainError:
+                failures.append((p, f"absorber {which} undefined at n={n}"))
+                continue
+            if v < beta_of(n, p):
+                failures.append((p, f"valuation {v} in {which} < beta {beta_of(n, p)}"))
+    return ClaimResult(claim.id, n, len(primes), tuple(failures))
+
+
+def test_check_claim_matches_per_prime_reference():
+    # every n in [1, 300] plus 40 strata draws up to 5000; the two synthetic
+    # windows open at 0, so primes p <= sqrt(4n) take the full Legendre path
+    # at every n, while the table windows take the single-floor path once
+    # (lo + 1)^2 > 4n
+    rng = random.Random("check_claim reference")
+    draws = [rng.randint(301 + 117 * k, 300 + 117 * (k + 1)) for k in range(40)]
+    sieve = build_sieve(3 * max(draws))
+    prime_set = set(sieve.primes)
+    beta_of = lru_cache(maxsize=None)(beta)
+    synthetic = [
+        ClaimSpec(4, Fraction(0), Fraction(3), BETA_ZERO),
+        ClaimSpec(3, Fraction(0), Fraction(3), DIVIDES_A),
+    ]
+    table_failures = 0
+    for n in list(range(1, 301)) + draws:
+        for claim in claim_table() + synthetic:
+            got = check_claim(claim, n, sieve)
+            assert got == _reference_check(claim, n, prime_set, beta_of), (claim.id, n)
+            table_failures += claim not in synthetic and not got.ok
+        # both synthetic windows fail at every n here, so failure details
+        # are compared on the full Legendre path too; for BETA_ZERO p = 2
+        # always fails, since n and 3n share their lowest set bit and
+        # adding them carries (Kummer)
+        assert all(not check_claim(c, n, sieve).ok for c in synthetic), n
+    # the table claims fail below their minimal valid n
+    assert table_failures > 0

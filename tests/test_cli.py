@@ -82,6 +82,14 @@ def test_verify_analytic_cli_rejects_empty_samples(capsys):
         assert "at least one sample" in err
 
 
+def test_verify_analytic_cli_names_the_samples_format(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-analytic", "--samples", "200000,abc"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --samples: invalid comma_separated_ints value: '200000,abc'" in err
+
+
 def test_decompose_cli(capsys):
     code, out, _ = run(capsys, ["decompose", "--n", "300"])
     assert code == 0
