@@ -181,6 +181,8 @@ _FORMS = {
         53, "D bound has a pole at 2n = 105; requires n >= 53",
     ),
 }
+# The T3 bound combines every row, so it applies from the largest n_min on.
+T3_N_MIN = max(form.n_min for form in _FORMS.values())
 
 
 def _rate(s, r):
@@ -193,7 +195,9 @@ def _rate(s, r):
 def _constants(prec: int) -> SimpleNamespace:
     """The intervals every bound shares, evaluated once per precision.  The
     rates are the exponential growth rates of the five closed forms; the
-    prefactors are ln(sqrt(3) pi^(3/2) / d) for the two forms of T3."""
+    prefactors are ln(sqrt(3) pi^(3/2) / d) for the two forms of T3, with
+    the paper's printed d, not derived from _FORMS: BoundReport.validate
+    checks the chain the table composes against these forms."""
     with _working(prec):
         pi = +iv.pi
         pi_3_2 = iv.sqrt(3) * pi * iv.sqrt(pi)
@@ -502,17 +506,18 @@ def _t3_terms(n: int, prefactor, n_power, prec: int):
 @lru_cache(maxsize=64)
 def ln_t3_lower(n: int, prec: int = DEFAULT_PREC) -> LogReal:
     """ln of (sqrt(3) pi^(3/2) / 332800) e^E M^n (4n)^(-sqrt n) n^(-5/2)."""
-    if n < 222:
-        raise DomainError("T3 lower bound requires n >= 222")
+    if n < T3_N_MIN:
+        raise DomainError(f"T3 lower bound requires n >= {T3_N_MIN}")
     v = _t3_terms(n, _constants(prec).t3_prefactor, 2.5, prec)
     return LogReal.from_interval(v, prec)
 
 
 def ln_t3_lower_intermediate(n: int, prec: int = DEFAULT_PREC) -> LogReal:
     """The pre-simplification form with prefactor sqrt(3) pi^(3/2) / 4160 and
-    the rational factor n^(-3/2)(n-221)(2n-105)/((3n+2)(3n+13)(4n+15))."""
-    if n < 222:
-        raise DomainError("intermediate T3 bound requires n >= 222")
+    the rational factor n^(-3/2)(n-221)(2n-105)/((3n+2)(3n+13)(4n+15)), both
+    as printed: validate checks the table against them (see _constants)."""
+    if n < T3_N_MIN:
+        raise DomainError(f"intermediate T3 bound requires n >= {T3_N_MIN}")
     v = _t3_terms(n, _constants(prec).t3_prefactor_intermediate, 1.5, prec)
     ratio = Fraction((n - 221) * (2 * n - 105), (3 * n + 2) * (3 * n + 13) * (4 * n + 15))
     with _working(prec):
@@ -522,8 +527,8 @@ def ln_t3_lower_intermediate(n: int, prec: int = DEFAULT_PREC) -> LogReal:
 def count_lower_bound(n: int, prec: int = DEFAULT_PREC) -> float:
     """log base 4n of the T3 lower bound: the guaranteed number of primes
     in the open interval (3n, 4n)."""
-    if n < 222:
-        raise DomainError("count lower bound requires n >= 222")
+    if n < T3_N_MIN:
+        raise DomainError(f"count lower bound requires n >= {T3_N_MIN}")
     t3 = ln_t3_lower(n, prec)
     with workprec(prec):
         return float(t3.ln_value / log(mpf(4 * n)))
@@ -531,8 +536,8 @@ def count_lower_bound(n: int, prec: int = DEFAULT_PREC) -> float:
 
 def count_lower_bound_simplified(n: int, prec: int = DEFAULT_PREC) -> float:
     """The further-simplified form n(ln M - ln(4n)/sqrt(n))/(2 ln n) - 5/2."""
-    if n < 222:
-        raise DomainError("count lower bound requires n >= 222")
+    if n < T3_N_MIN:
+        raise DomainError(f"count lower bound requires n >= {T3_N_MIN}")
     with workprec(prec):
         lm = ln_m(prec).ln_value
         v = n * (lm - log(mpf(4 * n)) / sqrt(mpf(n))) / (2 * log(mpf(n)))
@@ -555,10 +560,10 @@ def _float_threshold(float_bad, exact_bad, n_min: int, n_max: int):
     [n, n_max], or None.  The float scan's answer is re-checked with
     exact_bad, the same test in log arithmetic: it must be false at n and,
     when n > n_min, true at n - 1."""
-    # below 222 the T3 bound is undefined; an empty scan finds no failure
+    # below T3_N_MIN the T3 bound is undefined; an empty scan finds no failure
     # and would report n_min as settled
-    if n_min < 222:
-        raise DomainError(f"threshold scan requires n_min >= 222, got {n_min}")
+    if n_min < T3_N_MIN:
+        raise DomainError(f"threshold scan requires n_min >= {T3_N_MIN}, got {n_min}")
     if n_max < n_min:
         raise DomainError(f"threshold scan requires n_min <= n_max, got [{n_min}, {n_max}]")
     lm = float(ln_m().ln_value)
@@ -573,7 +578,7 @@ def _float_threshold(float_bad, exact_bad, n_min: int, n_max: int):
     return minimal
 
 
-def simplified_bound_minimal_n(n_max: int, n_min: int = 222):
+def simplified_bound_minimal_n(n_max: int, n_min: int = T3_N_MIN):
     """Smallest n such that simplified <= exact holds for all n' in [n, n_max].
 
     The simplification drops negative terms, so unlike the blanket n >= 4
@@ -594,7 +599,7 @@ def simplified_bound_minimal_n(n_max: int, n_min: int = 222):
     return _float_threshold(simplified_above_exact, above_in_mpmath, n_min, n_max)
 
 
-def t3_positive_minimal_n(n_max: int, n_min: int = 222):
+def t3_positive_minimal_n(n_max: int, n_min: int = T3_N_MIN):
     """Smallest n such that ln_t3_lower stays positive through [n, n_max],
     i.e. the empirical threshold past which T3 > 1 is guaranteed; None if
     the bound is still nonpositive at n_max.  Scanned in float arithmetic

@@ -133,39 +133,36 @@ class Decomposition:
         return self.t1.value() * self.t2.value() * self.t3.value()
 
 
-def decompose(n: int, sieve: PrimeSieve) -> Decomposition:
-    """Factor C(4n, 3n) into the T1, T2, T3 valuation maps.
+def _size_classes(n: int, sieve: PrimeSieve) -> tuple:
+    """The primes up to 4n split by size into the T1, T2 and T3 classes,
+    p*p <= 4n, sqrt(4n) < p <= 3n and 3n < p <= 4n: three sieve.primes slices."""
+    if 4 * n > sieve.limit:
+        raise CoverageError(f"n={n} needs sieve coverage {4 * n}")
+    primes = sieve.primes
+    middle = bisect_right(primes, 3 * n)
+    small = bisect_right(primes, 4 * n, 0, middle, key=lambda p: p * p)
+    large = bisect_right(primes, 4 * n, middle)
+    return primes[:small], primes[small:middle], primes[middle:large]
 
-    Size classes are decided exactly: p <= sqrt(4n) iff p*p <= 4n.
-    """
+
+def _factored(n: int, primes) -> ValuationMap:
+    """The part of C(4n, 3n) on the given primes: p^beta(p), beta(p) >= 1."""
+    return ValuationMap(tuple((p, b) for p in primes if (b := _beta(n, p))))
+
+
+def decompose(n: int, sieve: PrimeSieve) -> Decomposition:
+    """Factor C(4n, 3n) into the T1, T2, T3 valuation maps."""
     if n < 1:
         raise DomainError("decompose requires n >= 1")
-    if 4 * n > sieve.limit:
-        raise CoverageError(f"decompose({n}) needs sieve coverage {4 * n}")
-    t1, t2, t3 = [], [], []
-    stop = bisect_right(sieve.primes, 4 * n)
-    for p in sieve.primes[:stop]:
-        b = _beta(n, p)
-        if b:
-            bucket = t1 if p * p <= 4 * n else t2 if p <= 3 * n else t3
-            bucket.append((p, b))
-    return Decomposition(
-        n=n,
-        t1=ValuationMap(entries=tuple(t1)),
-        t2=ValuationMap(entries=tuple(t2)),
-        t3=ValuationMap(entries=tuple(t3)),
-    )
+    t1, t2, t3 = (_factored(n, primes) for primes in _size_classes(n, sieve))
+    return Decomposition(n=n, t1=t1, t2=t2, t3=t3)
 
 
 def beta_at_most_one(n: int, sieve: PrimeSieve) -> bool:
     """beta(p) <= 1 for every prime with sqrt(4n) < p <= 3n."""
     if n < 1:
         raise DomainError("beta_at_most_one requires n >= 1")
-    if 4 * n > sieve.limit:
-        raise CoverageError(f"n={n} needs sieve coverage {4 * n}")
-    start = bisect_right(sieve.primes, math.isqrt(4 * n))
-    stop = bisect_right(sieve.primes, 3 * n)
-    return all(_beta(n, p) <= 1 for p in sieve.primes[start:stop])
+    return all(_beta(n, p) <= 1 for p in _size_classes(n, sieve)[1])
 
 
 def floor_of(x) -> int:
@@ -289,12 +286,8 @@ def check_t2_divisibility_bound(n: int, sieve: PrimeSieve) -> bool:
     so 2^-40 of the larger side bounds the joint error.  Inside that margin
     the exact comparison on sixth powers decides.
     """
-    if 4 * n > sieve.limit:
-        raise CoverageError(f"n={n} needs sieve coverage {4 * n}")
+    betas = _factored(n, _size_classes(n, sieve)[1]).entries
     absorbers = [absorber(which, n) for which in "ABCD"]
-    start = bisect_right(sieve.primes, math.isqrt(4 * n))
-    stop = bisect_right(sieve.primes, 3 * n)
-    betas = [(p, b) for p in sieve.primes[start:stop] if (b := _beta(n, p))]
     lhs = math.fsum(b * math.log(p) for p, b in betas)
     rhs = n * math.log(4) / 6 + math.fsum(map(math.log, absorbers))
     margin = 2.0**-40 * max(1.0, lhs, rhs)
@@ -331,10 +324,9 @@ def check_t1_bound(n: int, sieve: PrimeSieve) -> bool:
     """
     if n < 16:
         raise DomainError("the T1 bound requires n >= 16 so that sqrt(4n) >= 8")
-    if 4 * n > sieve.limit:
-        raise CoverageError(f"n={n} needs sieve coverage {4 * n}")
-    t1 = decompose(n, sieve).t1.value()
-    k = sieve.pi(math.isqrt(4 * n))
+    small = _size_classes(n, sieve)[0]
+    t1 = _factored(n, small).value()
+    k = len(small)
     lhs = math.log(t1)
     rhs = k * math.log(4 * n)
     margin = 2.0**-40 * max(1.0, lhs, rhs)

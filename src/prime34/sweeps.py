@@ -24,6 +24,7 @@ from typing import Optional
 
 from .bounds import (
     DEFAULT_PREC,
+    T3_N_MIN,
     _decide,
     _zero,
     build_bound_report,
@@ -113,19 +114,16 @@ def _scan_witnesses(sieve: PrimeSieve, start: int, stop: int, form: tuple) -> ar
 
 
 def _scan_observations(sieve: PrimeSieve, start: int, stop: int) -> list:
-    """Per-claim (primes_checked, claim_failures, chain_failures)
-    accumulated over n in [start, stop]."""
+    """Per-claim (primes_checked, claim_failures) over n in [start, stop]."""
     table = claim_table()
-    acc = [[0, [], []] for _ in table]
+    acc = [[0, []] for _ in table]
     for n in range(start, stop + 1):
         for slot, claim in zip(acc, table):
             result = check_claim(claim, n, sieve)
             slot[0] += result.primes_checked
             if result.failures:
                 slot[1].extend((n, p, detail) for p, detail in result.failures)
-            if claim.chain and not check_chain(claim, n):
-                slot[2].append(n)
-    return [(c, tuple(f), tuple(ch)) for c, f, ch in acc]
+    return [(c, tuple(f)) for c, f in acc]
 
 
 _WORKER_SIEVE = None
@@ -199,12 +197,13 @@ def verify_corollary(
 
 
 def sweep_to_json_dict(report: SweepReport) -> dict:
-    witness = report.witness
+    found = report.found
+    keys = map(str, range(report.n_min, report.n_max + 1))
     return {
         "n_min": report.n_min,
         "n_max": report.n_max,
         "failures": list(report.failures),
-        "witness": None if witness is None else {str(n): p for n, p in witness.items()},
+        "witness": None if found is None else dict(compress(zip(keys, found), found)),
         "runtime_ms": report.runtime_ms,
     }
 
@@ -292,13 +291,16 @@ def observations_sweep(n_min: int, n_max: int, threads: int = 1) -> Observations
     """check_claim plus check_chain for all 22 claims over [n_min, n_max],
     with per-claim minimal valid n and the symbolic tiling check.
 
+    The windows close by 3n, so the sieve reaches 3 * n_max.  A chain's
+    verdict is the same at every n (check_chain), so it is decided once.
+
     Failures at n >= 250 are contract violations; smaller n are reported
     only (the claims are not promised there)."""
     if n_min < 1 or n_max < n_min:
         raise DomainError("observations sweep requires 1 <= n_min <= n_max")
     t0 = perf_counter()
     parts = _run_chunked(
-        _scan_observations, 4 * n_max, n_min, n_max, threads, _OBS_CHUNK
+        _scan_observations, 3 * n_max, n_min, n_max, threads, _OBS_CHUNK
     )
     table = claim_table()
     entries = []
@@ -306,11 +308,11 @@ def observations_sweep(n_min: int, n_max: int, threads: int = 1) -> Observations
     for k, claim in enumerate(table):
         checked = sum(part[k][0] for part in parts)
         failures = tuple(row for part in parts for row in part[k][1])
-        chain_bad = tuple(n for part in parts for n in part[k][2])
+        chain_ok = not claim.chain or check_chain(claim, n_min)
+        chain_bad = () if chain_ok else tuple(range(n_min, n_max + 1))
         bad = [n for n, _, _ in failures] + list(chain_bad)
         minimal = settled_from(bad, n_min, n_max)
-        violations += sum(1 for n, _, _ in failures if n >= CONTRACT_N)
-        violations += sum(1 for n in chain_bad if n >= CONTRACT_N)
+        violations += sum(1 for n in bad if n >= CONTRACT_N)
         entries.append(
             ClaimSweepEntry(claim.id, minimal, checked, failures, chain_bad)
         )
@@ -361,8 +363,8 @@ def lower_bound_report(
     n: int, sieve: Optional[PrimeSieve] = None, prec: int = DEFAULT_PREC
 ) -> dict:
     """Analytic lower bound vs the actual sieve count of primes in (3n, 4n)."""
-    if n < 222:
-        raise DomainError("lower bound report requires n >= 222")
+    if n < T3_N_MIN:
+        raise DomainError(f"lower bound report requires n >= {T3_N_MIN}")
     if sieve is None:
         sieve = build_sieve(4 * n)
     actual = sieve.pi(4 * n - 1) - sieve.pi(3 * n)
@@ -434,7 +436,7 @@ def decompose_report(
     dec = decompose(n, sieve)
 
     if n > EXACT_CHECK_CUTOFF:
-        # n > 5000 also means n >= 16 and n >= 222: every check applies
+        # n > 5000 also means n >= 16 and n >= T3_N_MIN: every check applies
         absorbers = [f"absorber_{which}_below_bound" for which in "ABCD"]
         keys = ["binomial_identity", "binomial_above_lower_bound", "t1_cap"]
         keys += ["t2_divisibility", *absorbers, "t3_above_lower_bound"]
@@ -464,7 +466,7 @@ def decompose_report(
                 checks[key] = (
                     "pole: not applicable" if "pole" in str(exc) else "not applicable"
                 )
-        if n < 222:
+        if n < T3_N_MIN:
             checks["t3_above_lower_bound"] = "not applicable"
         else:
             checks["t3_above_lower_bound"] = _verdict(
@@ -480,7 +482,7 @@ def decompose_report(
         "ln_t2": _factors_ln(dec.t2.entries),
         "ln_t3": _factors_ln(dec.t3.entries),
         "checks": checks,
-        "bound_report": build_bound_report(n, prec).to_json_dict() if n >= 222 else None,
+        "bound_report": build_bound_report(n, prec).to_json_dict() if n >= T3_N_MIN else None,
     }
     return report
 

@@ -438,3 +438,64 @@ def test_bound_functions_keep_the_traced_contract():
         "C": bounds.ln_c_upper,
         "D": bounds.ln_d_upper,
     }
+
+
+def test_traced_names_stay_in_every_module_that_calls_them():
+    # bench/tracing.py also patches these names in each module that looks
+    # them up, and the sweep drivers in cli; a refactor that drops one
+    # leaves its layer untraced
+    from prime34 import claims, cli, exact, sieve
+
+    homes = {
+        "build_sieve": (sieve, sweeps),
+        "check_claim": (claims, sweeps),
+        "check_chain": (claims, sweeps),
+        "absorber_valuation": (exact, claims),
+        "decompose": (exact, sweeps),
+        "gen_binomial": (exact,),
+        "check_t2_divisibility_bound": (exact, sweeps),
+        "check_t1_bound": (exact, sweeps),
+        "build_bound_report": (bounds, sweeps),
+    }
+    for name, (home, *callers) in homes.items():
+        fn = getattr(home, name)
+        assert callable(fn), name
+        for module in callers:
+            assert getattr(module, name) is fn, (module.__name__, name)
+    assert "primes_in" in vars(sieve.PrimeSieve)
+    # the drivers' n_scanned reads these arguments by name
+    drivers = {
+        "verify_direct": {"n_max"},
+        "verify_corollary": {"n_max"},
+        "observations_sweep": {"n_min", "n_max"},
+        "lower_bound_report": set(),
+        "analytic_report": set(),
+        "decompose_report": set(),
+    }
+    for name, arguments in drivers.items():
+        fn = getattr(cli, name)
+        assert fn is getattr(sweeps, name)
+        assert arguments <= set(inspect.signature(fn).parameters), name
+    assert callable(cli.main)
+
+
+@pytest.mark.parametrize(
+    "change", [{"k": 3}, {"lead": lambda n: Fraction(16 * n, 3)}], ids=["k", "lead"]
+)
+def test_validate_checks_the_table_against_the_printed_t3_forms(monkeypatch, change):
+    # 332800, 4160 and R(n) are kept as printed rather than derived from
+    # _FORMS, so a changed row no longer recomposes to the intermediate form
+    def clear_caches():
+        for fn in vars(bounds).values():
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
+
+    monkeypatch.setitem(bounds._FORMS, "A", bounds._FORMS["A"]._replace(**change))
+    clear_caches()
+    try:
+        with pytest.raises(ConsistencyError, match="does not recompose"):
+            build_bound_report(1000)
+    finally:
+        monkeypatch.undo()
+        clear_caches()
+    build_bound_report(1000).validate()

@@ -3,8 +3,9 @@ import tracemalloc
 
 import pytest
 
-from prime34 import SweepReport, cli
+from prime34 import CapacityError, SweepReport, cli, sweeps
 from prime34.cli import main
+from prime34.sieve import MEMORY_CAP, _check_capacity, _peak_bytes
 
 
 def run(capsys, argv):
@@ -143,6 +144,39 @@ def test_sieve_over_byte_budget_exits_3_before_allocating(capsys):
     assert code == 3
     assert "budget" in err
     assert peak < 2**20
+
+
+def test_observations_sieve_stops_at_3n_and_exits_3_over_budget(capsys, monkeypatch):
+    # the claim windows close by 3n, so the sieve reaches 3 * nmax: the
+    # first refused nmax is where _peak_bytes(3 * nmax) passes the budget
+    lo, hi = 1, 2**30
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if _peak_bytes(3 * mid) > MEMORY_CAP else (mid, hi)
+    edge = hi
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, ["observations", "--nmin", str(edge), "--nmax", str(edge)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and out == ""
+    assert f"sieve limit {3 * edge} " in err and "budget" in err
+    assert peak < 2**20
+
+    # one below the edge the budget admits the sieve, which is never built
+    requested = []
+
+    def admit_only(limit):
+        _check_capacity(limit)
+        requested.append(limit)
+        raise CapacityError("admitted, not built")
+
+    monkeypatch.setattr(sweeps, "build_sieve", admit_only)
+    below = str(edge - 1)
+    code, _, err = run(capsys, ["observations", "--nmin", below, "--nmax", below])
+    assert code == 3 and "admitted, not built" in err
+    assert requested == [3 * (edge - 1)]
 
 
 def test_threads_below_one_exit_code(capsys):

@@ -97,6 +97,18 @@ def test_decompose_identity_and_region_split(sieve_small):
             assert 3 * n < p <= 4 * n and e == 1
 
 
+def test_size_classes_partition_the_primes_up_to_4n():
+    sieve = build_sieve(1600)
+    for n in range(1, 401):
+        small, middle, large = exact._size_classes(n, sieve)
+        assert small + middle + large == sieve.primes[: sieve.pi(4 * n)]
+        assert all(p * p <= 4 * n for p in small)
+        assert all(p * p > 4 * n and p <= 3 * n for p in middle)
+        assert all(p > 3 * n for p in large)
+    with pytest.raises(CoverageError):
+        exact._size_classes(401, sieve)
+
+
 def test_decompose_matches_sympy_factorization(sieve_small):
     for n in (9, 42, 137):
         d = decompose(n, sieve_small)

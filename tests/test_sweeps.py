@@ -13,6 +13,7 @@ from prime34 import (
     PrimeSieve,
     analytic_report,
     build_sieve,
+    claim_table,
     decompose_report,
     lower_bound_report,
     observations_csv_lines,
@@ -125,6 +126,25 @@ def test_observations_report():
         observations_sweep(0, 10)
     with pytest.raises(DomainError):
         observations_sweep(5, 4)
+
+
+def test_chains_are_decided_once_per_sweep(monkeypatch):
+    # a chain's verdict does not depend on n, so the sweep asks once per
+    # chained claim, and a failing chain fails at every n of the range
+    calls = []
+
+    def claim_22_fails(claim, n):
+        calls.append((claim.id, n))
+        return claim.id != 22
+
+    monkeypatch.setattr(sweeps, "check_chain", claim_22_fails)
+    report = observations_sweep(300, 320)
+    assert calls == [(claim.id, 300) for claim in claim_table() if claim.chain]
+    for e in report.entries:
+        assert e.chain_failures == (tuple(range(300, 321)) if e.claim_id == 22 else ())
+        assert e.claim_failures == ()
+    assert report.entries[21].minimal_valid_n is None
+    assert report.contract_violations == 21
 
 
 def test_parallel_runs_match_serial_byte_for_byte():
