@@ -141,6 +141,15 @@ def _decide(attempt, prec: int) -> bool:
     raise PrecisionError(f"comparison undecided at {MAX_PREC} bits")
 
 
+def _all_less(pairs) -> Optional[bool]:
+    """a < b for every (a, b) of LogReals in pairs: False when some pair is
+    decided a >= b, else None when some pair overlaps, else True."""
+    verdicts = {a.less_than(b) for a, b in pairs}
+    if False in verdicts:
+        return False
+    return None if None in verdicts else True
+
+
 class _Form(NamedTuple):
     """A Stirling closed form for the generalized binomial {s n \\ r n}:
     lead(n) / sqrt(k pi n) * e^(sum of c/(a n + b) over the corrections)
@@ -275,13 +284,7 @@ def check_factorial_sandwich(n: int, prec: int = DEFAULT_PREC) -> bool:
 
     def attempt(p):
         mid = ln_factorial(n, p)
-        below = ln_g(n, p).less_than(mid)
-        above = mid.less_than(ln_f(n, p))
-        if below is False or above is False:
-            return False
-        if below is None or above is None:
-            return None
-        return True
+        return _all_less([(ln_g(n, p), mid), (mid, ln_f(n, p))])
 
     return _decide(attempt, prec)
 
@@ -298,12 +301,9 @@ def factorial_sandwich_sweep(n_max: int, prec: int = DEFAULT_PREC) -> list:
         for n in range(1, n_max + 1):
             total += iv.log(n)
             mid = LogReal.from_interval(total, prec)
-            below = ln_g(n, prec).less_than(mid)
-            above = mid.less_than(ln_f(n, prec))
-            if below is None or above is None:
-                bad.append((n, "indeterminate"))
-            elif not (below and above):
-                bad.append((n, "violated"))
+            verdict = _all_less([(ln_g(n, prec), mid), (mid, ln_f(n, prec))])
+            if verdict is not True:
+                bad.append((n, "indeterminate" if verdict is None else "violated"))
     return bad
 
 
@@ -328,12 +328,7 @@ def scan_h1_monotone(c, grid, prec: int = DEFAULT_PREC) -> bool:
     def attempt(p):
         gc = ln_g(c, p)
         vals = [ln_f(x + c, p) - gc - ln_g(x, p) for x in pts]
-        verdicts = [a.less_than(b) for a, b in pairwise(vals)]
-        if any(v is False for v in verdicts):
-            return False
-        if any(v is None for v in verdicts):
-            return None
-        return True
+        return _all_less(pairwise(vals))
 
     return _decide(attempt, prec)
 
@@ -356,16 +351,12 @@ def scan_h2_unimodal(c, grid, prec: int = DEFAULT_PREC) -> bool:
         for v, m in zip(vals, mirrored):
             if not v.consistent_with(m):
                 return False
-        for (a, va), (b, vb) in pairwise(zip(pts, vals)):
-            if b <= half:
-                verdict = va.less_than(vb)
-            elif a >= half:
-                verdict = vb.less_than(va)
-            else:
-                continue  # pair straddles the peak
-            if verdict is not True:
-                return verdict
-        return True
+        # rising up to the peak, falling after it; a pair straddling it is skipped
+        return _all_less(
+            (va, vb) if b <= half else (vb, va)
+            for (a, va), (b, vb) in pairwise(zip(pts, vals))
+            if b <= half or a >= half
+        )
 
     return _decide(attempt, prec)
 
@@ -637,8 +628,9 @@ class BoundReport:
 
         The chain composition (binomial lower bound over the T1 cap,
         4^(n/6) and the four absorber uppers) must match the intermediate
-        closed form within error; the stored final form must not exceed
-        the intermediate wherever the prefactor replacement step holds.
+        closed form within error; the stored final form must lie strictly
+        below the intermediate wherever the prefactor replacement step
+        holds, escalating precision while the two overlap.
         """
         prec = self.ln_T3_lower.prec
         with _working(prec):
@@ -658,11 +650,17 @@ class BoundReport:
                 f"bound chain does not recompose at n={self.n}: "
                 f"{chain.ln_value} vs {intermediate.ln_value}"
             )
-        if replacement_step_holds(self.n):
-            if self.ln_T3_lower.less_than(intermediate) is False:
-                raise ConsistencyError(
-                    f"final T3 form exceeds the intermediate form at n={self.n}"
-                )
+
+        def final_below_intermediate(p):
+            # the stored field at prec; both forms re-evaluated when escalated
+            if p == prec:
+                return self.ln_T3_lower.less_than(intermediate)
+            return ln_t3_lower(self.n, p).less_than(ln_t3_lower_intermediate(self.n, p))
+
+        if replacement_step_holds(self.n) and not _decide(final_below_intermediate, prec):
+            raise ConsistencyError(
+                f"final T3 form exceeds the intermediate form at n={self.n}"
+            )
 
     def to_json_dict(self) -> dict:
         d = {}

@@ -98,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--samples",
         type=comma_separated_ints,
         default=None,
-        help="comma-separated n values, each above 162754",
+        help=f"comma-separated n values, each above {DEFAULT_DIRECT_NMAX - 1}",
     )
     _add_output_flags(p, formats=("json",))
 

@@ -369,7 +369,11 @@ def lower_bound_report(
         sieve = build_sieve(4 * n)
     actual = sieve.pi(4 * n - 1) - sieve.pi(3 * n)
     bound = count_lower_bound(n, prec)
-    return {"n": n, "bound": bound, "actual": actual, "satisfied": actual >= bound}
+    # actual >= ln T3 / ln 4n, decided as ln T3 < actual * ln 4n
+    satisfied = _decide(
+        lambda p: ln_t3_lower(n, p).less_than(ln_of_int(4 * n, p).scaled(actual)), prec
+    )
+    return {"n": n, "bound": bound, "actual": actual, "satisfied": satisfied}
 
 
 DEFAULT_ANALYTIC_SAMPLES = tuple(DEFAULT_DIRECT_NMAX << k for k in range(15))
@@ -378,7 +382,7 @@ DEFAULT_ANALYTIC_SAMPLES = tuple(DEFAULT_DIRECT_NMAX << k for k in range(15))
 def analytic_report(samples=None, prec: int = DEFAULT_PREC) -> dict:
     """ln of the T3 lower bound at each sample: positivity and first
     differences over a geometric ladder standing in for the n -> infinity
-    trend (the literal all-n claim is out of desk-scale reach)."""
+    trend."""
     samples = DEFAULT_ANALYTIC_SAMPLES if samples is None else tuple(samples)
     if not samples:
         raise DomainError("analytic report requires at least one sample")
@@ -422,6 +426,15 @@ def _factors_ln(entries) -> float:
     return sum(e * math.log(p) for p, e in entries)
 
 
+def _outcome(decide) -> str:
+    """The verdict of decide(), "pass" or "fail", or "not applicable" when
+    the check's own domain refuses this n ("pole: " prefixed at a pole)."""
+    try:
+        return "pass" if decide() else "fail"
+    except DomainError as exc:
+        return "pole: not applicable" if "pole" in str(exc) else "not applicable"
+
+
 def decompose_report(
     n: int, sieve: Optional[PrimeSieve] = None, prec: int = DEFAULT_PREC
 ) -> dict:
@@ -435,45 +448,31 @@ def decompose_report(
         sieve = build_sieve(4 * n if n > 1 else 4)
     dec = decompose(n, sieve)
 
+    # binomial and t1..t3 are bound below the table, and only at n <=
+    # EXACT_CHECK_CUTOFF, where the deciders run
+    deciders = {
+        "binomial_identity": lambda: t1 * t2 * t3 == binomial,
+        "binomial_above_lower_bound": lambda: _decide(
+            lambda p: ln_binom_lower(n, p).less_than(ln_of_int(binomial, p)), prec
+        ),
+        "t1_cap": lambda: check_t1_bound(n, sieve),
+        "t2_divisibility": lambda: check_t2_divisibility_bound(n, sieve),
+        **{
+            f"absorber_{which}_below_bound": partial(absorber_below_bound, which, n, prec)
+            for which in "ABCD"
+        },
+        "t3_above_lower_bound": lambda: _decide(
+            lambda p: ln_t3_lower(n, p).less_than(ln_of_int(t3, p)), prec
+        ),
+    }
     if n > EXACT_CHECK_CUTOFF:
-        # n > 5000 also means n >= 16 and n >= T3_N_MIN: every check applies
-        absorbers = [f"absorber_{which}_below_bound" for which in "ABCD"]
-        keys = ["binomial_identity", "binomial_above_lower_bound", "t1_cap"]
-        keys += ["t2_divisibility", *absorbers, "t3_above_lower_bound"]
-        checks = dict.fromkeys(keys, "skipped above exact-check cutoff")
+        checks = dict.fromkeys(deciders, "skipped above exact-check cutoff")
     else:
-        checks = {}
         binomial = math.comb(4 * n, 3 * n)
         t1, t2, t3 = dec.t1.value(), dec.t2.value(), dec.t3.value()
-        checks["binomial_identity"] = "pass" if t1 * t2 * t3 == binomial else "fail"
-        checks["binomial_above_lower_bound"] = _verdict(
-            _decide(
-                lambda p: ln_binom_lower(n, p).less_than(ln_of_int(binomial, p)), prec
-            )
-        )
-        checks["t1_cap"] = (
-            _verdict(check_t1_bound(n, sieve)) if n >= 16 else "not applicable"
-        )
-        try:
-            checks["t2_divisibility"] = _verdict(check_t2_divisibility_bound(n, sieve))
-        except DomainError:
-            checks["t2_divisibility"] = "not applicable"
-        for which in "ABCD":
-            key = f"absorber_{which}_below_bound"
-            try:
-                checks[key] = _verdict(absorber_below_bound(which, n, prec))
-            except DomainError as exc:
-                checks[key] = (
-                    "pole: not applicable" if "pole" in str(exc) else "not applicable"
-                )
-        if n < T3_N_MIN:
-            checks["t3_above_lower_bound"] = "not applicable"
-        else:
-            checks["t3_above_lower_bound"] = _verdict(
-                _decide(lambda p: ln_t3_lower(n, p).less_than(ln_of_int(t3, p)), prec)
-            )
+        checks = {key: _outcome(decide) for key, decide in deciders.items()}
 
-    report = {
+    return {
         "n": n,
         "t1_factors": [[p, e] for p, e in dec.t1.entries],
         "t2_factors": [[p, e] for p, e in dec.t2.entries],
@@ -484,8 +483,3 @@ def decompose_report(
         "checks": checks,
         "bound_report": build_bound_report(n, prec).to_json_dict() if n >= T3_N_MIN else None,
     }
-    return report
-
-
-def _verdict(flag: bool) -> str:
-    return "pass" if flag else "fail"

@@ -11,6 +11,7 @@ from prime34 import (
     DomainError,
     LogReal,
     M_CORRECTION_NOTE,
+    PrecisionError,
     build_bound_report,
     check_factorial_sandwich,
     count_lower_bound,
@@ -41,7 +42,7 @@ from prime34 import (
     t3_positive_minimal_n,
 )
 from prime34 import bounds, sweeps
-from prime34.bounds import _decide
+from prime34.bounds import _all_less, _decide
 
 
 def close(value, expected, tol=1e-9):
@@ -84,6 +85,16 @@ def test_decide_escalates_then_raises():
     with pytest.raises(Exception) as err:
         _decide(lambda prec: None, 128)
     assert "undecided" in str(err.value)
+
+
+def test_all_less_precedence():
+    low, high = LogReal(0, 0, 128), LogReal(1, 0, 128)
+    band = LogReal(mpf("0.5"), 1, 128)  # overlaps both
+    assert _all_less([]) is True
+    assert _all_less([(low, high), (low, high)]) is True
+    assert _all_less([(low, high), (low, band)]) is None  # None beats True
+    assert _all_less([(low, band), (high, low)]) is False  # False beats None
+    assert _all_less([(high, low), (low, band)]) is False
 
 
 def test_ln_f_and_ln_g_values():
@@ -325,6 +336,20 @@ def test_bound_report_shape_and_validation():
     )
     with pytest.raises(ConsistencyError):
         broken.validate()
+
+
+def test_validate_escalates_an_overlapping_final_form(monkeypatch):
+    report = build_bound_report(1000)
+    intermediate = bounds.ln_t3_lower_intermediate
+
+    # still consistent with the chain, but overlapping the final form at
+    # every precision: validate must escalate, not accept
+    def widened(n, prec):
+        return LogReal(intermediate(n, prec).ln_value, 10, prec)
+
+    monkeypatch.setattr(bounds, "ln_t3_lower_intermediate", widened)
+    with pytest.raises(PrecisionError):
+        report.validate()
 
 
 def test_ln_of_int():

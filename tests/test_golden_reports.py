@@ -39,6 +39,12 @@ GOLDEN = {
         "a610b229c0984779549312c7f7d74bfa1a2f1f4e1dae8e3f6af975d4eecae84d",
     "decompose --n 1":
         "c10b0e68d769583f654325ace8d38a3826c335a55e8f5f05ab142f964b42fd5f",
+    "decompose --n 4":
+        "1aae8316197b060cb9df32b9e64073958d49d9ec9bfd2d25e06efe2db445f522",
+    "decompose --n 5":
+        "a6a5e5c53ecb96637e16b5bc987d1df48ebf24519742f1b062777b43f9f8abe3",
+    "decompose --n 15":
+        "25e6a0f72a346cc4483002e2f2e9581ce5923cd94abcfe67791b02f0efa2c60c",
     "decompose --n 16":
         "1ac8303e363c2c4ff059355b55a226415b12f4b005c9ee9e76d9ed0affddb83e",
     "decompose --n 52":

@@ -6,6 +6,7 @@ import pytest
 
 from prime34 import (
     CapacityError,
+    ConsistencyError,
     DEFAULT_ANALYTIC_SAMPLES,
     DEFAULT_DIRECT_NMAX,
     DomainError,
@@ -448,8 +449,9 @@ def test_escalated_decisions_evaluate_afresh(t3_evaluations, monkeypatch):
     assert t3_evaluations == [256] * 8
     t3_evaluations.clear()
     assert decompose_report(2600) == expected_decompose
-    # the T3 check escalates; the uncached intermediate form is evaluated again
-    assert t3_evaluations == [256, 128]
+    # the T3 check escalates; the uncached intermediate form is evaluated
+    # again, and at 256 bits when validate's final-vs-intermediate escalates
+    assert t3_evaluations == [256, 128, 256]
 
 
 def test_default_analytic_ladder_shape():
@@ -480,6 +482,17 @@ def test_decompose_report_smallest():
     assert report["bound_report"] is None
     with pytest.raises(DomainError):
         decompose_report(0)
+
+
+def test_decompose_report_propagates_errors_other_than_domain(monkeypatch):
+    # only a DomainError reads as "not applicable"; a failed internal check
+    # must reach the caller
+    def broken(n, sieve):
+        raise ConsistencyError("T1 routes disagree")
+
+    monkeypatch.setattr(sweeps, "check_t1_bound", broken)
+    with pytest.raises(ConsistencyError, match="T1 routes disagree"):
+        decompose_report(20)
 
 
 def test_decompose_report_examples():
