@@ -23,9 +23,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
-from itertools import pairwise
+from itertools import chain, pairwise
 from types import SimpleNamespace
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from mpmath import iv, log, mpf, sqrt, workprec
 
@@ -131,7 +131,7 @@ class LogReal:
         return self.interval.a <= other.interval.b and other.interval.a <= self.interval.b
 
 
-def _decide(attempt, prec: int) -> bool:
+def _decide(attempt, prec: int = DEFAULT_PREC) -> bool:
     """Run attempt(prec) -> Optional[bool], doubling precision on None."""
     while prec <= MAX_PREC:
         result = attempt(prec)
@@ -152,46 +152,49 @@ def _all_less(pairs) -> Optional[bool]:
 
 class _Form(NamedTuple):
     """A Stirling closed form for the generalized binomial {s n \\ r n}:
-    lead(n) / sqrt(k pi n) * e^(sum of c/(a n + b) over the corrections)
-    * rate^n, with ln rate from _rate(s, r); it applies from n_min on."""
+    lead / sqrt(k pi n) * e^(sum of c/(a n + b) over the corrections)
+    * rate^n, with ln rate from _rate(s, r).  The lead is a pair (numerator,
+    denominator) of tuples of integer linear factors, each (a, b) for
+    a n + b; the form applies from _first_n(form) on."""
 
     index: tuple
-    lead: Callable
+    lead: tuple
     k: int
     corrections: tuple
-    n_min: int
-    domain_error: str
 
 
 # The lower bound on C(4n, 3n) and the upper bounds on the four absorbers.
 _FORMS = {
     "binomial": _Form(
-        (4, 3), lambda n: 2, 6, ((1, 48, 1), (-1, 36, 0), (-1, 12, 0)),
-        1, "binomial lower bound requires n >= 1",
+        (4, 3), (((0, 2),), ()), 6, ((1, 48, 1), (-1, 36, 0), (-1, 12, 0)),
     ),
     "A": _Form(
-        ABSORBER_COEFFS["A"], lambda n: Fraction(8 * n, 3), 2,
-        ((1, 16, 0), (-1, 12, 1), (-1, 4, 1)), 1, "A bound requires n >= 1",
+        ABSORBER_COEFFS["A"], (((8, 0),), ((0, 3),)), 2,
+        ((1, 16, 0), (-1, 12, 1), (-1, 4, 1)),
     ),
     "B": _Form(
-        ABSORBER_COEFFS["B"], lambda n: 12 * n + 8, 3,
-        ((1, 24, 0), (-1, 18, 1), (-1, 6, 1)), 1, "B bound requires n >= 1",
+        ABSORBER_COEFFS["B"], (((12, 8),), ()), 3,
+        ((1, 24, 0), (-1, 18, 1), (-1, 6, 1)),
     ),
     "C": _Form(
-        ABSORBER_COEFFS["C"],
-        lambda n: Fraction(4 * n * (51 * n + 221) * 26, 17 * (n - 221)), 6,
+        ABSORBER_COEFFS["C"], (((4, 0), (51, 221), (0, 26)), ((0, 17), (1, -221))), 6,
         ((17, 48, 0), (-13, 36, 13), (-221, 12, 221)),
-        222, "C bound has a pole at n = 221; requires n >= 222",
     ),
     "D": _Form(
-        ABSORBER_COEFFS["D"],
-        lambda n: Fraction(15 * (4 * n * n + 15 * n), 2 * n - 105), 2,
+        ABSORBER_COEFFS["D"], (((0, 15), (1, 0), (4, 15)), ((2, -105),)), 2,
         ((7, 24, 0), (-5, 16, 5), (-35, 8, 35)),
-        53, "D bound has a pole at 2n = 105; requires n >= 53",
     ),
 }
-# The T3 bound combines every row, so it applies from the largest n_min on.
-T3_N_MIN = max(form.n_min for form in _FORMS.values())
+
+
+def _first_n(form: _Form) -> int:
+    """The first n >= 1 from which every lead factor a n + b is positive
+    (a factor with a = 0 is a positive constant)."""
+    return max([1] + [-b // a + 1 for a, b in chain(*form.lead) if a > 0])
+
+
+# The T3 bound combines every row, so it applies from the largest first n on.
+T3_N_MIN = max(map(_first_n, _FORMS.values()))
 
 
 def _rate(s, r):
@@ -225,12 +228,15 @@ def _constants(prec: int) -> SimpleNamespace:
 def _closed_form(name: str, n: int, prec: int) -> LogReal:
     """The named row of _FORMS evaluated at n."""
     form = _FORMS[name]
-    if n < form.n_min:
-        raise DomainError(form.domain_error)
+    n_min = _first_n(form)
+    if n < n_min:
+        poles = "".join(f" has a pole at n = {Fraction(-b, a)};" for a, b in form.lead[1] if a > 0)
+        raise DomainError(f"{name} bound{poles} requires n >= {n_min}")
+    lead = Fraction(*(math.prod(a * n + b for a, b in side) for side in form.lead))
     corr = sum((Fraction(c, a * n + b) for c, a, b in form.corrections), Fraction(0))
     c = _constants(prec)
     with _working(prec):
-        v = iv.log(_rational(form.lead(n))) - iv.log(form.k * c.pi * n) / 2
+        v = iv.log(_rational(lead)) - iv.log(form.k * c.pi * n) / 2
         return LogReal.from_interval(v + _rational(corr) + n * c.rates[name], prec)
 
 
@@ -277,7 +283,7 @@ def ln_factorial(n: int, prec: int = DEFAULT_PREC) -> LogReal:
         return LogReal.from_interval(total, prec)
 
 
-def check_factorial_sandwich(n: int, prec: int = DEFAULT_PREC) -> bool:
+def check_factorial_sandwich(n: int) -> bool:
     """Strictly g(n) < n! < f(n), escalating precision when indeterminate."""
     if n < 1:
         raise DomainError("sandwich check requires n >= 1")
@@ -286,16 +292,17 @@ def check_factorial_sandwich(n: int, prec: int = DEFAULT_PREC) -> bool:
         mid = ln_factorial(n, p)
         return _all_less([(ln_g(n, p), mid), (mid, ln_f(n, p))])
 
-    return _decide(attempt, prec)
+    return _decide(attempt)
 
 
-def factorial_sandwich_sweep(n_max: int, prec: int = DEFAULT_PREC) -> list:
+def factorial_sandwich_sweep(n_max: int) -> list:
     """One incremental pass of the sandwich over [1, n_max].
 
     Returns [(n, "violated" | "indeterminate"), ...]; empty means every
     comparison cleared its band strictly at this precision.
     """
     bad = []
+    prec = DEFAULT_PREC
     with _working(prec):
         total = iv.mpf(0)
         for n in range(1, n_max + 1):
@@ -318,7 +325,7 @@ def _validate_grid(grid, lo_min: Fraction) -> list:
     return pts
 
 
-def scan_h1_monotone(c, grid, prec: int = DEFAULT_PREC) -> bool:
+def scan_h1_monotone(c, grid) -> bool:
     """h1(x) = f(x + c) / (g(c) g(x)) strictly increasing along the grid."""
     c = _coerce_rational(c)
     if c < Fraction(1, 12):
@@ -330,10 +337,10 @@ def scan_h1_monotone(c, grid, prec: int = DEFAULT_PREC) -> bool:
         vals = [ln_f(x + c, p) - gc - ln_g(x, p) for x in pts]
         return _all_less(pairwise(vals))
 
-    return _decide(attempt, prec)
+    return _decide(attempt)
 
 
-def scan_h2_unimodal(c, grid, prec: int = DEFAULT_PREC) -> bool:
+def scan_h2_unimodal(c, grid) -> bool:
     """h2(x) = f(c) / (g(x) g(c - x)): strictly increasing below c/2,
     strictly decreasing above, and symmetric about c/2 within the band."""
     c = _coerce_rational(c)
@@ -358,7 +365,7 @@ def scan_h2_unimodal(c, grid, prec: int = DEFAULT_PREC) -> bool:
             if b <= half or a >= half
         )
 
-    return _decide(attempt, prec)
+    return _decide(attempt)
 
 
 @lru_cache(maxsize=64)
@@ -487,7 +494,9 @@ def replacement_minimal_n(n_max: int = 10_000):
 
 def _t3_terms(n: int, prefactor, n_power, prec: int):
     """prefactor + E + n ln M - sqrt(n) ln 4n - n_power ln n, the terms the
-    two T3 forms share, as an interval."""
+    two T3 forms share, as an interval.  Both forms apply from T3_N_MIN on."""
+    if n < T3_N_MIN:
+        raise DomainError(f"T3 lower bound requires n >= {T3_N_MIN}")
     lm = ln_m(prec).interval
     with _working(prec):
         tail = iv.sqrt(n) * iv.log(4 * n) + n_power * iv.log(n)
@@ -497,8 +506,6 @@ def _t3_terms(n: int, prefactor, n_power, prec: int):
 @lru_cache(maxsize=64)
 def ln_t3_lower(n: int, prec: int = DEFAULT_PREC) -> LogReal:
     """ln of (sqrt(3) pi^(3/2) / 332800) e^E M^n (4n)^(-sqrt n) n^(-5/2)."""
-    if n < T3_N_MIN:
-        raise DomainError(f"T3 lower bound requires n >= {T3_N_MIN}")
     v = _t3_terms(n, _constants(prec).t3_prefactor, 2.5, prec)
     return LogReal.from_interval(v, prec)
 
@@ -507,8 +514,6 @@ def ln_t3_lower_intermediate(n: int, prec: int = DEFAULT_PREC) -> LogReal:
     """The pre-simplification form with prefactor sqrt(3) pi^(3/2) / 4160 and
     the rational factor n^(-3/2)(n-221)(2n-105)/((3n+2)(3n+13)(4n+15)), both
     as printed: validate checks the table against them (see _constants)."""
-    if n < T3_N_MIN:
-        raise DomainError(f"intermediate T3 bound requires n >= {T3_N_MIN}")
     v = _t3_terms(n, _constants(prec).t3_prefactor_intermediate, 1.5, prec)
     ratio = Fraction((n - 221) * (2 * n - 105), (3 * n + 2) * (3 * n + 13) * (4 * n + 15))
     with _working(prec):
@@ -518,19 +523,17 @@ def ln_t3_lower_intermediate(n: int, prec: int = DEFAULT_PREC) -> LogReal:
 def count_lower_bound(n: int, prec: int = DEFAULT_PREC) -> float:
     """log base 4n of the T3 lower bound: the guaranteed number of primes
     in the open interval (3n, 4n)."""
-    if n < T3_N_MIN:
-        raise DomainError(f"count lower bound requires n >= {T3_N_MIN}")
     t3 = ln_t3_lower(n, prec)
     with workprec(prec):
         return float(t3.ln_value / log(mpf(4 * n)))
 
 
-def count_lower_bound_simplified(n: int, prec: int = DEFAULT_PREC) -> float:
+def count_lower_bound_simplified(n: int) -> float:
     """The further-simplified form n(ln M - ln(4n)/sqrt(n))/(2 ln n) - 5/2."""
     if n < T3_N_MIN:
         raise DomainError(f"count lower bound requires n >= {T3_N_MIN}")
-    with workprec(prec):
-        lm = ln_m(prec).ln_value
+    with workprec(DEFAULT_PREC):
+        lm = ln_m(DEFAULT_PREC).ln_value
         v = n * (lm - log(mpf(4 * n)) / sqrt(mpf(n))) / (2 * log(mpf(n)))
         return float(v - mpf("2.5"))
 
@@ -557,7 +560,7 @@ def _float_threshold(float_bad, exact_bad, n_min: int, n_max: int):
         raise DomainError(f"threshold scan requires n_min >= {T3_N_MIN}, got {n_min}")
     if n_max < n_min:
         raise DomainError(f"threshold scan requires n_min <= n_max, got [{n_min}, {n_max}]")
-    lm = float(ln_m().ln_value)
+    lm = float(ln_m(DEFAULT_PREC).ln_value)
     bad = (n for n in range(n_min, n_max + 1) if float_bad(n, lm))
     minimal = settled_from(bad, n_min, n_max)
     if minimal is None:
@@ -599,7 +602,7 @@ def t3_positive_minimal_n(n_max: int, n_min: int = T3_N_MIN):
     """
 
     def nonpositive(n):
-        return _decide(lambda p: ln_t3_lower(n, p).less_than(_zero(p)), DEFAULT_PREC)
+        return _decide(lambda p: ln_t3_lower(n, p).less_than(_zero(p)))
 
     return _float_threshold(lambda n, lm: _t3_float(n, lm) <= 0, nonpositive, n_min, n_max)
 
@@ -680,8 +683,9 @@ class BoundReport:
 BOUND_REPORT_FIELDS = tuple(f.name for f in fields(BoundReport))
 
 
-def build_bound_report(n: int, prec: int = DEFAULT_PREC) -> BoundReport:
+def build_bound_report(n: int) -> BoundReport:
     """Evaluate every analytic bound at n and validate the chain."""
+    prec = DEFAULT_PREC
     report = BoundReport(
         n=n,
         ln_binom_lower=ln_binom_lower(n, prec),

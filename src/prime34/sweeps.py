@@ -359,19 +359,17 @@ def observations_csv_lines(report: ObservationsReport):
         )
 
 
-def lower_bound_report(
-    n: int, sieve: Optional[PrimeSieve] = None, prec: int = DEFAULT_PREC
-) -> dict:
+def lower_bound_report(n: int, sieve: Optional[PrimeSieve] = None) -> dict:
     """Analytic lower bound vs the actual sieve count of primes in (3n, 4n)."""
     if n < T3_N_MIN:
         raise DomainError(f"lower bound report requires n >= {T3_N_MIN}")
     if sieve is None:
         sieve = build_sieve(4 * n)
     actual = sieve.pi(4 * n - 1) - sieve.pi(3 * n)
-    bound = count_lower_bound(n, prec)
+    bound = count_lower_bound(n)
     # actual >= ln T3 / ln 4n, decided as ln T3 < actual * ln 4n
     satisfied = _decide(
-        lambda p: ln_t3_lower(n, p).less_than(ln_of_int(4 * n, p).scaled(actual)), prec
+        lambda p: ln_t3_lower(n, p).less_than(ln_of_int(4 * n, p).scaled(actual))
     )
     return {"n": n, "bound": bound, "actual": actual, "satisfied": satisfied}
 
@@ -379,7 +377,7 @@ def lower_bound_report(
 DEFAULT_ANALYTIC_SAMPLES = tuple(DEFAULT_DIRECT_NMAX << k for k in range(15))
 
 
-def analytic_report(samples=None, prec: int = DEFAULT_PREC) -> dict:
+def analytic_report(samples=None) -> dict:
     """ln of the T3 lower bound at each sample: positivity and first
     differences over a geometric ladder standing in for the n -> infinity
     trend."""
@@ -395,13 +393,11 @@ def analytic_report(samples=None, prec: int = DEFAULT_PREC) -> dict:
     # still holds it and the previous sample
     floats, positive, increasing = [], [], []
     for i, s in enumerate(samples):
-        floats.append(float(ln_t3_lower(s, prec).ln_value))
-        positive.append(_decide(lambda p: _zero(p).less_than(ln_t3_lower(s, p)), prec))
+        floats.append(float(ln_t3_lower(s, DEFAULT_PREC).ln_value))
+        positive.append(_decide(lambda p: _zero(p).less_than(ln_t3_lower(s, p))))
         if i:
             a = samples[i - 1]
-            increasing.append(
-                _decide(lambda p: ln_t3_lower(a, p).less_than(ln_t3_lower(s, p)), prec)
-            )
+            increasing.append(_decide(lambda p: ln_t3_lower(a, p).less_than(ln_t3_lower(s, p))))
     diffs = [b - a for a, b in zip(floats, floats[1:])]
     return {
         "samples": list(samples),
@@ -415,11 +411,11 @@ def analytic_report(samples=None, prec: int = DEFAULT_PREC) -> dict:
 _ABSORBER_UPPER = {"A": ln_a_upper, "B": ln_b_upper, "C": ln_c_upper, "D": ln_d_upper}
 
 
-def absorber_below_bound(which: str, n: int, prec: int = DEFAULT_PREC) -> bool:
+def absorber_below_bound(which: str, n: int) -> bool:
     """Exact absorber value strictly below its closed-form upper bound."""
     upper = _ABSORBER_UPPER[which]
     value = absorber(which, n)
-    return _decide(lambda p: ln_of_int(value, p).less_than(upper(n, p)), prec)
+    return _decide(lambda p: ln_of_int(value, p).less_than(upper(n, p)))
 
 
 def _factors_ln(entries) -> float:
@@ -435,9 +431,7 @@ def _outcome(decide) -> str:
         return "pole: not applicable" if "pole" in str(exc) else "not applicable"
 
 
-def decompose_report(
-    n: int, sieve: Optional[PrimeSieve] = None, prec: int = DEFAULT_PREC
-) -> dict:
+def decompose_report(n: int, sieve: Optional[PrimeSieve] = None) -> dict:
     """Factored T1/T2/T3 with ln values and pass/fail for every inequality
     applicable at this n.  Exact cross-checks (big-integer identity and
     bound comparisons) run for n <= EXACT_CHECK_CUTOFF; above that only
@@ -445,7 +439,7 @@ def decompose_report(
     if n < 1:
         raise DomainError("decompose requires n >= 1")
     if sieve is None:
-        sieve = build_sieve(4 * n if n > 1 else 4)
+        sieve = build_sieve(4 * n)
     dec = decompose(n, sieve)
 
     # binomial and t1..t3 are bound below the table, and only at n <=
@@ -453,16 +447,16 @@ def decompose_report(
     deciders = {
         "binomial_identity": lambda: t1 * t2 * t3 == binomial,
         "binomial_above_lower_bound": lambda: _decide(
-            lambda p: ln_binom_lower(n, p).less_than(ln_of_int(binomial, p)), prec
+            lambda p: ln_binom_lower(n, p).less_than(ln_of_int(binomial, p))
         ),
         "t1_cap": lambda: check_t1_bound(n, sieve),
         "t2_divisibility": lambda: check_t2_divisibility_bound(n, sieve),
         **{
-            f"absorber_{which}_below_bound": partial(absorber_below_bound, which, n, prec)
+            f"absorber_{which}_below_bound": partial(absorber_below_bound, which, n)
             for which in "ABCD"
         },
         "t3_above_lower_bound": lambda: _decide(
-            lambda p: ln_t3_lower(n, p).less_than(ln_of_int(t3, p)), prec
+            lambda p: ln_t3_lower(n, p).less_than(ln_of_int(t3, p))
         ),
     }
     if n > EXACT_CHECK_CUTOFF:
@@ -481,5 +475,5 @@ def decompose_report(
         "ln_t2": _factors_ln(dec.t2.entries),
         "ln_t3": _factors_ln(dec.t3.entries),
         "checks": checks,
-        "bound_report": build_bound_report(n, prec).to_json_dict() if n >= T3_N_MIN else None,
+        "bound_report": build_bound_report(n).to_json_dict() if n >= T3_N_MIN else None,
     }

@@ -1,8 +1,10 @@
 import inspect
 import math
 from fractions import Fraction
+from itertools import chain
 
 import pytest
+import sympy
 from mpmath import mp, mpf
 
 from prime34 import (
@@ -170,6 +172,58 @@ def test_absorber_upper_bound_domains():
     with pytest.raises(DomainError):
         ln_d_upper(52)
     assert ln_c_upper(222) and ln_d_upper(53)
+
+
+def test_domains_are_derived_from_the_lead_factors():
+    first = {name: bounds._first_n(form) for name, form in bounds._FORMS.items()}
+    assert first == {"binomial": 1, "A": 1, "B": 1, "C": 222, "D": 53}
+    assert bounds.T3_N_MIN == 222
+    for name, fn in {"binomial": ln_binom_lower, **sweeps._ABSORBER_UPPER}.items():
+        assert fn(first[name])
+        with pytest.raises(DomainError) as refused:
+            fn(first[name] - 1)
+        # sweeps._outcome reads "pole" as "pole: not applicable"
+        assert ("pole" in str(refused.value)) == (name in ("C", "D"))
+    for fn in (ln_t3_lower, ln_t3_lower_intermediate):
+        with pytest.raises(DomainError):
+            fn(221)
+    # a constant factor must be positive, or no n would be in the domain
+    for form in bounds._FORMS.values():
+        for a, b in chain(*form.lead):
+            assert a > 0 or b > 0
+
+
+def test_table_composes_to_the_printed_t3_constants():
+    n = sympy.Symbol("n", positive=True)
+
+    def lead(name):
+        num, den = bounds._FORMS[name].lead
+        return sympy.Mul(*(a * n + b for a, b in num)) / sympy.Mul(*(a * n + b for a, b in den))
+
+    def prefactor(name):
+        return lead(name) / sympy.sqrt(bounds._FORMS[name].k * sympy.pi * n)
+
+    leads = sympy.Mul(*(lead(name) for name in "ABCD"))
+    product = (
+        16640 * n**3 * (3 * n + 2) * (3 * n + 13) * (4 * n + 15)
+        / ((n - 221) * (2 * n - 105))
+    )
+    assert sympy.cancel(leads - product) == 0
+    # T3 = C(4n, 3n) / (T1 4^(n/6) A B C D): the sqrt(k pi n) terms and the
+    # leads leave the intermediate form's printed 4160 and R(n)
+    r = (n - 221) * (2 * n - 105) / ((3 * n + 2) * (3 * n + 13) * (4 * n + 15))
+    t3 = prefactor("binomial") / sympy.Mul(*(prefactor(name) for name in "ABCD"))
+    half = sympy.Rational(1, 2)
+    printed = sympy.sqrt(3) * sympy.pi ** (3 * half) / 4160 * r * n ** (-3 * half)
+    assert sympy.simplify(t3 / printed) == 1
+    # the replacement step R(n) >= 1/(80n) turns 4160 into the final 332800
+    assert 332800 == 80 * 4160
+    c = bounds._constants(128)
+    shift = LogReal.from_interval(c.t3_prefactor_intermediate - c.t3_prefactor, 128)
+    assert shift.consistent_with(ln_of_int(80, 128))
+    for k in range(222, 5001):
+        exact = Fraction((k - 221) * (2 * k - 105), (3 * k + 2) * (3 * k + 13) * (4 * k + 15))
+        assert replacement_step_holds(k) == (exact >= Fraction(1, 80 * k)), k
 
 
 def test_t1_upper_is_sqrtn_log():
@@ -505,7 +559,7 @@ def test_traced_names_stay_in_every_module_that_calls_them():
 
 
 @pytest.mark.parametrize(
-    "change", [{"k": 3}, {"lead": lambda n: Fraction(16 * n, 3)}], ids=["k", "lead"]
+    "change", [{"k": 3}, {"lead": (((16, 0),), ((0, 3),))}], ids=["k", "lead"]
 )
 def test_validate_checks_the_table_against_the_printed_t3_forms(monkeypatch, change):
     # 332800, 4160 and R(n) are kept as printed rather than derived from
