@@ -1,8 +1,9 @@
 """Command-line entry points for the verification sweeps and reports.
 
 Exit codes: 0 all checks passed, 1 a verified claim failed (or an internal
-consistency check tripped), 2 bad usage or out-of-domain parameters,
-3 capacity or sieve-coverage limits exceeded.
+consistency check tripped), 2 bad usage (including an --out path that
+cannot be written) or out-of-domain parameters, 3 capacity or
+sieve-coverage limits exceeded.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ import argparse
 import json
 import sys
 from functools import lru_cache
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .errors import (
@@ -117,11 +120,63 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text)
+# json.dumps(obj, indent=2) runs the pure-Python encoder over the whole
+# report.  _json_text writes the same bytes and hands the bulky shapes to
+# the C encoder: containers of ints (the witness map, sample ladders) and
+# lists of int lists (the [p, e] factor lists).  Those hold no cycle, so the
+# encoders skip the cycle check.
+_COMPACT = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
+_LINES = json.JSONEncoder(
+    sort_keys=True, separators=(",\n", ": "), check_circular=False
+).encode
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {False: "false", True: "true"}.__getitem__,
+    type(None): lambda _: "null",
+    float: lambda x: float.__repr__(x) if x - x == 0 else _COMPACT(x),  # nan, inf: C
+}
+_INT = {int}
+
+
+def _json_text(obj, nl: str = "\n") -> str:
+    """obj exactly as json.dumps(obj, indent=2, sort_keys=True) writes it,
+    for dicts with str keys; nl is the line break and indent that precede
+    obj's closing bracket.  Python walks only the containers that hold a
+    non-empty container; the others are one join or one C encoder call."""
+    if not isinstance(obj, (dict, list, tuple)):
+        return _SCALARS.get(type(obj), _COMPACT)(obj)  # subclasses: C
+    if not obj:
+        return "{}" if isinstance(obj, dict) else "[]"
+    inner = nl + "  "
+    values = obj.values() if isinstance(obj, dict) else obj
+    if set(map(type, values)) == _INT:
+        # strings escape their newlines, so each one in the text ends an item
+        text = _LINES(obj)
+        return text[0] + inner + text[1:-1].replace("\n", inner) + nl + text[-1]
+    if (
+        values is obj
+        and set(map(type, obj)) <= {list, tuple}
+        and all(obj)
+        and set(map(type, chain.from_iterable(obj))) == _INT
+    ):
+        # int literals hold no comma or bracket: a comma is followed by "["
+        # between the int lists and by an int inside one
+        leaf = inner + "  "
+        body = _COMPACT(obj)[2:-2].replace(",", "," + leaf)
+        body = body.replace("]," + leaf + "[", inner + "]," + inner + "[" + leaf)
+        return "[" + inner + "[" + leaf + body + inner + "]" + nl + "]"
+    if values is obj:
+        texts = [
+            w(v) if (w := _SCALARS.get(type(v))) else _json_text(v, inner) for v in obj
+        ]
+        return "[" + inner + ("," + inner).join(texts) + nl + "]"
+    texts = [
+        encode_basestring_ascii(key) + ": "
+        + (w(v) if (w := _SCALARS.get(type(v))) else _json_text(v, inner))
+        for key, v in sorted(obj.items())
+    ]
+    return "{" + inner + ("," + inner).join(texts) + nl + "}"
 
 
 def _render(report, to_json, to_csv, fmt: str) -> str:
@@ -129,42 +184,40 @@ def _render(report, to_json, to_csv, fmt: str) -> str:
     to_csv gives the whole CSV text."""
     if fmt == "csv":
         return to_csv(report)
-    return json.dumps(to_json(report), indent=2, sort_keys=True) + "\n"
+    return _json_text(to_json(report)) + "\n"
 
 
 def _observations_csv_text(report) -> str:
     return "\n".join(observations_csv_lines(report)) + "\n"
 
 
-def _dispatch(args) -> int:
+def _dispatch(args) -> tuple:
+    """The report text of the command and its exit code."""
     if args.command in ("verify-direct", "verify-corollary"):
         verify = verify_direct if args.command == "verify-direct" else verify_corollary
         report = verify(args.nmax, args.witnesses, args.threads)
         text = _render(report, sweep_to_json_dict, sweep_csv_text, args.format)
-        _emit(text, args.out)
-        return 1 if report.failures else 0
+        return text, 1 if report.failures else 0
 
     if args.command == "lower-bound":
         report = lower_bound_report(args.n)
-        _emit(_render(report, dict, None, "json"), args.out)
-        return 0 if report["satisfied"] else 1
+        return _render(report, dict, None, "json"), 0 if report["satisfied"] else 1
 
     if args.command == "verify-analytic":
         report = analytic_report(args.samples)
-        _emit(_render(report, dict, None, "json"), args.out)
-        return 0 if report["all_positive"] and report["strictly_increasing"] else 1
+        passed = report["all_positive"] and report["strictly_increasing"]
+        return _render(report, dict, None, "json"), 0 if passed else 1
 
     if args.command == "decompose":
         report = decompose_report(args.n)
-        _emit(_render(report, dict, None, "json"), args.out)
         failed = any(value == "fail" for value in report["checks"].values())
-        return 1 if failed else 0
+        return _render(report, dict, None, "json"), 1 if failed else 0
 
     if args.command == "observations":
         report = observations_sweep(args.nmin, args.nmax, args.threads)
         to_json, to_csv = observations_to_json_dict, _observations_csv_text
-        _emit(_render(report, to_json, to_csv, args.format), args.out)
-        return 1 if report.contract_violations or not report.tiling_ok else 0
+        text = _render(report, to_json, to_csv, args.format)
+        return text, 1 if report.contract_violations or not report.tiling_ok else 0
 
     raise DomainError(f"unknown command {args.command!r}")
 
@@ -172,7 +225,7 @@ def _dispatch(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        text, code = _dispatch(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -182,6 +235,15 @@ def main(argv=None) -> int:
     except (ConsistencyError, PrecisionError) as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return 1
+    if args.out is None:
+        sys.stdout.write(text)
+        return code
+    try:
+        args.out.write_text(text)
+    except OSError as exc:  # a missing directory, a directory, no permission
+        print(f"error: cannot write the report: {exc}", file=sys.stderr)
+        return 2
+    return code
 
 
 if __name__ == "__main__":

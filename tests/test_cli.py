@@ -1,7 +1,10 @@
 import json
+import math
 import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from prime34 import CapacityError, SweepReport, cli, sweeps
 from prime34.cli import main
@@ -22,8 +25,58 @@ def test_verify_direct_json(capsys):
     assert report["failures"] == []
     assert report["witness"] is None
     assert report["runtime_ms"] >= 0
-    # json output is key-sorted
-    assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+# one command line per JSON subcommand, covering every shape the writer
+# hands to the C encoder: witness maps, [p, e] lists and sample ladders
+JSON_COMMANDS = [
+    "verify-direct --nmax 2000 --witnesses",
+    "verify-corollary --nmax 500 --witnesses",
+    "decompose --n 2600",
+    "decompose --n 5001",
+    "lower-bound --n 222",
+    "verify-analytic",
+    "observations --nmin 1 --nmax 30",
+]
+
+
+@pytest.mark.parametrize("command", JSON_COMMANDS)
+def test_json_report_is_json_dumps_indented_and_key_sorted(capsys, command):
+    code, out, err = run(capsys, command.split())
+    assert code == 0 and err == ""
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+_keys = st.text(max_size=4)
+_json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**64, max_value=2**200),
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0]),
+    st.text(max_size=4),
+    st.text(st.characters(max_codepoint=0x1F) | st.characters(min_codepoint=0x80), max_size=4),
+)
+# lists of int lists take the writer's [p, e] path unless an inner list is
+# empty or holds a bool
+_int_lists = st.lists(st.lists(st.integers() | st.booleans(), max_size=3), max_size=4)
+_json_values = st.recursive(
+    _json_scalars | _int_lists | _int_lists.map(tuple) | st.dictionaries(_keys, st.integers()),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(_keys, inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_json_values)
+@example([[2, 5], [3, 1]])
+@example([[2, 5], []])
+@example([[2, True]])
+def test_json_text_is_json_dumps_with_indent_2(value):
+    assert cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
 def test_verify_direct_csv_witnesses(capsys):
@@ -45,6 +98,14 @@ def test_out_file(tmp_path, capsys):
     )
     assert code == 0 and out == ""
     assert target.read_text().splitlines()[0] == "n,ok"
+
+
+def test_out_path_that_cannot_be_written_exits_2(tmp_path, capsys):
+    for target in (tmp_path / "missing" / "report.json", tmp_path):
+        code, out, err = run(capsys, ["lower-bound", "--n", "222", "--out", str(target)])
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(target) in err
 
 
 def test_verify_corollary(capsys):
