@@ -18,7 +18,8 @@ once per claim.
 
 Window bounds and absorber valuations are integer arithmetic: bounds are
 floored as (num * n) // den, and valuations are Legendre sums at the
-integer floors of the absorber index, computed once per (claim, n).
+integer floors of the absorber index; a sweep computes them once per
+(absorber, n) and shares them between the claims at that n.
 Every prime is still decided on its own, but when (lo + 1)^2 > 4n for the
 floored window start lo, each window prime p has p^2 > 4n, which exceeds
 every absorber floor too, so each Legendre sum is the single floor m//p:
@@ -309,12 +310,29 @@ def check_chain(claim: ClaimSpec, n: int) -> bool:
     return claim._chain_verdict
 
 
-def check_claim(claim: ClaimSpec, n: int, sieve: PrimeSieve) -> ClaimResult:
+def absorber_floors_at(n: int) -> dict:
+    """{absorber: its index floors at n, or None where the index is outside
+    s > r >= 1}, for the check_claim calls that share this n."""
+    return {which: _floors_or_none(which, n) for which in _ABSORBER_OF.values()}
+
+
+def _floors_or_none(which: str, n: int):
+    try:
+        return _absorber_floors(which, n)
+    except DomainError:
+        return None
+
+
+def check_claim(
+    claim: ClaimSpec, n: int, sieve: PrimeSieve, floors: Optional[dict] = None
+) -> ClaimResult:
     """Verify the claim's consequence for every prime in its window at n.
 
     An empty window passes vacuously.  A divisibility claim whose absorber
     is undefined at this n (index outside s > r >= 1) fails for every
-    window prime, since nothing is available to absorb them.
+    window prime, since nothing is available to absorb them.  floors, from
+    absorber_floors_at(n), shares the absorber floors between the claims
+    at one n; when it is None they are computed here.
 
     When (lo + 1)^2 > 4n for the floored window start lo, every window
     prime p has p^2 > 4n, and 4n bounds every absorber floor (each is at
@@ -347,21 +365,20 @@ def check_claim(claim: ClaimSpec, n: int, sieve: PrimeSieve) -> ClaimResult:
         failures = () if ok else ((0, "window primorial exceeds 4^(n/6)"),)
     else:
         which = _ABSORBER_OF[consequence]
-        try:
-            floors = _absorber_floors(which, n)
-        except DomainError:
+        index = _floors_or_none(which, n) if floors is None else floors[which]
+        if index is None:
             detail = f"absorber {which} undefined at n={n}"
             return ClaimResult(claim.id, n, len(primes), tuple((p, detail) for p in primes))
         if single:
-            fs, fsr, fr = floors
+            fs, fsr, fr = index
             bad = [
                 p for p in primes
                 if fs // p - fsr // p - fr // p < n4 // p - n3 // p - n // p
             ]
         else:
-            bad = [p for p in primes if _floors_valuation(floors, p) < _beta(n, p)]
+            bad = [p for p in primes if _floors_valuation(index, p) < _beta(n, p)]
         failures = tuple(
-            (p, f"valuation {_floors_valuation(floors, p)} in {which} < beta {_beta(n, p)}")
+            (p, f"valuation {_floors_valuation(index, p)} in {which} < beta {_beta(n, p)}")
             for p in bad
         )
     return ClaimResult(claim.id, n, len(primes), failures)

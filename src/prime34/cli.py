@@ -9,7 +9,9 @@ sieve-coverage limits exceeded.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from functools import lru_cache
 from itertools import chain
@@ -222,8 +224,33 @@ def _dispatch(args) -> tuple:
     raise DomainError(f"unknown command {args.command!r}")
 
 
+def _check_writable(path: Path) -> None:
+    """Raise the OSError that writing the report to path would raise when
+    path is a directory, its parent is not a directory, or either refuses
+    writes.  Nothing is created."""
+    if path.is_dir():
+        err = errno.EISDIR
+    elif not path.parent.is_dir():
+        err = errno.ENOENT
+    elif not os.access(path if path.exists() else path.parent, os.W_OK):
+        err = errno.EACCES
+    else:
+        return
+    raise OSError(err, os.strerror(err), str(path))
+
+
+def _cannot_write(exc: OSError) -> int:
+    print(f"error: cannot write the report: {exc}", file=sys.stderr)
+    return 2
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.out is not None:
+        try:
+            _check_writable(args.out)  # before any report is computed
+        except OSError as exc:
+            return _cannot_write(exc)
     try:
         text, code = _dispatch(args)
     except DomainError as exc:
@@ -240,9 +267,8 @@ def main(argv=None) -> int:
         return code
     try:
         args.out.write_text(text)
-    except OSError as exc:  # a missing directory, a directory, no permission
-        print(f"error: cannot write the report: {exc}", file=sys.stderr)
-        return 2
+    except OSError as exc:  # what the early check cannot see, or a path changed since
+        return _cannot_write(exc)
     return code
 
 

@@ -17,8 +17,8 @@ from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from itertools import compress, repeat
-from operator import not_
+from itertools import accumulate, chain, compress, repeat
+from operator import gt, mul, sub
 from time import perf_counter
 from typing import Optional
 
@@ -38,6 +38,7 @@ from .bounds import (
     ln_t3_lower,
 )
 from .claims import (
+    absorber_floors_at,
     check_chain,
     check_claim,
     check_tiling,
@@ -60,22 +61,61 @@ _OBS_CHUNK = 256
 class SweepReport:
     """Result of a per-n existence sweep (direct or corollary form).
 
-    found holds the witness of each n in [n_min, n_max], at n - n_min, with
-    0 for a failure; it is None when witnesses were not kept."""
+    runs holds the witnesses of [n_min, n_max] run-length encoded, as a pair
+    of int64 arrays (primes, lengths): primes[i] witnesses the next
+    lengths[i] n, with 0 for a run of failures.  Runs are canonical (none
+    is empty and no two neighbours share a prime), so equal witnesses give
+    equal runs.  runs is None when witnesses were not kept."""
 
     n_min: int
     n_max: int
     failures: tuple
-    found: Optional[array]
+    runs: Optional[tuple]
     runtime_ms: Optional[float]
+
+    @property
+    def found(self) -> Optional[array]:
+        """The witness of each n in [n_min, n_max], at n - n_min, 0 for a
+        failure, or None."""
+        if self.runs is None:
+            return None
+        return array("q", _expand(*self.runs))
 
     @property
     def witness(self) -> Optional[dict]:
         """{n: witness} over the n that did not fail, or None."""
-        if self.found is None:
+        if self.runs is None:
             return None
-        ns = range(self.n_min, self.n_max + 1)
-        return dict(compress(zip(ns, self.found), self.found))
+        return dict(_witness_items(self.runs, range(self.n_min, self.n_max + 1)))
+
+
+def _expand(primes, lengths):
+    """The per-n values of runs, as an iterator."""
+    return chain.from_iterable(map(repeat, primes, lengths))
+
+
+def _witness_items(runs, keys):
+    """(key, witness) for the n that did not fail; keys run over every n."""
+    primes, lengths = runs
+    found = _expand(primes, lengths)
+    if 0 not in primes:
+        return zip(keys, found)
+    found = array("q", found)
+    return compress(zip(keys, found), found)
+
+
+def _canonical(primes, lengths) -> tuple:
+    """Runs with the empty ones dropped and equal neighbours merged."""
+    out_p, out_l = array("q"), array("q")
+    for p, k in zip(primes, lengths):
+        if not k:
+            continue
+        if out_p and out_p[-1] == p:
+            out_l[-1] += k
+        else:
+            out_p.append(p)
+            out_l.append(k)
+    return out_p, out_l
 
 
 # Witness forms (a, b, c, d): the witness of n is the smallest prime
@@ -84,33 +124,42 @@ _DIRECT_FORM = (3, 0, 1, 0)  # p in [3n, 4n]
 _COROLLARY_FORM = (1, 1, 3, 7)  # n < p and 3p < 4(n + 2)
 
 
-def _scan_witnesses(sieve: PrimeSieve, start: int, stop: int, form: tuple) -> array:
-    """Witnesses for n in [start, stop] in the given form, 0 where the
-    candidate is rejected or the sieve runs out of primes, as one int64
-    buffer, which a worker pool pickles whole.
+def _scan_witnesses(sieve: PrimeSieve, start: int, stop: int, form: tuple) -> tuple:
+    """Canonical runs (primes, lengths) of the witnesses for n in [start,
+    stop] in the given form: witness primes[i], 0 where the candidate is
+    rejected or the sieve runs out of primes, covers the next lengths[i] n.
+    Both are int64 buffers, which a worker pool pickles whole.
 
-    Each prime p is the candidate for the run of n up to (p - b) // a, so the
-    primes are walked once instead of bisected per n.  Acceptance grows with
-    n, so only the front of a run, n < ceil((c*p - d) / 4), can fail."""
+    Each prime p is the candidate for the run of n up to (p - b) // a, so a
+    run's length is the gap between neighbouring run ends.  Acceptance,
+    c*p <= 4n + d, grows with n, so only the front of a run, n through
+    (c*p - d - 1) // 4, can be rejected; such runs (none on a full sieve)
+    are split into a 0-run and a p-run."""
     a, b, c, d = form
     primes = sieve.primes
     lo = bisect_left(primes, a * start + b)
     hi = bisect_left(primes, a * stop + b) + 1
-    found = []
-    extend = found.extend
-    n = start
-    for p in primes[lo:hi]:
-        last = (p - b) // a
-        ok = -((d - c * p) // 4)
-        if ok > n:
-            k = min(ok, last + 1) - n
-            extend(repeat(0, k))
-            n += k
-        extend(repeat(p, last + 1 - n))
-        n = last + 1
-    extend(repeat(0, stop + 1 - n))
-    del found[stop + 1 - start :]  # the last run may reach past stop
-    return array("q", found)
+    ps = primes[lo:hi]
+    lasts = [(p - b) // a for p in ps]
+    if lasts and lasts[-1] > stop:
+        lasts[-1] = stop  # the last run may reach past stop
+    ends = [start - 1, *lasts]  # ends[i]: the n before run i
+    lengths = list(map(sub, lasts, ends))
+    tail = stop - ends[-1]  # the n after the last run, where primes ran out
+    rejected = [(c * p - d - 1) // 4 for p in ps]  # the last n rejecting p
+    bad = list(compress(range(len(ps)), map(gt, rejected, ends)))
+    if not bad and not tail:
+        # two distinct primes are never neighbours with the same value
+        return array("q", compress(ps, lengths)), array("q", filter(None, lengths))
+    runs_p, runs_l, done = [], [], 0
+    for i in bad:
+        zeros = min(rejected[i], lasts[i]) - ends[i]
+        runs_p += (*ps[done:i], 0, ps[i])
+        runs_l += (*lengths[done:i], zeros, lengths[i] - zeros)
+        done = i + 1
+    runs_p += (*ps[done:], 0)
+    runs_l += (*lengths[done:], tail)
+    return _canonical(runs_p, runs_l)
 
 
 def _scan_observations(sieve: PrimeSieve, start: int, stop: int) -> list:
@@ -118,8 +167,9 @@ def _scan_observations(sieve: PrimeSieve, start: int, stop: int) -> list:
     table = claim_table()
     acc = [[0, []] for _ in table]
     for n in range(start, stop + 1):
+        floors = absorber_floors_at(n)
         for slot, claim in zip(acc, table):
-            result = check_claim(claim, n, sieve)
+            result = check_claim(claim, n, sieve, floors)
             slot[0] += result.primes_checked
             if result.failures:
                 slot[1].extend((n, p, detail) for p, detail in result.failures)
@@ -161,19 +211,30 @@ def _existence_sweep(form, limit, n_min, n_max, witnesses, threads) -> SweepRepo
     """A SweepReport of the witnesses in this form over [n_min, n_max]."""
     t0 = perf_counter()
     scan = partial(_scan_witnesses, form=form)
-    found = array("q")
-    for part in _run_chunked(scan, limit, n_min, n_max, threads, _DIRECT_CHUNK):
-        found += part
-    failures = _failures(n_min, found)
+    primes, lengths = array("q"), array("q")
+    for ps, ls in _run_chunked(scan, limit, n_min, n_max, threads, _DIRECT_CHUNK):
+        if primes[-1:] == ps[:1]:  # one run across the seam
+            lengths[-1] += ls[0]
+            ps, ls = ps[1:], ls[1:]
+        primes += ps
+        lengths += ls
+    failures = _failures(n_min, (primes, lengths))
     runtime_ms = (perf_counter() - t0) * 1e3
-    return SweepReport(n_min, n_max, failures, found if witnesses else None, runtime_ms)
+    runs = (primes, lengths) if witnesses else None
+    return SweepReport(n_min, n_max, failures, runs, runtime_ms)
 
 
-def _failures(n_min: int, found) -> tuple:
-    """The n whose witness in found (indexed from n_min) is 0."""
-    if 0 not in found:
+def _failures(n_min: int, runs) -> tuple:
+    """The n of the 0-runs of runs, which start at n_min."""
+    primes, lengths = runs
+    if 0 not in primes:
         return ()
-    return tuple(compress(range(n_min, n_min + len(found)), map(not_, found)))
+    starts = accumulate(lengths, initial=n_min)
+    return tuple(
+        chain.from_iterable(
+            range(s, s + k) for p, s, k in zip(primes, starts, lengths) if not p
+        )
+    )
 
 
 def verify_direct(
@@ -197,44 +258,51 @@ def verify_corollary(
 
 
 def sweep_to_json_dict(report: SweepReport) -> dict:
-    found = report.found
-    keys = map(str, range(report.n_min, report.n_max + 1))
+    witness = None
+    if report.runs is not None:
+        keys = map(str, range(report.n_min, report.n_max + 1))
+        witness = dict(_witness_items(report.runs, keys))
     return {
         "n_min": report.n_min,
         "n_max": report.n_max,
         "failures": list(report.failures),
-        "witness": None if found is None else dict(compress(zip(keys, found), found)),
+        "witness": witness,
         "runtime_ms": report.runtime_ms,
     }
 
 
 def sweep_from_json_dict(d: dict) -> SweepReport:
     n_min, witness = d["n_min"], d["witness"]
-    found = None
+    runs = None
     if witness is not None:
         found = array("q", [0]) * (d["n_max"] - n_min + 1)
         for n, p in witness.items():
             found[int(n) - n_min] = p
-    return SweepReport(n_min, d["n_max"], tuple(d["failures"]), found, d["runtime_ms"])
+        runs = _canonical(found, repeat(1))
+    return SweepReport(n_min, d["n_max"], tuple(d["failures"]), runs, d["runtime_ms"])
+
+
+def _flag_runs(report: SweepReport) -> tuple:
+    """Runs of the 'n,ok' flags, 0 on each failure and 1 between them."""
+    fails = report.failures
+    bounds = zip([report.n_min - 1, *fails], [*fails, report.n_max + 1])
+    lengths = [1] * (2 * len(fails) + 1)
+    lengths[::2] = [b - a - 1 for a, b in bounds]
+    return [1, 0] * len(fails) + [1], lengths
 
 
 def sweep_csv_text(report: SweepReport) -> str:
     """One row per swept n; 'n,witness' with the witnessing prime (0 on
     failure) when witnesses were kept, else 'n,ok' with a 0/1 flag.
-    Runtime is deliberately excluded so reruns are byte-identical.  All
-    rows come from one format call over the n interleaved with the values."""
-    n_min, n_max = report.n_min, report.n_max
-    rows = n_max - n_min + 1
-    if report.found is not None:
-        header, values = "n,witness", report.found
+    Runtime is deliberately excluded so reruns are byte-identical.  Each
+    run's value is formatted once into a row template repeated over the
+    run, and one format call fills in every n."""
+    if report.runs is not None:
+        header, (values, lengths) = "n,witness", report.runs
     else:
-        header, values = "n,ok", [1] * rows
-        for n in report.failures:
-            values[n - n_min] = 0
-    cells = [0] * (2 * rows)
-    cells[::2] = range(n_min, n_max + 1)
-    cells[1::2] = values
-    return header + "\n" + ("%d,%d\n" * rows) % tuple(cells)
+        header, (values, lengths) = "n,ok", _flag_runs(report)
+    template = "".join(map(mul, map("%%d,%d\n".__mod__, values), lengths))
+    return header + "\n" + template % tuple(range(report.n_min, report.n_max + 1))
 
 
 def sweep_csv_lines(report: SweepReport) -> list:
@@ -262,8 +330,9 @@ def sweep_from_csv_lines(lines) -> SweepReport:
     n_min, n_max = ns[0], ns[-1]
     if ns != list(range(n_min, n_min + len(ns))):
         raise DomainError("sweep CSV rows must cover consecutive n in order")
-    found = values if header == "n,witness" else None
-    return SweepReport(n_min, n_max, _failures(n_min, values), found, None)
+    runs = _canonical(values, repeat(1))
+    kept = runs if header == "n,witness" else None
+    return SweepReport(n_min, n_max, _failures(n_min, runs), kept, None)
 
 
 @dataclass(frozen=True)

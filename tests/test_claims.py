@@ -24,7 +24,8 @@ from prime34 import (
     minimal_valid_n,
     parse_chain,
 )
-from prime34.claims import ClaimResult, _chain_holds_at
+from prime34 import claims, observations_sweep
+from prime34.claims import ClaimResult, _chain_holds_at, absorber_floors_at
 from prime34.exact import absorber_valuation, beta
 
 HI_COEFFS = [
@@ -232,6 +233,33 @@ def test_check_claim_undefined_absorber(sieve_mid):
     assert not r.ok
     assert r.primes_checked == 4
     assert all("absorber C undefined" in reason for _, reason in r.failures)
+
+
+def test_shared_absorber_floors_give_the_same_results(sieve_mid, monkeypatch):
+    # r >= 1 needs n >= 4 for D (r = 4n/15) and n >= 5 for C (r = 3n/13), so
+    # below that the undefined-absorber details come from the shared floors
+    table = claim_table()
+    for n in list(range(1, 40)) + [300, 2000]:
+        floors = absorber_floors_at(n)
+        undefined = {w for w, f in floors.items() if f is None}
+        assert undefined == ({"C", "D"} if n < 4 else {"C"} if n == 4 else set())
+        for claim in table:
+            assert check_claim(claim, n, sieve_mid, floors) == check_claim(claim, n, sieve_mid)
+    synthetic = ClaimSpec(7, Fraction(1, 2), Fraction(3), DIVIDES_C)
+    r = check_claim(synthetic, 4, sieve_mid, absorber_floors_at(4))
+    assert all("absorber C undefined" in reason for _, reason in r.failures)
+
+    # the claims sweep decides each (absorber, n) once
+    calls = []
+    floors_of = claims._absorber_floors
+
+    def counted(which, n):
+        calls.append((which, n))
+        return floors_of(which, n)
+
+    monkeypatch.setattr(claims, "_absorber_floors", counted)
+    observations_sweep(300, 319)
+    assert sorted(calls) == sorted((w, n) for w in "ABCD" for n in range(300, 320))
 
 
 def test_check_claim_domain_error(sieve_mid):

@@ -108,6 +108,26 @@ def test_out_path_that_cannot_be_written_exits_2(tmp_path, capsys):
         assert str(target) in err
 
 
+def test_unwritable_out_exits_2_before_the_report_is_computed(
+    tmp_path, capsys, monkeypatch
+):
+    def computed(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli, "verify_direct", computed)
+    for target in (tmp_path / "missing" / "report.json", tmp_path):
+        code, out, err = run(capsys, ["verify-direct", "--witnesses", "--out", str(target)])
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot write the report: ")
+        assert err.count("\n") == 1 and str(target) in err
+    assert not (tmp_path / "missing").exists()
+    # a writable path passes the check and is not created by it
+    target = tmp_path / "report.json"
+    with pytest.raises(AssertionError, match="the sweep ran"):
+        main(["verify-direct", "--out", str(target)])
+    assert not target.exists()
+
+
 def test_verify_corollary(capsys):
     code, out, _ = run(
         capsys, ["verify-corollary", "--nmax", "100", "--witnesses", "--format", "csv"]

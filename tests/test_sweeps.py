@@ -1,5 +1,6 @@
 import json
 import random
+from array import array
 from dataclasses import replace
 
 import pytest
@@ -242,6 +243,21 @@ def _brute_witnesses(sieve, n_min, n_max, form):
     return rows
 
 
+def _expand_runs(runs):
+    """The per-n witnesses of (primes, lengths) runs."""
+    primes, lengths = runs
+    return [p for p, k in zip(primes, lengths) for _ in range(k)]
+
+
+def _assert_canonical(runs, count):
+    """runs cover count n, with no empty run and no two neighbours equal."""
+    primes, lengths = runs
+    assert len(primes) == len(lengths)
+    assert min(lengths) > 0
+    assert all(p != q for p, q in zip(primes, primes[1:]))
+    assert sum(lengths) == count
+
+
 def test_witness_forms_state_the_sweeps():
     # direct: a prime in [3n, 4n]; corollary: n < p and 3p < 4(n + 2).  Real
     # sieves never fail these, so an off-by-one in c or d would show in no
@@ -266,7 +282,43 @@ def test_witness_scan_matches_brute_force_on_thinned_sieves(density):
         stop = start + rng.randint(0, limit // 2)
         for form in _FORMS:
             got = sweeps._scan_witnesses(sieve, start, stop, form)
-            assert list(got) == _brute_witnesses(sieve, start, stop, form)
+            _assert_canonical(got, stop - start + 1)
+            assert _expand_runs(got) == _brute_witnesses(sieve, start, stop, form)
+
+
+@pytest.mark.parametrize("thinned", [False, True])
+def test_sweep_runs_are_canonical_across_chunk_seams(thinned, monkeypatch):
+    # 20,000 n are three 8192-n chunks; the thinned sieve of
+    # test_sweep_csv_matches_per_n_reference makes both forms fail
+    if thinned:
+        monkeypatch.setattr(sweeps, "build_sieve", _failing_sieve)
+    for sweep, limit, n_min, form in (
+        (verify_direct, 80_000, 1, sweeps._DIRECT_FORM),
+        (verify_corollary, 26_670, 3, sweeps._COROLLARY_FORM),
+    ):
+        sieve = sweeps.build_sieve(limit)
+        expected = _brute_witnesses(sieve, n_min, 20_000, form)
+        serial = sweep(20_000, witnesses=True)
+        pooled = sweep(20_000, witnesses=True, threads=2)
+        assert pooled.runs == serial.runs
+        _assert_canonical(serial.runs, 20_000 - n_min + 1)
+        assert _expand_runs(serial.runs) == expected
+        assert list(serial.found) == expected
+        assert (0 in expected) == thinned
+        # a run crosses each seam, so chunks were joined there
+        for seam in (n_min + 8192, n_min + 2 * 8192):
+            assert expected[seam - 1 - n_min] == expected[seam - n_min]
+
+
+def test_sweep_report_derives_found_and_witness():
+    runs = (array("q", [3, 0, 13, 17]), array("q", [1, 2, 1, 1]))
+    report = sweeps.SweepReport(1, 5, (2, 3), runs, 1.0)
+    assert list(report.found) == [3, 0, 0, 13, 17]
+    assert report.witness == {1: 3, 4: 13, 5: 17}
+    bare = sweeps.SweepReport(1, 5, (2,), None, 1.0)
+    assert bare.found is None and bare.witness is None
+    with pytest.raises(AttributeError):
+        report.found = None
 
 
 def test_sweep_failures_reach_reports(monkeypatch):
