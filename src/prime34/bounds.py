@@ -31,7 +31,7 @@ from mpmath import iv, log, mpf, sqrt, workprec
 
 from .errors import ConsistencyError, DomainError, PrecisionError
 from .exact import ABSORBER_COEFFS
-from .sieve import settled_from
+from .sieve import _as_rational, settled_from
 
 DEFAULT_PREC = 128
 MAX_PREC = 4096
@@ -40,16 +40,6 @@ M_CORRECTION_NOTE = (
     "growth constant M uses first factor 256/27; the printed 256/7 is a "
     "misprint (the factor must cancel the (256/27)^n binomial numerator)"
 )
-
-
-def _coerce_rational(x) -> Fraction:
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    if isinstance(x, float):
-        if not math.isfinite(x):
-            raise DomainError(f"non-finite value {x}")
-        return Fraction(x)
-    raise DomainError(f"expected a rational value, got {type(x).__name__}")
 
 
 @contextmanager
@@ -65,7 +55,7 @@ def _working(prec: int):
 
 def _rational(x):
     """An interval enclosing the rational x, at the working precision."""
-    x = _coerce_rational(x)
+    x = _as_rational(x)
     xi = iv.mpf(x.numerator)
     return xi if x.denominator == 1 else xi / x.denominator
 
@@ -251,7 +241,7 @@ def ln_of_int(value: int, prec: int = DEFAULT_PREC) -> LogReal:
 
 def _ln_stirling(name: str, x, shift: int, prec: int) -> LogReal:
     """ln of sqrt(2 pi) x^(x+1/2) e^(-x) e^(1/(12x + shift))."""
-    x = _coerce_rational(x)
+    x = _as_rational(x)
     if x <= 0:
         raise DomainError(f"{name} is defined for x > 0")
     c = _constants(prec)
@@ -315,7 +305,7 @@ def factorial_sandwich_sweep(n_max: int) -> list:
 
 
 def _validate_grid(grid, lo_min: Fraction) -> list:
-    pts = [_coerce_rational(x) for x in grid]
+    pts = [_as_rational(x) for x in grid]
     if not pts:
         raise DomainError("empty grid")
     if any(b <= a for a, b in pairwise(pts)):
@@ -327,7 +317,7 @@ def _validate_grid(grid, lo_min: Fraction) -> list:
 
 def scan_h1_monotone(c, grid) -> bool:
     """h1(x) = f(x + c) / (g(c) g(x)) strictly increasing along the grid."""
-    c = _coerce_rational(c)
+    c = _as_rational(c)
     if c < Fraction(1, 12):
         raise DomainError("h1 requires c >= 1/12")
     pts = _validate_grid(grid, Fraction(1, 2))
@@ -341,9 +331,10 @@ def scan_h1_monotone(c, grid) -> bool:
 
 
 def scan_h2_unimodal(c, grid) -> bool:
-    """h2(x) = f(c) / (g(x) g(c - x)): strictly increasing below c/2,
-    strictly decreasing above, and symmetric about c/2 within the band."""
-    c = _coerce_rational(c)
+    """h2(x) = f(c) / (g(x) g(c - x)): strictly increasing below c/2 and
+    strictly decreasing above.  h2(x) = h2(c - x) holds by definition, so
+    symmetry about c/2 needs no check."""
+    c = _as_rational(c)
     if c < 1:
         raise DomainError("h2 scan requires c >= 1")
     pts = _validate_grid(grid, Fraction(1, 2))
@@ -354,10 +345,6 @@ def scan_h2_unimodal(c, grid) -> bool:
     def attempt(p):
         fc = ln_f(c, p)
         vals = [fc - ln_g(x, p) - ln_g(c - x, p) for x in pts]
-        mirrored = [fc - ln_g(c - x, p) - ln_g(x, p) for x in pts]
-        for v, m in zip(vals, mirrored):
-            if not v.consistent_with(m):
-                return False
         # rising up to the peak, falling after it; a pair straddling it is skipped
         return _all_less(
             (va, vb) if b <= half else (vb, va)
@@ -521,8 +508,12 @@ def ln_t3_lower_intermediate(n: int, prec: int = DEFAULT_PREC) -> LogReal:
 
 
 def count_lower_bound(n: int, prec: int = DEFAULT_PREC) -> float:
-    """log base 4n of the T3 lower bound: the guaranteed number of primes
-    in the open interval (3n, 4n)."""
+    """log base 4n of the T3 lower bound: a lower bound on the number of
+    primes in the open interval (3n, 4n).  For n >= 307 the prefactor
+    replacement step holds (replacement_step_holds), so the final T3 form
+    lies below the intermediate one and with it below T3.  On [222, 306]
+    the step fails, and the result is a lower bound only because it is
+    negative there."""
     t3 = ln_t3_lower(n, prec)
     with workprec(prec):
         return float(t3.ln_value / log(mpf(4 * n)))
@@ -675,10 +666,6 @@ class BoundReport:
         d["m_constant_note"] = M_CORRECTION_NOTE
         return d
 
-    def to_csv_row(self) -> list:
-        d = self.to_json_dict()
-        return [str(self.n)] + [repr(d[k]) for k in BOUND_REPORT_FIELDS[1:]]
-
 
 BOUND_REPORT_FIELDS = tuple(f.name for f in fields(BoundReport))
 
@@ -710,7 +697,7 @@ def default_h1_grid(points: int = 50, lo: float = 0.5, hi: float = 1e6) -> list:
 
 def default_h2_grid(c, points: int = 100) -> list:
     """Uniform (hence mirror-symmetric) grid over [1/2, c - 1/2]."""
-    c = _coerce_rational(c)
+    c = _as_rational(c)
     if c < 1:
         raise DomainError("h2 grid requires c >= 1")
     width = c - 1

@@ -201,11 +201,6 @@ def delta(idx: GenBinomIndex) -> int:
     return d
 
 
-def interval_integer_count(idx: GenBinomIndex) -> int:
-    """Number of integers in (s - r, s]."""
-    return floor_of(idx.s) - floor_of(idx.s - idx.r)
-
-
 def gen_binomial(idx: GenBinomIndex) -> int:
     """{s\\r}: the product of integers in (s - r, s] over the product of
     integers in (0, r], computed twice (integer-product quotient and

@@ -24,7 +24,7 @@ def _as_exact(x):
     """x itself when it is an int or a Fraction; floats are refused."""
     if isinstance(x, (int, Fraction)):
         return x
-    raise DomainError(f"expected an int or Fraction endpoint, got {type(x).__name__}")
+    raise DomainError(f"expected an int or Fraction, got {type(x).__name__}")
 
 
 def _as_rational(x) -> Fraction:

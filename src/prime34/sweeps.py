@@ -74,14 +74,6 @@ class SweepReport:
     runtime_ms: Optional[float]
 
     @property
-    def found(self) -> Optional[array]:
-        """The witness of each n in [n_min, n_max], at n - n_min, 0 for a
-        failure, or None."""
-        if self.runs is None:
-            return None
-        return array("q", _expand(*self.runs))
-
-    @property
     def witness(self) -> Optional[dict]:
         """{n: witness} over the n that did not fail, or None."""
         if self.runs is None:
@@ -271,17 +263,6 @@ def sweep_to_json_dict(report: SweepReport) -> dict:
     }
 
 
-def sweep_from_json_dict(d: dict) -> SweepReport:
-    n_min, witness = d["n_min"], d["witness"]
-    runs = None
-    if witness is not None:
-        found = array("q", [0]) * (d["n_max"] - n_min + 1)
-        for n, p in witness.items():
-            found[int(n) - n_min] = p
-        runs = _canonical(found, repeat(1))
-    return SweepReport(n_min, d["n_max"], tuple(d["failures"]), runs, d["runtime_ms"])
-
-
 def _flag_runs(report: SweepReport) -> tuple:
     """Runs of the 'n,ok' flags, 0 on each failure and 1 between them."""
     fails = report.failures
@@ -294,45 +275,21 @@ def _flag_runs(report: SweepReport) -> tuple:
 def sweep_csv_text(report: SweepReport) -> str:
     """One row per swept n; 'n,witness' with the witnessing prime (0 on
     failure) when witnesses were kept, else 'n,ok' with a 0/1 flag.
-    Runtime is deliberately excluded so reruns are byte-identical.  Each
-    run's value is formatted once into a row template repeated over the
-    run, and one format call fills in every n."""
+    Runtime is deliberately excluded so reruns are byte-identical.  One
+    format call writes every run's row template, which is repeated over
+    the run, and one more fills in every n."""
     if report.runs is not None:
         header, (values, lengths) = "n,witness", report.runs
     else:
         header, (values, lengths) = "n,ok", _flag_runs(report)
-    template = "".join(map(mul, map("%%d,%d\n".__mod__, values), lengths))
+    rows = ("%%d,%d\n" * len(values) % tuple(values)).splitlines(True)
+    template = "".join(map(mul, rows, lengths))
     return header + "\n" + template % tuple(range(report.n_min, report.n_max + 1))
 
 
 def sweep_csv_lines(report: SweepReport) -> list:
     """The lines of sweep_csv_text, without their newlines."""
     return sweep_csv_text(report).splitlines()
-
-
-def sweep_from_csv_lines(lines) -> SweepReport:
-    """Rebuild a SweepReport (without runtime) from sweep_csv_lines output.
-    The rows must cover consecutive n, in order."""
-    it = iter(lines)
-    header = next(it).strip()
-    if header not in ("n,witness", "n,ok"):
-        raise DomainError(f"unrecognized sweep CSV header {header!r}")
-    ns, values = [], array("q")
-    for line in it:
-        line = line.strip()
-        if not line:
-            continue
-        n_text, value_text = line.split(",")
-        ns.append(int(n_text))
-        values.append(int(value_text))
-    if not ns:
-        raise DomainError("sweep CSV has no data rows")
-    n_min, n_max = ns[0], ns[-1]
-    if ns != list(range(n_min, n_min + len(ns))):
-        raise DomainError("sweep CSV rows must cover consecutive n in order")
-    runs = _canonical(values, repeat(1))
-    kept = runs if header == "n,witness" else None
-    return SweepReport(n_min, n_max, _failures(n_min, runs), kept, None)
 
 
 @dataclass(frozen=True)

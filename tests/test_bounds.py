@@ -1,5 +1,6 @@
 import inspect
 import math
+from dataclasses import replace
 from fractions import Fraction
 from itertools import chain
 
@@ -373,8 +374,6 @@ def test_bound_report_shape_and_validation():
     assert d["n"] == 300
     assert d["m_constant_note"] == M_CORRECTION_NOTE
     assert d["ln_T3_lower"] < 0 < d["ln_binom_lower"]
-    row = report.to_csv_row()
-    assert row[0] == "300" and len(row) == 10
     # a corrupted report must fail chain validation
     broken = BoundReport(
         n=300,
@@ -404,6 +403,36 @@ def test_validate_escalates_an_overlapping_final_form(monkeypatch):
     monkeypatch.setattr(bounds, "ln_t3_lower_intermediate", widened)
     with pytest.raises(PrecisionError):
         report.validate()
+
+
+def test_validate_rejects_a_final_form_above_the_intermediate_form():
+    # from n = 307 the replacement step holds, so the final T3 form must
+    # lie below the intermediate one
+    report = build_bound_report(1000)
+    prec = report.ln_T3_lower.prec
+    intermediate = bounds.ln_t3_lower_intermediate(1000, prec)
+    raised = LogReal(intermediate.ln_value + 1, 0, prec)
+    with pytest.raises(ConsistencyError, match="final T3 form exceeds"):
+        replace(report, ln_T3_lower=raised).validate()
+
+
+def test_binom_lower_bound_routes_must_agree(monkeypatch):
+    ln_g = bounds.ln_g
+    monkeypatch.setattr(bounds, "ln_g", lambda x, prec: ln_g(x, prec).scaled(2))
+    with pytest.raises(ConsistencyError, match="routes disagree"):
+        ln_binom_lower(1000, 131)  # a precision no other call has cached
+
+
+def test_floats_are_refused():
+    # ints and Fractions only, as in primes_in and GenBinomIndex
+    for call in (
+        lambda: ln_f(1.5),
+        lambda: scan_h1_monotone(0.5, default_h1_grid(points=3)),
+        lambda: scan_h2_unimodal(2, [0.5, 1.5]),
+        lambda: default_h2_grid(2.0),
+    ):
+        with pytest.raises(DomainError, match="expected an int or Fraction, got float"):
+            call()
 
 
 def test_ln_of_int():

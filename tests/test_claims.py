@@ -142,6 +142,16 @@ def test_chain_nonstrict_link_is_required():
     assert not check_chain(strict, 1000)
 
 
+def test_chain_fails_by_magnitude():
+    # 14p stays below 4n over the whole window (2n/9, 3n/13], so the link
+    # fails by its value at both endpoints, not by an epsilon
+    wrong = ClaimSpec(6, Fraction(2, 9), Fraction(3, 13), BETA_ZERO, "4n < 14p")
+    assert not check_chain(wrong, 1)
+    sides, ops = parse_chain(wrong.chain)
+    assert not _chain_holds_at(sides, ops, 1000, wrong.lo_coeff, True)
+    assert not _chain_holds_at(sides, ops, 1000, wrong.hi_coeff, False)
+
+
 def test_cached_chain_verdict_matches_direct_evaluation():
     # check_chain answers from a verdict decided once at n = 1; evaluating
     # the chain at each n must agree, for the 17 table chains (all true)

@@ -1,12 +1,25 @@
+import errno
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from prime34 import CapacityError, SweepReport, cli, sweeps
+from prime34 import (
+    CapacityError,
+    ConsistencyError,
+    PrecisionError,
+    SweepReport,
+    cli,
+    sweeps,
+)
 from prime34.cli import main
 from prime34.sieve import MEMORY_CAP, _check_capacity, _peak_bytes
 
@@ -125,6 +138,32 @@ def test_unwritable_out_exits_2_before_the_report_is_computed(
     target = tmp_path / "report.json"
     with pytest.raises(AssertionError, match="the sweep ran"):
         main(["verify-direct", "--out", str(target)])
+    assert not target.exists()
+
+
+def test_out_write_failure_after_the_check_exits_2(tmp_path, capsys, monkeypatch):
+    def refused(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(self))
+
+    monkeypatch.setattr(Path, "write_text", refused)
+    target = tmp_path / "report.json"
+    code, out, err = run(capsys, ["lower-bound", "--n", "222", "--out", str(target)])
+    assert code == 2 and out == ""
+    reason = f"[Errno 28] No space left on device: '{target}'"
+    assert err == f"error: cannot write the report: {reason}\n"
+
+
+def test_out_path_without_write_access_exits_2(tmp_path, capsys, monkeypatch):
+    def computed(*args, **kwargs):
+        raise AssertionError("the report was computed")
+
+    monkeypatch.setattr(cli, "lower_bound_report", computed)
+    monkeypatch.setattr(os, "access", lambda path, mode: False)
+    target = tmp_path / "report.json"
+    code, out, err = run(capsys, ["lower-bound", "--n", "222", "--out", str(target)])
+    assert code == 2 and out == ""
+    reason = f"[Errno 13] Permission denied: '{target}'"
+    assert err == f"error: cannot write the report: {reason}\n"
     assert not target.exists()
 
 
@@ -276,6 +315,30 @@ def test_failure_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(cli, "verify_direct", lambda *a, **k: failing)
     code, _, _ = run(capsys, ["verify-direct", "--nmax", "5"])
     assert code == 1
+
+
+@pytest.mark.parametrize("error", [ConsistencyError, PrecisionError])
+def test_internal_check_failure_exits_1(capsys, monkeypatch, error):
+    def tripped(*args, **kwargs):
+        raise error("routes disagree")
+
+    monkeypatch.setattr(cli, "lower_bound_report", tripped)
+    code, out, err = run(capsys, ["lower-bound", "--n", "222"])
+    assert (code, out, err) == (1, "", "internal check failed: routes disagree\n")
+
+
+def test_module_entry_point_matches_main(capsys):
+    argv = ["verify-direct", "--nmax", "10"]
+    code, out, err = run(capsys, argv)
+    src = str(Path(cli.__file__).parents[1])
+    path = filter(None, (src, os.environ.get("PYTHONPATH")))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    done = subprocess.run(
+        [sys.executable, "-m", "prime34.cli", *argv], capture_output=True, env=env
+    )
+    runtime = re.compile(rb'"runtime_ms": [^\n]*')
+    assert (done.returncode, done.stderr) == (code, err.encode()) == (0, b"")
+    assert runtime.sub(b"", done.stdout) == runtime.sub(b"", out.encode())
 
 
 def test_usage_errors():

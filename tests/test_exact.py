@@ -23,7 +23,6 @@ from prime34 import (
     decompose,
     delta,
     gen_binomial,
-    interval_integer_count,
     is_prime_int,
     legendre_valuation,
     t2_bound_minimal_n,
@@ -145,7 +144,6 @@ def test_gen_binomial_plain_integer_case():
 def test_gen_binomial_fractional_examples():
     # {7/2 \ 3/2}: integers in (2, 7/2] are {3}, in (0, 3/2] is {1}
     idx = GenBinomIndex(s=Fraction(7, 2), r=Fraction(3, 2))
-    assert interval_integer_count(idx) == 1
     assert gen_binomial(idx) == 3
     # {s} < {r} forces the delta = [s - r] + 1 branch
     idx2 = GenBinomIndex(s=Fraction(10, 3), r=Fraction(5, 2))
@@ -166,6 +164,26 @@ def test_gen_binomial_bulk_dual_route_consistency():
         value = gen_binomial(GenBinomIndex(s=s, r=r))  # cross-checks internally
         assert value >= 1
         checked += 1
+
+
+def test_gen_binomial_refuses_a_non_integral_quotient(monkeypatch):
+    perm = math.perm
+    monkeypatch.setattr(math, "perm", lambda n, k: perm(n, k) + 1)
+    with pytest.raises(ConsistencyError, match="non-integral quotient"):
+        gen_binomial(GenBinomIndex(s=7, r=3))  # 211 over 3!
+
+
+def test_gen_binomial_routes_must_agree(monkeypatch):
+    monkeypatch.setattr(exact, "delta", lambda idx: 2)  # 1 for integer indices
+    with pytest.raises(ConsistencyError, match="route mismatch"):
+        gen_binomial(GenBinomIndex(s=7, r=3))
+
+
+def test_delta_never_exceeds_s(monkeypatch):
+    idx = GenBinomIndex(s=Fraction(10, 3), r=Fraction(5, 2))  # {s} < {r}
+    monkeypatch.setattr(exact, "floor_of", lambda x: 10)
+    with pytest.raises(ConsistencyError, match="exceeds s"):
+        delta(idx)
 
 
 def test_absorber_values_and_poles():

@@ -1,7 +1,6 @@
 import json
 import random
 from array import array
-from dataclasses import replace
 
 import pytest
 
@@ -22,8 +21,6 @@ from prime34 import (
     observations_sweep,
     observations_to_json_dict,
     sweep_csv_lines,
-    sweep_from_csv_lines,
-    sweep_from_json_dict,
     sweep_to_json_dict,
     verify_corollary,
     verify_direct,
@@ -58,10 +55,17 @@ def test_corollary_sweep_small():
 def test_sweep_json_roundtrip():
     report = verify_direct(25, witnesses=True)
     d = json.loads(json.dumps(sweep_to_json_dict(report)))
-    back = sweep_from_json_dict(d)
-    assert back == report
+    assert d == {
+        "n_min": 1,
+        "n_max": 25,
+        "failures": [],
+        "witness": {str(n): p for n, p in report.witness.items()},
+        "runtime_ms": report.runtime_ms,
+    }
+    assert list(d["witness"]) == [str(n) for n in range(1, 26)]
     bare = verify_direct(25)
-    assert sweep_from_json_dict(json.loads(json.dumps(sweep_to_json_dict(bare)))) == bare
+    d = json.loads(json.dumps(sweep_to_json_dict(bare)))
+    assert (d["failures"], d["witness"]) == ([], None)
 
 
 def test_sweep_csv_roundtrip():
@@ -70,28 +74,16 @@ def test_sweep_csv_roundtrip():
     assert lines[0] == "n,witness"
     assert lines[1] == "1,3"
     assert len(lines) == 41
-    back = sweep_from_csv_lines(lines)
-    assert (back.n_min, back.n_max) == (1, 40)
-    assert back.witness == report.witness
-    assert back.failures == report.failures
+    assert lines[1:] == [f"{n},{p}" for n, p in report.witness.items()]
 
     bare = verify_direct(40)
     lines = list(sweep_csv_lines(bare))
     assert lines[0] == "n,ok"
-    assert set(lines[1:]) == {f"{n},1" for n in range(1, 41)}
-    back = sweep_from_csv_lines(lines)
-    assert back.failures == () and back.witness is None
+    assert lines[1:] == [f"{n},1" for n in range(1, 41)]
 
     # CSV excludes runtime, so reruns are byte-identical
     again = list(sweep_csv_lines(verify_direct(40)))
     assert again == lines
-
-
-def test_sweep_csv_validation():
-    with pytest.raises(DomainError):
-        sweep_from_csv_lines(["n,bogus", "1,1"])
-    with pytest.raises(DomainError):
-        sweep_from_csv_lines(["n,ok"])
 
 
 def test_observations_report():
@@ -303,7 +295,6 @@ def test_sweep_runs_are_canonical_across_chunk_seams(thinned, monkeypatch):
         assert pooled.runs == serial.runs
         _assert_canonical(serial.runs, 20_000 - n_min + 1)
         assert _expand_runs(serial.runs) == expected
-        assert list(serial.found) == expected
         assert (0 in expected) == thinned
         # a run crosses each seam, so chunks were joined there
         for seam in (n_min + 8192, n_min + 2 * 8192):
@@ -313,12 +304,12 @@ def test_sweep_runs_are_canonical_across_chunk_seams(thinned, monkeypatch):
 def test_sweep_report_derives_found_and_witness():
     runs = (array("q", [3, 0, 13, 17]), array("q", [1, 2, 1, 1]))
     report = sweeps.SweepReport(1, 5, (2, 3), runs, 1.0)
-    assert list(report.found) == [3, 0, 0, 13, 17]
+    assert list(sweeps._expand(*report.runs)) == [3, 0, 0, 13, 17]
     assert report.witness == {1: 3, 4: 13, 5: 17}
     bare = sweeps.SweepReport(1, 5, (2,), None, 1.0)
-    assert bare.found is None and bare.witness is None
+    assert bare.witness is None
     with pytest.raises(AttributeError):
-        report.found = None
+        report.witness = None
 
 
 def test_sweep_failures_reach_reports(monkeypatch):
@@ -389,19 +380,10 @@ def test_sweep_csv_matches_per_n_reference(
     else:
         assert report.witness is None
     assert list(sweep_csv_lines(report)) == text.splitlines()
-    assert sweep_from_csv_lines(text.splitlines()) == replace(report, runtime_ms=None)
-    back = sweep_from_json_dict(json.loads(json.dumps(sweep_to_json_dict(report))))
-    assert back == report
-
-
-def test_sweep_csv_rows_must_be_consecutive():
-    for lines in (
-        ["n,witness", "1,3", "2,7", "4,13"],  # a gap
-        ["n,ok", "5,1", "2,1"],  # descending
-        ["n,ok", "1,1", "1,1"],  # repeated
-    ):
-        with pytest.raises(DomainError):
-            sweep_from_csv_lines(lines)
+    d = sweep_to_json_dict(report)
+    assert d["failures"] == list(failures)
+    if witnesses:
+        assert d["witness"] == {str(n): w for n, w in rows if w}
 
 
 def test_lower_bound_report():
