@@ -10,6 +10,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 
 from .errors import ConsistencyError, CoverageError, DomainError
 from .sieve import (
@@ -17,6 +18,7 @@ from .sieve import (
     Rational,
     _as_rational,
     _balanced_product,
+    build_sieve,
     screened_le,
     settled_from,
 )
@@ -203,16 +205,20 @@ def delta(idx: GenBinomIndex) -> int:
 
 def gen_binomial(idx: GenBinomIndex) -> int:
     """{s\\r}: the product of integers in (s - r, s] over the product of
-    integers in (0, r], computed twice (integer-product quotient and
-    delta(r, s) * C([s], [r])) and cross-checked.
+    integers in (0, r], computed twice and cross-checked: as the product of
+    p^v(p) over the primes p <= [s], with v(p) = L([s]) - L([s - r]) - L([r])
+    and L(m) the exponent of p in m! (Legendre), and as
+    delta(r, s) * C([s], [r]).  An index whose sieve to [s] exceeds
+    MEMORY_CAP raises CapacityError before anything is allocated.
     """
-    fs = floor_of(idx.s)
-    fr = floor_of(idx.r)
-    fsr = floor_of(idx.s - idx.r)
-    numerator = math.perm(fs, fs - fsr)  # the integers in (fsr, fs]
-    quotient, remainder = divmod(numerator, math.factorial(fr))
-    if remainder:
+    floors = fs, fsr, fr = floor_of(idx.s), floor_of(idx.s - idx.r), floor_of(idx.r)
+    primes = build_sieve(fs).primes if fs >= 2 else ()
+    small = bisect_right(primes, math.isqrt(fs))  # past them each L is one floor
+    exponents = [_floors_valuation(floors, p) for p in primes[:small]]
+    exponents += [fs // p - fsr // p - fr // p for p in primes[small:]]
+    if min(exponents, default=0) < 0:
         raise ConsistencyError(f"non-integral quotient for (s, r) = ({idx.s}, {idx.r})")
+    quotient = _balanced_product(compress(map(pow, primes, exponents), exponents))
     via_binomial = delta(idx) * math.comb(fs, fr)
     if quotient != via_binomial:
         raise ConsistencyError(
@@ -263,7 +269,7 @@ def _absorber_floors(which: str, n: int) -> tuple:
 
 
 def _floors_valuation(floors: tuple, p: int) -> int:
-    # unchecked core; p must be prime, floors as from _absorber_floors
+    # unchecked core; p must be prime, floors ([s], [s - r], [r]) of an index
     fs, fsr, fr = floors
     return _legendre(fs, p) - _legendre(fsr, p) - _legendre(fr, p)
 

@@ -10,6 +10,8 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
+from operator import mul
 
 from .errors import CapacityError, CoverageError, DomainError, PrecisionError
 
@@ -77,11 +79,13 @@ class PrimeSieve:
 
 
 def _peak_bytes(limit: int) -> int:
-    """Upper estimate of the bytes build_sieve(limit) holds at its peak: the
-    flag bytearray, the largest stride buffer (half the limit), 48 B per
-    prime for a boxed int, its tuple slot and the tuple's growth, with
-    pi(x) < 1.25506 x / ln x (Rosser and Schoenfeld), and 4 KiB of fixed
-    object overhead."""
+    """Upper estimate of the bytes build_sieve(limit) holds at its peak:
+    3(limit + 1)/2 bytes for the odd-only flag bytearray (half the limit)
+    and its largest stride buffer (a sixth, for p = 3), a budget fixed when
+    the table flagged every number and kept so that the limits it refuses
+    stay the same; 48 B per prime for a boxed int, its list and tuple
+    slots and the list's growth, with pi(x) < 1.25506 x / ln x (Rosser and
+    Schoenfeld); and 4 KiB of fixed object overhead."""
     primes = math.ceil(1.25506 * limit / math.log(limit))
     return 3 * (limit + 1) // 2 + 48 * primes + 4096
 
@@ -100,21 +104,16 @@ def _check_capacity(limit: int, memory_cap: int = MEMORY_CAP) -> None:
 
 
 def build_sieve(limit: int, memory_cap: int = MEMORY_CAP) -> PrimeSieve:
-    """Sieve of Eratosthenes over [0, limit], refused before anything is
-    allocated when its estimated peak exceeds memory_cap bytes."""
+    """Sieve of Eratosthenes over the odd numbers up to limit, refused before
+    anything is allocated when its estimated peak exceeds memory_cap bytes."""
     _check_capacity(limit, memory_cap)
-    table = bytearray(b"\x01") * (limit + 1)
-    table[:2] = b"\x00\x00"
-    for p in range(2, math.isqrt(limit) + 1):
-        if table[p]:
-            table[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
-    # find() boxes only the primes, where compress(range(...)) boxes every k
-    primes = []
-    k = table.find(1)
-    while k >= 0:
-        primes.append(k)
-        k = table.find(1, k + 1)
-    return PrimeSieve(limit=limit, primes=tuple(primes))
+    table = bytearray(b"\x01") * ((limit + 1) // 2)  # table[i] flags 2i + 1
+    table[0] = 0
+    for i in range(1, (math.isqrt(limit) + 1) // 2):
+        if table[i]:
+            p, start = 2 * i + 1, 2 * i * (i + 1)  # start flags p * p
+            table[start::p] = bytes(len(range(start, len(table), p)))
+    return PrimeSieve(limit=limit, primes=(2, *compress(range(1, limit + 1, 2), table)))
 
 
 def check_pi_bound(sieve: PrimeSieve, n: int) -> bool:
@@ -128,14 +127,9 @@ def check_pi_bound(sieve: PrimeSieve, n: int) -> bool:
 
 def _balanced_product(parts) -> int:
     """Product of a sequence of ints via halving, cheap for many factors."""
-    parts = list(parts)
-    if not parts:
-        return 1
-    while len(parts) > 1:
-        parts = [
-            parts[i] * parts[i + 1] if i + 1 < len(parts) else parts[i]
-            for i in range(0, len(parts), 2)
-        ]
+    parts = list(parts) or [1]
+    while len(parts) > 1:  # pairwise products; an odd last factor carries over
+        parts = [*map(mul, parts[::2], parts[1::2]), *parts[len(parts) & ~1 :]]
     return parts[0]
 
 

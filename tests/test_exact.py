@@ -1,11 +1,13 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 import sympy
 
 from prime34 import (
+    CapacityError,
     ConsistencyError,
     CoverageError,
     DomainError,
@@ -166,11 +168,55 @@ def test_gen_binomial_bulk_dual_route_consistency():
         checked += 1
 
 
+def _reference_gen_binomial(idx):
+    """{s\\r} as math.perm over math.factorial: the product of the integers
+    in ([s - r], [s]] over [r]!."""
+    fs, fr, fsr = floor_of(idx.s), floor_of(idx.r), floor_of(idx.s - idx.r)
+    quotient, remainder = divmod(math.perm(fs, fs - fsr), math.factorial(fr))
+    assert remainder == 0
+    return quotient
+
+
+def test_gen_binomial_matches_the_quotient_of_integer_products():
+    rng = random.Random(20260814)
+    checked = 0
+    while checked < 4000:
+        den_s = rng.randint(1, 20)
+        den_r = rng.randint(1, 20)
+        s = Fraction(rng.randint(2, 200 * den_s), den_s)
+        r = Fraction(rng.randint(den_r, 150 * den_r), den_r)
+        if not s > r >= 1:
+            continue
+        idx = GenBinomIndex(s=s, r=r)
+        assert gen_binomial(idx) == _reference_gen_binomial(idx)
+        checked += 1
+    for n in [*range(1, 401), 2000, 5000]:
+        for which in "ABCD":
+            if which == "C" and n < 5 or which == "D" and n < 4:
+                continue  # index not yet valid
+            idx = absorber_index(which, n)
+            assert gen_binomial(idx) == _reference_gen_binomial(idx)
+    # [s] = 1: no prime up to [s], the empty product
+    assert gen_binomial(GenBinomIndex(s=Fraction(3, 2), r=1)) == 1
+
+
+def test_gen_binomial_refuses_a_huge_index_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            gen_binomial(GenBinomIndex(s=10**12, r=5 * 10**11))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+
+
 def test_gen_binomial_refuses_a_non_integral_quotient(monkeypatch):
-    perm = math.perm
-    monkeypatch.setattr(math, "perm", lambda n, k: perm(n, k) + 1)
+    legendre = exact._legendre
+    # one factor of 2 too many in [r]! = 3!: v(2) = 4 - 3 - 2 = -1
+    monkeypatch.setattr(exact, "_legendre", lambda n, p: legendre(n, p) + (n == 3))
     with pytest.raises(ConsistencyError, match="non-integral quotient"):
-        gen_binomial(GenBinomIndex(s=7, r=3))  # 211 over 3!
+        gen_binomial(GenBinomIndex(s=7, r=3))
 
 
 def test_gen_binomial_routes_must_agree(monkeypatch):

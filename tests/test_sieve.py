@@ -57,6 +57,14 @@ def test_counts_match_sympy(sieve_mid):
     assert list(sieve_mid.primes[:25]) == list(sympy.primerange(2, 98))
 
 
+def test_primes_match_trial_division(sieve_4m):
+    # odd and even limits, p * p and p * p - 1 for every p up to 53
+    reference = [k for k in range(2, 3001) if all(k % d for d in range(2, math.isqrt(k) + 1))]
+    for limit in range(2, 3001):
+        assert build_sieve(limit).primes == tuple(p for p in reference if p <= limit)
+    assert len(sieve_4m.primes) == sympy.primepi(4 * 10**6)
+
+
 def test_pi_domain_and_coverage(sieve_small):
     with pytest.raises(DomainError):
         sieve_small.pi(-1)
