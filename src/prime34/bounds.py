@@ -18,7 +18,9 @@ precision, hence a new key, so the cache never pins a first attempt.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -27,11 +29,28 @@ from itertools import chain, pairwise
 from types import SimpleNamespace
 from typing import NamedTuple, Optional
 
-from mpmath import iv, log, mpf, sqrt, workprec
-
 from .errors import ConsistencyError, DomainError, PrecisionError
 from .exact import ABSORBER_COEFFS
 from .sieve import _as_rational, settled_from
+
+
+def _lazy_module(name: str):
+    """The module name, executed on its first attribute access unless it
+    is imported already.  LazyLoader is not thread-safe before Python 3.12;
+    prime34 runs mpmath on its main thread only."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# Only decompose, lower-bound and verify-analytic evaluate a bound, so the
+# other commands never pay for loading mpmath.
+mpmath = _lazy_module("mpmath")
 
 DEFAULT_PREC = 128
 MAX_PREC = 4096
@@ -45,18 +64,18 @@ M_CORRECTION_NOTE = (
 @contextmanager
 def _working(prec: int):
     """Run mpmath.iv arithmetic at prec bits, every result rounded outward."""
-    saved = iv.prec
-    iv.prec = prec
+    saved = mpmath.iv.prec
+    mpmath.iv.prec = prec
     try:
         yield
     finally:
-        iv.prec = saved
+        mpmath.iv.prec = saved
 
 
 def _rational(x):
     """An interval enclosing the rational x, at the working precision."""
     x = _as_rational(x)
-    xi = iv.mpf(x.numerator)
+    xi = mpmath.iv.mpf(x.numerator)
     return xi if x.denominator == 1 else xi / x.denominator
 
 
@@ -72,7 +91,7 @@ class LogReal:
 
     def __init__(self, ln_value, err, prec: int):
         with _working(prec):
-            self.interval = iv.mpf(ln_value) + iv.mpf((-err, err))
+            self.interval = mpmath.iv.mpf(ln_value) + mpmath.iv.mpf((-err, err))
         self.prec = prec
 
     @classmethod
@@ -84,17 +103,17 @@ class LogReal:
         return out
 
     @property
-    def ln_value(self) -> mpf:
+    def ln_value(self) -> mpmath.mpf:
         """The interval's midpoint, rounded to nearest at prec; reports
         print this point value."""
-        with _working(self.prec), workprec(self.prec):
-            return mpf(self.interval.mid)
+        with _working(self.prec), mpmath.workprec(self.prec):
+            return mpmath.mpf(self.interval.mid)
 
     @property
-    def err(self) -> mpf:
+    def err(self) -> mpmath.mpf:
         """Half the interval's width, rounded up to 53 bits."""
-        with _working(53), workprec(53):
-            return mpf(self.interval.delta) / 2
+        with _working(53), mpmath.workprec(53):
+            return mpmath.mpf(self.interval.delta) / 2
 
     def __add__(self, other: "LogReal") -> "LogReal":
         prec = min(self.prec, other.prec)
@@ -190,7 +209,7 @@ T3_N_MIN = max(map(_first_n, _FORMS.values()))
 def _rate(s, r):
     """ln of the growth rate of {s n \\ r n}: s ln s - r ln r - (s-r) ln(s-r)."""
     s, r = _rational(s), _rational(r)
-    return s * iv.log(s) - r * iv.log(r) - (s - r) * iv.log(s - r)
+    return s * mpmath.iv.log(s) - r * mpmath.iv.log(r) - (s - r) * mpmath.iv.log(s - r)
 
 
 @lru_cache(maxsize=8)
@@ -201,17 +220,17 @@ def _constants(prec: int) -> SimpleNamespace:
     the paper's printed d, not derived from _FORMS: BoundReport.validate
     checks the chain the table composes against these forms."""
     with _working(prec):
-        pi = +iv.pi
-        pi_3_2 = iv.sqrt(3) * pi * iv.sqrt(pi)
+        pi = +mpmath.iv.pi
+        pi_3_2 = mpmath.iv.sqrt(3) * pi * mpmath.iv.sqrt(pi)
         return SimpleNamespace(
-            half=iv.mpf(0.5),
-            one=iv.mpf(1),
-            twelve=iv.mpf(12),
+            half=mpmath.iv.mpf(0.5),
+            one=mpmath.iv.mpf(1),
+            twelve=mpmath.iv.mpf(12),
             pi=pi,
-            half_ln_2pi=iv.log(2 * pi) / 2,
+            half_ln_2pi=mpmath.iv.log(2 * pi) / 2,
             rates={name: _rate(*form.index) for name, form in _FORMS.items()},
-            t3_prefactor=iv.log(pi_3_2 / 332800),
-            t3_prefactor_intermediate=iv.log(pi_3_2 / 4160),
+            t3_prefactor=mpmath.iv.log(pi_3_2 / 332800),
+            t3_prefactor_intermediate=mpmath.iv.log(pi_3_2 / 4160),
         )
 
 
@@ -226,7 +245,7 @@ def _closed_form(name: str, n: int, prec: int) -> LogReal:
     corr = sum((Fraction(c, a * n + b) for c, a, b in form.corrections), Fraction(0))
     c = _constants(prec)
     with _working(prec):
-        v = iv.log(_rational(lead)) - iv.log(form.k * c.pi * n) / 2
+        v = mpmath.iv.log(_rational(lead)) - mpmath.iv.log(form.k * c.pi * n) / 2
         return LogReal.from_interval(v + _rational(corr) + n * c.rates[name], prec)
 
 
@@ -236,7 +255,7 @@ def ln_of_int(value: int, prec: int = DEFAULT_PREC) -> LogReal:
     if not isinstance(value, int) or value <= 0:
         raise DomainError("ln_of_int requires a positive integer")
     with _working(prec):
-        return LogReal.from_interval(iv.log(value), prec)
+        return LogReal.from_interval(mpmath.iv.log(value), prec)
 
 
 def _ln_stirling(name: str, x, shift: int, prec: int) -> LogReal:
@@ -248,7 +267,7 @@ def _ln_stirling(name: str, x, shift: int, prec: int) -> LogReal:
     with _working(prec):
         xi = _rational(x)
         denom = c.twelve * xi + c.one if shift else c.twelve * xi
-        v = c.half_ln_2pi + (xi + c.half) * iv.log(xi) - xi + c.one / denom
+        v = c.half_ln_2pi + (xi + c.half) * mpmath.iv.log(xi) - xi + c.one / denom
         return LogReal.from_interval(v, prec)
 
 
@@ -267,9 +286,9 @@ def ln_factorial(n: int, prec: int = DEFAULT_PREC) -> LogReal:
     if n < 0:
         raise DomainError("factorial requires n >= 0")
     with _working(prec):
-        total = iv.mpf(0)
+        total = mpmath.iv.mpf(0)
         for k in range(2, n + 1):
-            total += iv.log(k)
+            total += mpmath.iv.log(k)
         return LogReal.from_interval(total, prec)
 
 
@@ -294,9 +313,9 @@ def factorial_sandwich_sweep(n_max: int) -> list:
     bad = []
     prec = DEFAULT_PREC
     with _working(prec):
-        total = iv.mpf(0)
+        total = mpmath.iv.mpf(0)
         for n in range(1, n_max + 1):
-            total += iv.log(n)
+            total += mpmath.iv.log(n)
             mid = LogReal.from_interval(total, prec)
             verdict = _all_less([(ln_g(n, prec), mid), (mid, ln_f(n, prec))])
             if verdict is not True:
@@ -405,7 +424,7 @@ def ln_t1_upper(n: int, prec: int = DEFAULT_PREC) -> LogReal:
     if n < 1:
         raise DomainError("T1 cap requires n >= 1")
     with _working(prec):
-        return LogReal.from_interval(iv.sqrt(n) * iv.log(4 * n), prec)
+        return LogReal.from_interval(mpmath.iv.sqrt(n) * mpmath.iv.log(4 * n), prec)
 
 
 # The 15 terms of E(n), each k / (a*n + b) as (k, a, b): the binomial
@@ -436,17 +455,17 @@ def ln_m(prec: int = DEFAULT_PREC) -> LogReal:
     """
     with _working(prec):
         v = (
-            iv.log(iv.mpf(256) / 27)
-            + 4 * iv.log(iv.mpf(1) / 4) / 3
-            + iv.log(3)
-            + iv.log(3 * iv.sqrt(3) / 16)
-            + iv.log(iv.mpf(1) / 221) / 221
-            + 3 * iv.log(iv.mpf(3) / 13) / 13
-            + 4 * iv.log(iv.mpf(17) / 4) / 17
-            + 2 * iv.log(iv.mpf(2) / 105) / 105
-            + 4 * iv.log(iv.mpf(4) / 15) / 15
-            + 2 * iv.log(iv.mpf(7) / 2) / 7
-            - iv.log(4) / 6
+            mpmath.iv.log(mpmath.iv.mpf(256) / 27)
+            + 4 * mpmath.iv.log(mpmath.iv.mpf(1) / 4) / 3
+            + mpmath.iv.log(3)
+            + mpmath.iv.log(3 * mpmath.iv.sqrt(3) / 16)
+            + mpmath.iv.log(mpmath.iv.mpf(1) / 221) / 221
+            + 3 * mpmath.iv.log(mpmath.iv.mpf(3) / 13) / 13
+            + 4 * mpmath.iv.log(mpmath.iv.mpf(17) / 4) / 17
+            + 2 * mpmath.iv.log(mpmath.iv.mpf(2) / 105) / 105
+            + 4 * mpmath.iv.log(mpmath.iv.mpf(4) / 15) / 15
+            + 2 * mpmath.iv.log(mpmath.iv.mpf(7) / 2) / 7
+            - mpmath.iv.log(4) / 6
         )
     if not v.a > 0:
         raise ConsistencyError("ln M must be positive")
@@ -460,7 +479,7 @@ def ln_m_rate_identity(prec: int = DEFAULT_PREC) -> bool:
     rates = _constants(prec).rates
     with _working(prec):
         absorbed = rates["A"] + rates["B"] + rates["C"] + rates["D"]
-        rhs = rates["binomial"] - absorbed - iv.log(4) / 6
+        rhs = rates["binomial"] - absorbed - mpmath.iv.log(4) / 6
     return ln_m(prec).consistent_with(LogReal.from_interval(rhs, prec))
 
 
@@ -486,7 +505,7 @@ def _t3_terms(n: int, prefactor, n_power, prec: int):
         raise DomainError(f"T3 lower bound requires n >= {T3_N_MIN}")
     lm = ln_m(prec).interval
     with _working(prec):
-        tail = iv.sqrt(n) * iv.log(4 * n) + n_power * iv.log(n)
+        tail = mpmath.iv.sqrt(n) * mpmath.iv.log(4 * n) + n_power * mpmath.iv.log(n)
         return prefactor + _rational(e_term(n)) + n * lm - tail
 
 
@@ -504,7 +523,7 @@ def ln_t3_lower_intermediate(n: int, prec: int = DEFAULT_PREC) -> LogReal:
     v = _t3_terms(n, _constants(prec).t3_prefactor_intermediate, 1.5, prec)
     ratio = Fraction((n - 221) * (2 * n - 105), (3 * n + 2) * (3 * n + 13) * (4 * n + 15))
     with _working(prec):
-        return LogReal.from_interval(v + iv.log(_rational(ratio)), prec)
+        return LogReal.from_interval(v + mpmath.iv.log(_rational(ratio)), prec)
 
 
 def count_lower_bound(n: int, prec: int = DEFAULT_PREC) -> float:
@@ -515,18 +534,18 @@ def count_lower_bound(n: int, prec: int = DEFAULT_PREC) -> float:
     the step fails, and the result is a lower bound only because it is
     negative there."""
     t3 = ln_t3_lower(n, prec)
-    with workprec(prec):
-        return float(t3.ln_value / log(mpf(4 * n)))
+    with mpmath.workprec(prec):
+        return float(t3.ln_value / mpmath.log(4 * n))
 
 
 def count_lower_bound_simplified(n: int) -> float:
     """The further-simplified form n(ln M - ln(4n)/sqrt(n))/(2 ln n) - 5/2."""
     if n < T3_N_MIN:
         raise DomainError(f"count lower bound requires n >= {T3_N_MIN}")
-    with workprec(DEFAULT_PREC):
+    with mpmath.workprec(DEFAULT_PREC):
         lm = ln_m(DEFAULT_PREC).ln_value
-        v = n * (lm - log(mpf(4 * n)) / sqrt(mpf(n))) / (2 * log(mpf(n)))
-        return float(v - mpf("2.5"))
+        v = n * (lm - mpmath.log(4 * n) / mpmath.sqrt(n)) / (2 * mpmath.log(n))
+        return float(v - mpmath.mpf("2.5"))
 
 
 _T3_CONST = math.log(math.sqrt(3) * math.pi**1.5 / 332800)
@@ -599,7 +618,7 @@ def t3_positive_minimal_n(n_max: int, n_min: int = T3_N_MIN):
 
 
 def _zero(prec: int) -> LogReal:
-    return LogReal(mpf(0), mpf(0), prec)
+    return LogReal(0, 0, prec)
 
 
 @dataclass(frozen=True)
@@ -628,7 +647,7 @@ class BoundReport:
         """
         prec = self.ln_T3_lower.prec
         with _working(prec):
-            ln4_sixth = LogReal.from_interval(self.n * iv.log(4) / 6, prec)
+            ln4_sixth = LogReal.from_interval(self.n * mpmath.iv.log(4) / 6, prec)
         chain = (
             self.ln_binom_lower
             - self.ln_T1_upper

@@ -14,7 +14,6 @@ import math
 import os
 from array import array
 from bisect import bisect_left
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, chain, compress, repeat
@@ -193,6 +192,8 @@ def _run_chunked(scan, limit, n_min, n_max, threads, chunk):
     sieve = build_sieve(limit)
     if workers <= 1:
         return [scan(sieve, *span) for span in spans]
+    from concurrent.futures import ProcessPoolExecutor  # serial runs skip its import
+
     with ProcessPoolExecutor(
         max_workers=workers, initializer=_init_worker, initargs=(sieve,)
     ) as pool:

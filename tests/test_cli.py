@@ -327,18 +327,50 @@ def test_internal_check_failure_exits_1(capsys, monkeypatch, error):
     assert (code, out, err) == (1, "", "internal check failed: routes disagree\n")
 
 
-def test_module_entry_point_matches_main(capsys):
-    argv = ["verify-direct", "--nmax", "10"]
-    code, out, err = run(capsys, argv)
+def _python(*args):
+    """Run a fresh interpreter that imports prime34 from this source tree."""
     src = str(Path(cli.__file__).parents[1])
     path = filter(None, (src, os.environ.get("PYTHONPATH")))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-    done = subprocess.run(
-        [sys.executable, "-m", "prime34.cli", *argv], capture_output=True, env=env
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, env=env)
+
+
+def test_module_entry_point_matches_main(capsys):
+    argv = ["verify-direct", "--nmax", "10"]
+    code, out, err = run(capsys, argv)
     runtime = re.compile(rb'"runtime_ms": [^\n]*')
-    assert (done.returncode, done.stderr) == (code, err.encode()) == (0, b"")
-    assert runtime.sub(b"", done.stdout) == runtime.sub(b"", out.encode())
+    for module in ("prime34.cli", "prime34"):
+        done = _python("-m", module, *argv)
+        assert (done.returncode, done.stderr) == (code, err.encode()) == (0, b"")
+        assert runtime.sub(b"", done.stdout) == runtime.sub(b"", out.encode())
+
+
+# Runs each command line of argv in one interpreter and prints, after each,
+# the loaded modules of mpmath's package code and of the process pool.
+_IMPORT_PROBE = """
+import json, os, sys
+from prime34.cli import main
+
+for argv in sys.argv[1:]:
+    assert main([*argv.split(), "--out", os.devnull]) == 0
+    loaded = [m for m in sys.modules if m.startswith("mpmath.")]
+    loaded += [m for m in sys.modules if m == "concurrent.futures.process"]
+    print(json.dumps(loaded))
+"""
+
+
+def test_commands_import_only_what_they_run():
+    sweeps_only = [
+        "verify-direct --nmax 50",
+        "verify-corollary --nmax 50",
+        "observations --nmin 1 --nmax 20",
+    ]
+    done = _python("-c", _IMPORT_PROBE, *sweeps_only, "decompose --n 300")
+    assert (done.returncode, done.stderr) == (0, b"")
+    *after_sweeps, after_decompose = map(json.loads, done.stdout.splitlines())
+    assert after_sweeps == [[]] * len(sweeps_only)
+    assert "mpmath.ctx_iv" in after_decompose
+    assert "concurrent.futures.process" not in after_decompose
 
 
 def test_usage_errors():

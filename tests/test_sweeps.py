@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import random
 from array import array
@@ -177,7 +178,8 @@ def test_worker_count_is_clamped(monkeypatch):
     opened, initargs = [], []
     monkeypatch.setattr(_RecordingPool, "opened", opened)
     monkeypatch.setattr(_RecordingPool, "initargs", initargs)
-    monkeypatch.setattr(sweeps, "ProcessPoolExecutor", _RecordingPool)
+    # _run_chunked imports the pool from concurrent.futures when workers start
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(sweeps, "_WORKER_SIEVE", None)
     monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 4)
     serial = list(sweep_csv_lines(verify_direct(20000, witnesses=True)))
