@@ -13,11 +13,11 @@ from __future__ import annotations
 import math
 import os
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, chain, compress, repeat
-from operator import gt, mul, sub
+from operator import gt, mul, ne, sub
 from time import perf_counter
 from typing import Optional
 
@@ -276,16 +276,78 @@ def _flag_runs(report: SweepReport) -> tuple:
 def sweep_csv_text(report: SweepReport) -> str:
     """One row per swept n; 'n,witness' with the witnessing prime (0 on
     failure) when witnesses were kept, else 'n,ok' with a 0/1 flag.
-    Runtime is deliberately excluded so reruns are byte-identical.  One
-    format call writes every run's row template, which is repeated over
-    the run, and one more fills in every n."""
+    Runtime is deliberately excluded so reruns are byte-identical.
+
+    The rows are written per block of n with one digit count: one format
+    call writes every run's row with a placeholder for n, and each row is
+    repeated over its run.  The n are then written one digit column at a
+    time, so no n is formatted or boxed on its own.  A block whose rows
+    change size every few rows, as where failures crowd, is formatted one
+    n at a time instead, which is cheaper there."""
     if report.runs is not None:
         header, (values, lengths) = "n,witness", report.runs
     else:
         header, (values, lengths) = "n,ok", _flag_runs(report)
-    rows = ("%%d,%d\n" * len(values) % tuple(values)).splitlines(True)
-    template = "".join(map(mul, rows, lengths))
-    return header + "\n" + template % tuple(range(report.n_min, report.n_max + 1))
+    starts = array("q", accumulate(lengths, initial=report.n_min))  # first n of each run
+    out = bytearray(header.encode() + b"\n")
+    lo = report.n_min
+    while lo <= report.n_max:
+        width = len(str(lo))
+        stop = min(10**width, report.n_max + 1)
+        i = bisect_right(starts, lo) - 1  # the run holding lo
+        j = bisect_left(starts, stop)  # the first run from stop on
+        block = array("q", lengths[i:j])
+        block[0] -= lo - starts[i]
+        block[-1] -= starts[j] - stop
+        _write_block(out, lo, width, values[i:j], block)
+        lo = stop
+    return out.decode("ascii")
+
+
+def _write_block(out: bytearray, n: int, width: int, values, lengths) -> None:
+    """Append the rows of n, n + 1, ..., all of width digits, whose values
+    come in runs (values, lengths).  Rows of one size sit at one stride, so
+    each digit place of their n is one slice assignment; a row is wider
+    where its value gains a digit and narrower over a 0-run."""
+    rows = ((b"0" * width + b",%d\n") * len(values) % tuple(values)).splitlines(True)
+    sizes = list(map(len, rows))
+    cuts = [0, *compress(range(1, len(sizes)), map(ne, sizes[1:], sizes)), len(sizes)]
+    count = sum(lengths)
+    if count < _COLUMN_COST * width * (len(cuts) - 1):  # short stretches of one size
+        rows = (b"%%d,%d\n" * len(values) % tuple(values)).splitlines(True)
+        out += b"".join(map(mul, rows, lengths)) % tuple(range(n, n + count))
+        return
+    at = len(out)
+    out += b"".join(map(mul, rows, lengths))
+    for a, b in zip(cuts, cuts[1:]):
+        count, size = sum(lengths[a:b]), sizes[a]
+        end = at + count * size
+        for col in range(width):
+            column = _digit_column(n, count, 10 ** (width - 1 - col))
+            out[at + col : end : size] = column
+        n, at = n + count, end
+
+
+# Writing one digit column of a stretch of rows costs about as much as
+# formatting this many n one at a time.
+_COLUMN_COST = 24
+_DIGITS = [bytes((c,)) for c in b"0123456789"]
+
+
+def _digit_column(n0: int, count: int, unit: int) -> bytes:
+    """The digit at place unit (a power of ten) of n0, ..., n0 + count - 1,
+    one byte each.  The digits repeat with period 10 * unit; the period is
+    built only when the column holds it whole, and otherwise the column is
+    its few stretches of one digit."""
+    period = 10 * unit
+    if period <= count:
+        cycle = b"".join([d * unit for d in _DIGITS])
+        skip = n0 % period
+        return (cycle * ((skip + count) // period + 1))[skip : skip + count]
+    first, last = n0 // unit, (n0 + count - 1) // unit
+    cuts = [n0, *range((first + 1) * unit, last * unit + 1, unit), n0 + count]
+    digits = (_DIGITS[q % 10] for q in range(first, last + 1))
+    return b"".join(map(mul, digits, map(sub, cuts[1:], cuts)))
 
 
 def sweep_csv_lines(report: SweepReport) -> list:

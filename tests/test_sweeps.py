@@ -1,9 +1,12 @@
 import concurrent.futures
 import json
 import random
+import tracemalloc
 from array import array
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from prime34 import (
     CapacityError,
@@ -386,6 +389,69 @@ def test_sweep_csv_matches_per_n_reference(
     assert d["failures"] == list(failures)
     if witnesses:
         assert d["witness"] == {str(n): w for n, w in rows if w}
+
+
+def _per_row_csv(report):
+    """sweep_csv_text's bytes, written with one f-string per row."""
+    ns = range(report.n_min, report.n_max + 1)
+    if report.runs is None:
+        failed = set(report.failures)
+        return "n,ok\n" + "".join(f"{n},{int(n not in failed)}\n" for n in ns)
+    found = sweeps._expand(*report.runs)
+    return "n,witness\n" + "".join(f"{n},{w}\n" for n, w in zip(ns, found))
+
+
+def _runs_report(n_min, runs):
+    """A SweepReport from n_min over (witness, length) runs, 0 for failures."""
+    primes, lengths = sweeps._canonical(*zip(*runs))
+    n_max = n_min + sum(lengths) - 1
+    failures = sweeps._failures(n_min, (primes, lengths))
+    return sweeps.SweepReport(n_min, n_max, failures, (primes, lengths), 1.0)
+
+
+# witnesses of one to nine digits and failures, over runs short enough to
+# change the row size every few rows and long enough to cross powers of ten
+_witnesses = st.one_of(
+    st.just(0), st.integers(2, 9), st.integers(10, 999), st.integers(1000, 10**8)
+)
+_run_lists = st.lists(
+    st.tuples(_witnesses, st.one_of(st.integers(1, 3), st.integers(300, 2000))),
+    min_size=1,
+    max_size=20,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(st.sampled_from([1, 3, 9, 10, 99, 100, 9999]), st.integers(1, 10**7)),
+    _run_lists,
+)
+@example(1, [(7, 1)])  # one row
+@example(99, [(0, 1)])
+@example(9_990, [(3, 5), (0, 30), (101, 4000)])  # a 0-run across 10^4
+@example(9, [(0, 2), (11, 1), (0, 3), (5, 2)])  # adjacent failures
+@example(90, [(13, 9), (101, 1), (0, 1), (103, 1)])
+@example(1, [(0, 2), (101, 9000), (0, 3000), (1009, 40_000)])  # long runs, 10^k
+def test_sweep_csv_text_matches_per_row_reference(n_min, runs):
+    report = _runs_report(n_min, runs)
+    bare = sweeps.SweepReport(report.n_min, report.n_max, report.failures, None, 1.0)
+    for r in (report, bare):
+        # as lists, so that a failure names its first wrong row quickly
+        got = sweeps.sweep_csv_text(r).splitlines(True)
+        assert got == _per_row_csv(r).splitlines(True)
+
+
+def test_sweep_csv_text_peak_memory_is_near_its_length():
+    # a boxed int for every n, held at once, would put the peak above 6x
+    report = verify_direct(DEFAULT_DIRECT_NMAX, witnesses=True)
+    tracemalloc.start()
+    try:
+        text = sweeps.sweep_csv_text(report)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 2_000_000
+    assert peak < 5 * len(text)
 
 
 def test_lower_bound_report():
