@@ -281,9 +281,7 @@ def sweep_csv_text(report: SweepReport) -> str:
     The rows are written per block of n with one digit count: one format
     call writes every run's row with a placeholder for n, and each row is
     repeated over its run.  The n are then written one digit column at a
-    time, so no n is formatted or boxed on its own.  A block whose rows
-    change size every few rows, as where failures crowd, is formatted one
-    n at a time instead, which is cheaper there."""
+    time, so no n is formatted or boxed on its own."""
     if report.runs is not None:
         header, (values, lengths) = "n,witness", report.runs
     else:
@@ -312,11 +310,6 @@ def _write_block(out: bytearray, n: int, width: int, values, lengths) -> None:
     rows = ((b"0" * width + b",%d\n") * len(values) % tuple(values)).splitlines(True)
     sizes = list(map(len, rows))
     cuts = [0, *compress(range(1, len(sizes)), map(ne, sizes[1:], sizes)), len(sizes)]
-    count = sum(lengths)
-    if count < _COLUMN_COST * width * (len(cuts) - 1):  # short stretches of one size
-        rows = (b"%%d,%d\n" * len(values) % tuple(values)).splitlines(True)
-        out += b"".join(map(mul, rows, lengths)) % tuple(range(n, n + count))
-        return
     at = len(out)
     out += b"".join(map(mul, rows, lengths))
     for a, b in zip(cuts, cuts[1:]):
@@ -328,9 +321,6 @@ def _write_block(out: bytearray, n: int, width: int, values, lengths) -> None:
         n, at = n + count, end
 
 
-# Writing one digit column of a stretch of rows costs about as much as
-# formatting this many n one at a time.
-_COLUMN_COST = 24
 _DIGITS = [bytes((c,)) for c in b"0123456789"]
 
 

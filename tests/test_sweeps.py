@@ -454,6 +454,20 @@ def test_sweep_csv_text_peak_memory_is_near_its_length():
     assert peak < 5 * len(text)
 
 
+def test_sweep_csv_text_builds_no_digit_period_longer_than_its_rows():
+    # eight rows across 10^6: a whole period of the 10^6 digit place would
+    # take 10^7 bytes
+    report = _runs_report(10**6 - 4, [(3_000_017, 8)])
+    tracemalloc.start()
+    try:
+        text = sweeps.sweep_csv_text(report)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text.splitlines(True) == _per_row_csv(report).splitlines(True)
+    assert peak < 100_000
+
+
 def test_lower_bound_report():
     report = lower_bound_report(222)
     assert report["actual"] == 33
