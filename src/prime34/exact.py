@@ -19,7 +19,6 @@ from .sieve import (
     _as_rational,
     _balanced_product,
     build_sieve,
-    screened_le,
     settled_from,
 )
 
@@ -280,24 +279,14 @@ def absorber_valuation(which: str, n: int, p: int) -> int:
 
 
 def check_t2_divisibility_bound(n: int, sieve: PrimeSieve) -> bool:
-    """T2 <= 4^(n/6) * A * B * C * D.
+    """T2 <= 4^(n/6) * A * B * C * D, in integers.
 
-    Compared in log domain first, sum(beta(p) ln p) against n ln 4 / 6 plus
-    the ln of each absorber; every term is positive and within a few ulps,
-    so 2^-40 of the larger side bounds the joint error.  Inside that margin
-    the exact comparison on sixth powers decides.
+    T2 <= ABCD settles it, since 4^(n/6) >= 1; otherwise the sixth powers
+    T2^6 <= 4^n * (ABCD)^6 decide.
     """
-    betas = _factored(n, _size_classes(n, sieve)[1]).entries
-    absorbers = [absorber(which, n) for which in "ABCD"]
-    lhs = math.fsum(b * math.log(p) for p, b in betas)
-    rhs = n * math.log(4) / 6 + math.fsum(map(math.log, absorbers))
-    margin = 2.0**-40 * max(1.0, lhs, rhs)
-
-    def exact():
-        t2 = _balanced_product(p**b for p, b in betas)
-        return t2**6 <= 4**n * math.prod(absorbers) ** 6
-
-    return screened_le(lhs, rhs, margin, exact)
+    t2 = _factored(n, _size_classes(n, sieve)[1]).value()
+    abcd = math.prod(absorber(which, n) for which in "ABCD")
+    return t2 <= abcd or t2**6 <= 4**n * abcd**6
 
 
 def t2_bound_minimal_n(n_max: int, sieve: PrimeSieve):
@@ -317,18 +306,10 @@ def t2_bound_minimal_n(n_max: int, sieve: PrimeSieve):
 
 
 def check_t1_bound(n: int, sieve: PrimeSieve) -> bool:
-    """T1 < (4n)^pi(sqrt(4n)) and pi(sqrt(4n)) <= sqrt(n).
-
-    The first comparison runs in log domain with an error margin and
-    escalates to exact big integers when inside the margin.  The second is
-    already exact as pi(sqrt(4n))^2 <= n.
-    """
+    """T1 < (4n)^pi(sqrt(4n)) and pi(sqrt(4n)) <= sqrt(n), both in
+    integers, the second as pi(sqrt(4n))^2 <= n."""
     if n < 16:
         raise DomainError("the T1 bound requires n >= 16 so that sqrt(4n) >= 8")
     small = _size_classes(n, sieve)[0]
-    t1 = _factored(n, small).value()
     k = len(small)
-    lhs = math.log(t1)
-    rhs = k * math.log(4 * n)
-    margin = 2.0**-40 * max(1.0, lhs, rhs)
-    return screened_le(lhs, rhs, margin, lambda: t1 < (4 * n) ** k) and k * k <= n
+    return _factored(n, small).value() < (4 * n) ** k and k * k <= n

@@ -1,7 +1,7 @@
 """Prime sieve with exact rational range queries, the two classical prime
-bounds (pi(n) <= n/2 and the primorial bound prod p <= 4^x), and the two
-decision helpers the package shares: a float screen that falls back to an
-exact comparison, and the "smallest n from which a check holds" scanner.
+bounds (pi(n) <= n/2 and the primorial bound prod p <= 4^x, both decided
+in integers), and the "smallest n from which a check holds" scanner the
+package shares.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ from operator import mul
 from .errors import CapacityError, CoverageError, DomainError, PrecisionError
 
 MEMORY_CAP = 2**31  # bytes a sieve build may allocate at its peak
-
-_LN4 = math.log(4)
 
 Rational = Fraction
 
@@ -133,18 +131,6 @@ def _balanced_product(parts) -> int:
     return parts[0]
 
 
-def screened_le(lhs: float, rhs: float, margin: float, exact) -> bool:
-    """Whether lhs <= rhs, for floats that estimate two exact values with a
-    joint error below margin: settled by the floats when they lie more than
-    margin apart, else by exact(), which compares the exact values.  exact()
-    also decides ties, so a strict exact() makes this a screen for lhs < rhs."""
-    if lhs + margin <= rhs:
-        return True
-    if lhs - margin > rhs:
-        return False
-    return exact()
-
-
 def settled_from(bad_ns, n_min: int, n_max: int):
     """Smallest n >= n_min from which a check holds through n_max, given the
     n in [n_min, n_max] where it fails: one past the last failure, or None
@@ -157,25 +143,22 @@ def primorial_le(primes, a: int, b: int) -> bool:
     """Whether (prod primes)^b <= 4^a, for a sequence of primes and ints
     a >= 0, b >= 1.
 
-    Compared in log domain first, as fsum(ln p) against (a/b) ln 4.  The
-    margin scales the per-term 2^-50 allowance by the magnitude of the
-    compared values, since the plain term-count bound is only valid for sums
-    below 1.  A comparison inside the margin escalates to the exact
-    big-integer check, refused for b > 4096.
+    With P the product, 2^m <= P <= 2^l for m = P.bit_length() - 1 and
+    l = (P - 1).bit_length(), so b*l <= 2a proves the bound and b*m > 2a
+    refutes it.  Only between the two is P^b compared with 4^a, refused
+    for b > 4096.
     """
-    lhs = math.fsum(map(math.log, primes))
-    rhs = a / b * _LN4
-
-    def exact():
-        if b > 4096:
-            raise PrecisionError(
-                "comparison within float margin and exact escalation infeasible "
-                f"for denominator {b}"
-            )
-        return _balanced_product(primes) ** b <= 4**a
-
-    margin = (len(primes) + 8) * 2.0**-50 * max(1.0, lhs, abs(rhs))
-    return screened_le(lhs, rhs, margin, exact)
+    product = _balanced_product(primes)
+    if b * (product - 1).bit_length() <= 2 * a:
+        return True
+    if b * (product.bit_length() - 1) > 2 * a:
+        return False
+    if b > 4096:
+        raise PrecisionError(
+            f"exact comparison infeasible for denominator {b}: "
+            "the bit lengths leave it undecided"
+        )
+    return product**b <= 4**a
 
 
 def check_primorial_bound(sieve: PrimeSieve, x) -> bool:

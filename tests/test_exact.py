@@ -20,8 +20,11 @@ from prime34 import (
     beta,
     beta_at_most_one,
     build_sieve,
+    check_claim,
+    check_primorial_bound,
     check_t1_bound,
     check_t2_divisibility_bound,
+    claim_table,
     decompose,
     delta,
     gen_binomial,
@@ -30,6 +33,7 @@ from prime34 import (
     t2_bound_minimal_n,
 )
 from prime34 import exact
+from prime34.claims import PRIMORIAL_16TH
 from prime34.exact import _absorber_floors, floor_of
 
 
@@ -288,9 +292,36 @@ def test_t2_divisibility_bound_matches_exact_reference(sieve_mid, monkeypatch):
     ns = range(5, 401)
     expected = [reference(n) for n in ns]
     assert [check_t2_divisibility_bound(n, sieve_mid) for n in ns] == expected
-    # every comparison inside the band: the exact route alone decides
-    monkeypatch.setattr(exact, "screened_le", lambda lhs, rhs, margin, decide: decide())
-    assert [check_t2_divisibility_bound(n, sieve_mid) for n in ns] == expected
+    # the real absorbers settle every n by T2 <= ABCD; scaled ones put ABCD
+    # at T2 / ratio, where the sixth powers decide either way
+    for n in (11, 12, 60):
+        t2 = decompose(n, sieve_mid).t2.value()
+        for ratio in (2, 4 ** (n // 6), 4 ** (n // 6 + 1)):
+            scaled = t2 // ratio
+            monkeypatch.setattr(exact, "absorber", lambda which, n: scaled if which == "A" else 1)
+            assert check_t2_divisibility_bound(n, sieve_mid) == (t2**6 <= 4**n * scaled**6)
+
+
+def test_no_float_decides_the_integer_bounds(sieve_mid, monkeypatch):
+    # every sieve is built first, the absorbers' own included, so that
+    # math.log is left only in the capacity estimate of a sieve build
+    absorbers = {(which, n): absorber(which, n) for n in range(5, 401) for which in "ABCD"}
+    monkeypatch.setattr(exact, "absorber", lambda which, n: absorbers[which, n])
+
+    def refuse(*args):
+        raise AssertionError("a float decided an integer bound")
+
+    monkeypatch.setattr(math, "log", refuse)
+    monkeypatch.setattr(math, "fsum", refuse)
+    assert all(check_t1_bound(n, sieve_mid) for n in range(16, 401))
+    assert all(check_t2_divisibility_bound(n, sieve_mid) for n in range(5, 401))
+    grid = [Fraction(a, b) for b in range(1, 13) for a in range(1, 60 * b, 7)]
+    assert all(check_primorial_bound(sieve_mid, x) for x in grid)
+    claim1 = claim_table()[0]
+    assert claim1.consequence == PRIMORIAL_16TH
+    results = [check_claim(claim1, n, sieve_mid) for n in range(145, 401)]
+    assert all(r.ok for r in results)
+    assert sum(r.primes_checked > 0 for r in results) > 200
 
 
 def test_t1_cap(sieve_mid):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prime34 import (
@@ -18,7 +18,7 @@ from prime34 import (
     replacement_minimal_n,
     t2_bound_minimal_n,
 )
-from prime34.sieve import _peak_bytes, primorial_le, screened_le, settled_from
+from prime34.sieve import _balanced_product, _peak_bytes, primorial_le, settled_from
 
 
 def test_build_rejects_bad_limits():
@@ -131,41 +131,43 @@ def test_primorial_at_most_4_to_x(sieve_mid):
         window = [p for p in sieve_mid.primes if math.isqrt(4 * n) < p <= n // 6]
         assert primorial_le(window, n, 6) == (math.prod(window) ** 6 <= 4**n)
     assert not primorial_le([2, 3, 5], 1, 1)
-    # 2^2 == 4^1: inside every float margin, decided by the exact comparison
-    assert primorial_le([2], 1, 2)
+    assert primorial_le([2], 1, 2)  # the tie 2^2 == 4^1
 
 
 def test_primorial_bound_rejects_infeasible_escalation(sieve_mid):
-    # the float screen is indecisive only when x is so small that 4^x sits
-    # within the absolute margin of the empty product; such x necessarily
-    # has a denominator too large for the exact escalation, so the check
-    # refuses rather than guessing
+    # below x = 2 the product is empty, and 1 <= 4^x whatever the
+    # denominator
     for x in (Fraction(1, 2**52), Fraction(3, 2**52)):
-        with pytest.raises(PrecisionError):
-            check_primorial_bound(sieve_mid, x)
-    # a huge denominator alone is no obstacle while the screen can decide
+        assert check_primorial_bound(sieve_mid, x)
+    # a huge denominator is no obstacle while the bit lengths decide
     assert check_primorial_bound(sieve_mid, Fraction(2**60 + 1, 2**52))
     assert check_primorial_bound(sieve_mid, Fraction(1, 2048))
+    # 2 < 3 < 2^2, so for b = 5000 the bit lengths decide a < 2500 and
+    # a >= 5000; a = 3000 lies between, where the exact comparison is refused
+    assert not primorial_le([3], 2000, 5000)
+    assert primorial_le([3], 5000, 5000)
+    with pytest.raises(PrecisionError):
+        primorial_le([3], 3000, 5000)
 
 
-def test_screened_le_calls_exact_only_inside_the_band():
-    calls = []
+_SMALL_PRIMES = [p for p in range(2, 200) if sympy.isprime(p)]
 
-    def exact(verdict):
-        def decide():
-            calls.append(verdict)
-            return verdict
 
-        return decide
-
-    # the floats settle comparisons more than the margin apart ...
-    assert screened_le(1.0, 1.5, 0.5, exact(False)) is True
-    assert screened_le(2.0, 1.0, 0.5, exact(True)) is False
-    assert calls == []
-    # ... and exact() settles the rest, whatever the floats suggest
-    assert screened_le(1.0, 1.25, 0.5, exact(False)) is False
-    assert screened_le(1.5, 1.0, 0.5, exact(True)) is True
-    assert calls == [False, True]
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.sampled_from(_SMALL_PRIMES), unique=True, max_size=20),
+    st.integers(1, 64),
+    st.integers(-80, 80),
+)
+@example([], 1, 0)  # the empty product, 1 <= 4^0
+@example([2], 2, -1)  # the tie 2^2 == 4^1
+@example([2], 3, -2)  # P = 2, a power of two: 2^3 > 4^1
+def test_primorial_le_matches_the_exact_comparison(primes, b, offset):
+    # a drawn around b * log2(P) / 2, so that both bit-length tests and
+    # the band between them are reached
+    product = _balanced_product(primes)
+    a = max(0, b * product.bit_length() // 2 + offset)
+    assert primorial_le(primes, a, b) == (product**b <= 4**a)
 
 
 def test_settled_from_edges(sieve_small):
