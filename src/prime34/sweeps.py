@@ -46,7 +46,7 @@ from .claims import (
 )
 from .errors import DomainError
 from .exact import absorber, check_t1_bound, check_t2_divisibility_bound, decompose
-from .sieve import PrimeSieve, build_sieve, settled_from
+from .sieve import PrimeSieve, _check_capacity, build_sieve, settled_from
 
 DEFAULT_DIRECT_NMAX = 162755  # ceiling of e^12, closing the n < e^12 range
 CONTRACT_N = 250  # claim failures below this n are reported, not fatal
@@ -140,8 +140,9 @@ def _scan_witnesses(sieve: PrimeSieve, start: int, stop: int, form: tuple) -> tu
     rejected = [(c * p - d - 1) // 4 for p in ps]  # the last n rejecting p
     bad = list(compress(range(len(ps)), map(gt, rejected, ends)))
     if not bad and not tail:
-        # two distinct primes are never neighbours with the same value
-        return array("q", compress(ps, lengths)), array("q", filter(None, lengths))
+        # two distinct primes are never neighbours with the same value; an
+        # array built from a list is copied in C, not appended item by item
+        return array("q", [*compress(ps, lengths)]), array("q", [*filter(None, lengths)])
     runs_p, runs_l, done = [], [], 0
     for i in bad:
         zeros = min(rejected[i], lasts[i]) - ends[i]
@@ -179,17 +180,20 @@ def _worker_scan(scan, span):
     return scan(_WORKER_SIEVE, *span)
 
 
-def _run_chunked(scan, limit, n_min, n_max, threads, chunk):
-    """Run scan over [n_min, n_max] in fixed chunks; merge in range order.
-    Chunk boundaries depend only on the range, never on the worker count,
-    which is capped by the chunk count and the CPU count.  The sieve is
-    built once, before any worker starts, and handed to each worker."""
+def _check_threads(threads: int) -> None:
+    """Refuse a worker count below 1, before any sieve is built."""
     if threads < 1:
         raise DomainError(f"threads must be >= 1, got {threads}")
+
+
+def _run_chunked(scan, sieve, n_min, n_max, threads, chunk):
+    """Run scan over [n_min, n_max] in fixed chunks; merge in range order.
+    Chunk boundaries depend only on the range, never on the worker count,
+    which is capped by the chunk count and the CPU count.  The caller's
+    sieve, built before any worker starts, is handed to each worker."""
     starts = range(n_min, n_max + 1, chunk)
     spans = ((s, min(s + chunk - 1, n_max)) for s in starts)
     workers = min(threads, len(starts), os.cpu_count() or 1)
-    sieve = build_sieve(limit)
     if workers <= 1:
         return [scan(sieve, *span) for span in spans]
     from concurrent.futures import ProcessPoolExecutor  # serial runs skip its import
@@ -201,11 +205,25 @@ def _run_chunked(scan, limit, n_min, n_max, threads, chunk):
 
 
 def _existence_sweep(form, limit, n_min, n_max, witnesses, threads) -> SweepReport:
-    """A SweepReport of the witnesses in this form over [n_min, n_max]."""
+    """A SweepReport of the witnesses in this form over [n_min, n_max].
+
+    The scan reads no prime past the first one from reach = a*n_max + b,
+    so the sieve stops at reach + isqrt(reach).  When that holds no prime
+    from reach on (below 3 * 10**6 only at reach 8, 24, 114, 115 and 116),
+    the full limit, which holds every accepted witness, is built instead.
+    Either sieve gives the same witnesses.  The budget is decided on the
+    full limit first, so the refused n_max do not depend on the trim."""
     t0 = perf_counter()
+    _check_threads(threads)
+    _check_capacity(limit)
+    a, b = form[:2]
+    reach = a * n_max + b
+    sieve = build_sieve(reach + math.isqrt(reach))
+    if sieve.primes[-1] < reach:
+        sieve = build_sieve(limit)
     scan = partial(_scan_witnesses, form=form)
     primes, lengths = array("q"), array("q")
-    for ps, ls in _run_chunked(scan, limit, n_min, n_max, threads, _DIRECT_CHUNK):
+    for ps, ls in _run_chunked(scan, sieve, n_min, n_max, threads, _DIRECT_CHUNK):
         if primes[-1:] == ps[:1]:  # one run across the seam
             lengths[-1] += ls[0]
             ps, ls = ps[1:], ls[1:]
@@ -233,7 +251,11 @@ def _failures(n_min: int, runs) -> tuple:
 def verify_direct(
     n_max: int = DEFAULT_DIRECT_NMAX, witnesses: bool = False, threads: int = 1
 ) -> SweepReport:
-    """For every n in [1, n_max], find the smallest prime in [3n, 4n]."""
+    """For every n in [1, n_max], find the smallest prime in [3n, 4n].
+
+    The sieve reaches 3 * n_max + isqrt(3 * n_max), or 4 * n_max where no
+    prime lies between 3 * n_max and that; the memory budget is decided on
+    4 * n_max."""
     if n_max < 1:
         raise DomainError("direct sweep requires n_max >= 1")
     return _existence_sweep(_DIRECT_FORM, 4 * n_max, 1, n_max, witnesses, threads)
@@ -243,7 +265,11 @@ def verify_corollary(
     n_max: int, witnesses: bool = False, threads: int = 1
 ) -> SweepReport:
     """For every n in [3, n_max], find a prime strictly inside
-    (n, 4(n+2)/3), via exact integer comparison 3p < 4(n+2)."""
+    (n, 4(n+2)/3), via exact integer comparison 3p < 4(n+2).
+
+    The sieve reaches n_max + 1 + isqrt(n_max + 1), or 4(n_max + 2)/3 + 1
+    where no prime lies between n_max + 1 and that; the memory budget is
+    decided on 4(n_max + 2)/3 + 1."""
     if n_max < 3:
         raise DomainError("corollary sweep requires n_max >= 3")
     limit = 4 * (n_max + 2) // 3 + 1
@@ -378,9 +404,9 @@ def observations_sweep(n_min: int, n_max: int, threads: int = 1) -> Observations
     if n_min < 1 or n_max < n_min:
         raise DomainError("observations sweep requires 1 <= n_min <= n_max")
     t0 = perf_counter()
-    parts = _run_chunked(
-        _scan_observations, 3 * n_max, n_min, n_max, threads, _OBS_CHUNK
-    )
+    _check_threads(threads)
+    sieve = build_sieve(3 * n_max)
+    parts = _run_chunked(_scan_observations, sieve, n_min, n_max, threads, _OBS_CHUNK)
     table = claim_table()
     entries = []
     violations = 0

@@ -299,6 +299,64 @@ def test_observations_sieve_stops_at_3n_and_exits_3_over_budget(capsys, monkeypa
     assert requested == [3 * (edge - 1)]
 
 
+@pytest.mark.parametrize(
+    "command, edge, full_limit",
+    [
+        ("verify-direct", 118_904_363, lambda n: 4 * n),
+        ("verify-corollary", 356_713_084, lambda n: 4 * (n + 2) // 3 + 1),
+    ],
+)
+def test_existence_sweeps_exit_3_on_their_full_limit(
+    command, edge, full_limit, capsys, monkeypatch
+):
+    # the sieve stops near a*nmax + b, but the budget is decided on the
+    # full limit, which the sweep builds when no prime lies past the trim;
+    # edge is the first nmax whose full limit passes the budget
+    assert _peak_bytes(full_limit(edge)) > MEMORY_CAP >= _peak_bytes(full_limit(edge - 1))
+    requested = []
+
+    def admit_only(limit):
+        _check_capacity(limit)
+        requested.append(limit)
+        raise CapacityError("admitted, not built")
+
+    # no sieve is built: a budget decided on the trimmed limit alone shows
+    # as an admitted run at the edge
+    monkeypatch.setattr(sweeps, "build_sieve", admit_only)
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, [command, "--nmax", str(edge)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and out == ""
+    assert f"sieve limit {full_limit(edge)} " in err and "budget" in err
+    assert peak < 2**20 and requested == []
+
+    # one below the edge the budget admits the run
+    code, _, err = run(capsys, [command, "--nmax", str(edge - 1)])
+    assert code == 3 and "admitted, not built" in err
+    assert len(requested) == 1 and requested[0] < full_limit(edge - 1)
+
+
+def test_threads_below_one_exit_before_any_sieve(capsys, monkeypatch):
+    requested = []
+
+    def record(limit):
+        requested.append(limit)
+        raise CapacityError("built")
+
+    monkeypatch.setattr(sweeps, "build_sieve", record)
+    for command in (
+        ["verify-direct", "--nmax", "100000000"],
+        ["verify-corollary", "--nmax", "100000000"],
+        ["observations", "--nmin", "1", "--nmax", "100000000"],
+    ):
+        code, out, err = run(capsys, [*command, "--threads", "0"])
+        assert code == 2 and out == "" and "threads" in err
+    assert requested == []
+
+
 def test_threads_below_one_exit_code(capsys):
     for command in (
         ["verify-direct", "--nmax", "50"],

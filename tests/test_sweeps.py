@@ -198,7 +198,7 @@ def test_worker_count_is_clamped(monkeypatch):
     assert opened == [3, 2]
     # the parent's sieve is handed to the workers, not rebuilt by each
     (sieve,) = initargs[-1]
-    assert isinstance(sieve, PrimeSieve) and sieve.limit == 80000
+    assert isinstance(sieve, PrimeSieve) and sieve.limit == 60244
     monkeypatch.setattr(sweeps.os, "cpu_count", lambda: None)
     verify_direct(20000, threads=8)
     assert opened == [3, 2]
@@ -304,6 +304,50 @@ def test_sweep_runs_are_canonical_across_chunk_seams(thinned, monkeypatch):
         # a run crosses each seam, so chunks were joined there
         for seam in (n_min + 8192, n_min + 2 * 8192):
             assert expected[seam - 1 - n_min] == expected[seam - n_min]
+
+
+# the n_max at which the sieve to reach + isqrt(reach) holds no prime from
+# reach = a*n_max + b on, so the full limit is built: direct 8 and 38,
+# corollary 7, 23, 113, 114 and 115
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 20_000))
+@example(7)
+@example(8)
+@example(23)
+@example(38)
+@example(113)
+@example(114)
+@example(115)
+def test_trimmed_sweeps_equal_full_limit_sweeps(n_max):
+    for sweep, limit, n_min, form in (
+        (verify_direct, 4 * n_max, 1, sweeps._DIRECT_FORM),
+        (verify_corollary, 4 * (n_max + 2) // 3 + 1, 3, sweeps._COROLLARY_FORM),
+    ):
+        runs = sweeps._scan_witnesses(build_sieve(limit), n_min, n_max, form)
+        failures = tuple(n for n, w in enumerate(_expand_runs(runs), n_min) if not w)
+        report = sweep(n_max, witnesses=True)
+        assert (report.runs, report.failures) == (runs, failures)
+        assert sweep(n_max).failures == failures
+
+
+def test_existence_sweeps_sieve_only_to_their_last_witness(monkeypatch):
+    built = []
+
+    def spy(limit):
+        built.append(limit)
+        return build_sieve(limit)
+
+    monkeypatch.setattr(sweeps, "build_sieve", spy)
+    # reach + isqrt(reach), for reach = 3 * 162,755 and 100,000 + 1
+    verify_direct()
+    assert built == [488_963]
+    built.clear()
+    verify_corollary(100_000)
+    assert built == [100_317]
+    # [24, 28] holds no prime, so the full limit 4 * 8 follows
+    built.clear()
+    verify_direct(8)
+    assert built == [28, 32]
 
 
 def test_sweep_report_derives_found_and_witness():
