@@ -9,11 +9,19 @@ precision it was evaluated at.  A comparison is decided only when the two
 intervals do not overlap; otherwise it reports indeterminate and callers
 escalate the working precision.
 
-The closed forms one report evaluates more than once (the binomial lower
-bound, the four absorber upper bounds and the T3 lower bound) are cached
-per (n, prec).  Callers pass prec positionally: lru_cache keys f(n, p),
-f(n, prec=p) and f(n) apart.  An escalated comparison asks for a new
-precision, hence a new key, so the cache never pins a first attempt.
+Exact inputs stay integers until they meet an interval: each closed form's
+lead and corrections, E(n) and the intermediate T3 form's rational factor
+are integer ratios (numerator, denominator), each converted once.  A
+closed form is ln(lead^2 / (k n)) / 2 - ln(pi) / 2 + corrections
++ n ln rate, with ln(pi) / 2 and the rates among the constants evaluated
+once per precision; e_term builds a Fraction only for its caller.
+
+The values one report evaluates more than once (the binomial lower bound,
+the four absorber upper bounds, the T3 lower bound, and the terms the two
+T3 forms share) are cached per (n, prec).  Callers pass prec positionally:
+lru_cache keys f(n, p), f(n, prec=p) and f(n) apart.  An escalated
+comparison asks for a new precision, hence a new key, so the cache never
+pins a first attempt.
 """
 
 from __future__ import annotations
@@ -75,8 +83,28 @@ def _working(prec: int):
 def _rational(x):
     """An interval enclosing the rational x, at the working precision."""
     x = _as_rational(x)
-    xi = mpmath.iv.mpf(x.numerator)
-    return xi if x.denominator == 1 else xi / x.denominator
+    return _ratio(x.numerator, x.denominator)
+
+
+def _ratio(num: int, den: int):
+    """The narrowest interval at the working precision that encloses
+    num / den, for ints with den > 0: each endpoint is the quotient rounded
+    once, outward.  The fraction need not be in lowest terms."""
+    libmp, prec = mpmath.libmp, mpmath.iv.prec
+    lo = libmp.from_rational(num, den, prec, libmp.round_floor)
+    hi = libmp.from_rational(num, den, prec, libmp.round_ceiling)
+    return mpmath.iv.make_mpf((lo, hi))
+
+
+def _ratio_sum(terms, n: int) -> tuple:
+    """The sum of k / (a n + b) over the (k, a, b) in terms, as one integer
+    ratio (numerator, denominator), not reduced; every a n + b must be
+    positive."""
+    num, den = 0, 1
+    for k, a, b in terms:
+        d = a * n + b
+        num, den = num * d + k * den, den * d
+    return num, den
 
 
 class LogReal:
@@ -226,7 +254,7 @@ def _constants(prec: int) -> SimpleNamespace:
             half=mpmath.iv.mpf(0.5),
             one=mpmath.iv.mpf(1),
             twelve=mpmath.iv.mpf(12),
-            pi=pi,
+            half_ln_pi=mpmath.iv.log(pi) / 2,
             half_ln_2pi=mpmath.iv.log(2 * pi) / 2,
             rates={name: _rate(*form.index) for name, form in _FORMS.items()},
             t3_prefactor=mpmath.iv.log(pi_3_2 / 332800),
@@ -235,18 +263,21 @@ def _constants(prec: int) -> SimpleNamespace:
 
 
 def _closed_form(name: str, n: int, prec: int) -> LogReal:
-    """The named row of _FORMS evaluated at n."""
+    """The named row of _FORMS evaluated at n, as
+    ln(lead^2 / (k n)) / 2 - ln(pi) / 2 + corrections + n ln rate, with the
+    lead and the corrections each one integer ratio and ln(pi) / 2 from
+    _constants."""
     form = _FORMS[name]
     n_min = _first_n(form)
     if n < n_min:
         poles = "".join(f" has a pole at n = {Fraction(-b, a)};" for a, b in form.lead[1] if a > 0)
         raise DomainError(f"{name} bound{poles} requires n >= {n_min}")
-    lead = Fraction(*(math.prod(a * n + b for a, b in side) for side in form.lead))
-    corr = sum((Fraction(c, a * n + b) for c, a, b in form.corrections), Fraction(0))
+    num, den = (math.prod(a * n + b for a, b in side) for side in form.lead)
     c = _constants(prec)
     with _working(prec):
-        v = mpmath.iv.log(_rational(lead)) - mpmath.iv.log(form.k * c.pi * n) / 2
-        return LogReal.from_interval(v + _rational(corr) + n * c.rates[name], prec)
+        v = mpmath.iv.log(_ratio(num * num, den * den * form.k * n)) * c.half - c.half_ln_pi
+        v += _ratio(*_ratio_sum(form.corrections, n)) + n * c.rates[name]
+        return LogReal.from_interval(v, prec)
 
 
 def ln_of_int(value: int, prec: int = DEFAULT_PREC) -> LogReal:
@@ -435,10 +466,11 @@ _E_TERMS = _FORMS["binomial"].corrections + tuple(
 
 
 def e_term(n: int) -> Fraction:
-    """The 15-term correction aggregate E(n), as an exact rational."""
+    """The 15-term correction aggregate E(n), as an exact rational summed
+    as one integer ratio."""
     if n < 1:
         raise DomainError("E is defined for n >= 1")
-    return sum((Fraction(k, a * n + b) for k, a, b in _E_TERMS), Fraction(0))
+    return Fraction(*_ratio_sum(_E_TERMS, n))
 
 
 def _e_float(n: int) -> float:
@@ -498,15 +530,24 @@ def replacement_minimal_n(n_max: int = 10_000):
     return settled_from(bad, 1, n_max)
 
 
-def _t3_terms(n: int, prefactor, n_power, prec: int):
-    """prefactor + E + n ln M - sqrt(n) ln 4n - n_power ln n, the terms the
-    two T3 forms share, as an interval.  Both forms apply from T3_N_MIN on."""
-    if n < T3_N_MIN:
-        raise DomainError(f"T3 lower bound requires n >= {T3_N_MIN}")
+@lru_cache(maxsize=64)
+def _t3_shared(n: int, prec: int) -> tuple:
+    """(E + n ln M - sqrt(n) ln 4n, ln n) as intervals, evaluated once per
+    (n, prec) for both T3 forms."""
     lm = ln_m(prec).interval
     with _working(prec):
-        tail = mpmath.iv.sqrt(n) * mpmath.iv.log(4 * n) + n_power * mpmath.iv.log(n)
-        return prefactor + _rational(e_term(n)) + n * lm - tail
+        shared = _ratio(*_ratio_sum(_E_TERMS, n)) + n * lm
+        return shared - mpmath.iv.sqrt(n) * mpmath.iv.log(4 * n), mpmath.iv.log(n)
+
+
+def _t3_terms(n: int, prefactor, n_power, prec: int):
+    """prefactor + E + n ln M - sqrt(n) ln 4n - n_power ln n as an interval,
+    one T3 form from the terms both share.  Both apply from T3_N_MIN on."""
+    if n < T3_N_MIN:
+        raise DomainError(f"T3 lower bound requires n >= {T3_N_MIN}")
+    shared, ln_n = _t3_shared(n, prec)
+    with _working(prec):
+        return prefactor + shared - n_power * ln_n
 
 
 @lru_cache(maxsize=64)
@@ -521,9 +562,9 @@ def ln_t3_lower_intermediate(n: int, prec: int = DEFAULT_PREC) -> LogReal:
     the rational factor n^(-3/2)(n-221)(2n-105)/((3n+2)(3n+13)(4n+15)), both
     as printed: validate checks the table against them (see _constants)."""
     v = _t3_terms(n, _constants(prec).t3_prefactor_intermediate, 1.5, prec)
-    ratio = Fraction((n - 221) * (2 * n - 105), (3 * n + 2) * (3 * n + 13) * (4 * n + 15))
+    num, den = (n - 221) * (2 * n - 105), (3 * n + 2) * (3 * n + 13) * (4 * n + 15)
     with _working(prec):
-        return LogReal.from_interval(v + mpmath.iv.log(_rational(ratio)), prec)
+        return LogReal.from_interval(v + mpmath.iv.log(_ratio(num, den)), prec)
 
 
 def count_lower_bound(n: int, prec: int = DEFAULT_PREC) -> float:

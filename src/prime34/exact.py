@@ -9,8 +9,8 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import compress
+from typing import Optional
 
 from .errors import ConsistencyError, CoverageError, DomainError
 from .sieve import (
@@ -147,8 +147,13 @@ def _size_classes(n: int, sieve: PrimeSieve) -> tuple:
 
 
 def _factored(n: int, primes) -> ValuationMap:
-    """The part of C(4n, 3n) on the given primes: p^beta(p), beta(p) >= 1."""
-    return ValuationMap(tuple((p, b) for p in primes if (b := _beta(n, p))))
+    """The part of C(4n, 3n) on the given ascending primes: p^beta(p),
+    beta(p) >= 1.  Past sqrt(4n) each Legendre sum of beta is one floor."""
+    m, t = 4 * n, 3 * n
+    small = bisect_right(primes, m, key=lambda p: p * p)
+    exponents = [_beta(n, p) for p in primes[:small]]
+    exponents += [m // p - t // p - n // p for p in primes[small:]]
+    return ValuationMap(tuple(compress(zip(primes, exponents), exponents)))
 
 
 def decompose(n: int, sieve: PrimeSieve) -> Decomposition:
@@ -202,16 +207,23 @@ def delta(idx: GenBinomIndex) -> int:
     return d
 
 
-def gen_binomial(idx: GenBinomIndex) -> int:
+def gen_binomial(idx: GenBinomIndex, sieve: Optional[PrimeSieve] = None) -> int:
     """{s\\r}: the product of integers in (s - r, s] over the product of
     integers in (0, r], computed twice and cross-checked: as the product of
     p^v(p) over the primes p <= [s], with v(p) = L([s]) - L([s - r]) - L([r])
     and L(m) the exponent of p in m! (Legendre), and as
-    delta(r, s) * C([s], [r]).  An index whose sieve to [s] exceeds
-    MEMORY_CAP raises CapacityError before anything is allocated.
+    delta(r, s) * C([s], [r]).  The primes come from the caller's sieve,
+    which must reach [s] (CoverageError otherwise), or from a sieve built to
+    [s]; an index whose sieve to [s] exceeds MEMORY_CAP raises
+    CapacityError before anything is allocated.
     """
     floors = fs, fsr, fr = floor_of(idx.s), floor_of(idx.s - idx.r), floor_of(idx.r)
-    primes = build_sieve(fs).primes if fs >= 2 else ()
+    if sieve is None:
+        primes = build_sieve(fs).primes if fs >= 2 else ()
+    elif fs > sieve.limit:
+        raise CoverageError(f"[s] = {fs} beyond sieve limit {sieve.limit}")
+    else:
+        primes = sieve.primes[: bisect_right(sieve.primes, fs)]
     small = bisect_right(primes, math.isqrt(fs))  # past them each L is one floor
     exponents = [_floors_valuation(floors, p) for p in primes[:small]]
     exponents += [fs // p - fsr // p - fr // p for p in primes[small:]]
@@ -245,10 +257,10 @@ def absorber_index(which: str, n: int) -> GenBinomIndex:
     return GenBinomIndex(s=sc * n, r=rc * n)
 
 
-@lru_cache(maxsize=256)
-def absorber(which: str, n: int) -> int:
-    """Exact value of the named absorber (A, B, C or D) at n."""
-    return gen_binomial(absorber_index(which, n))
+def absorber(which: str, n: int, sieve: Optional[PrimeSieve] = None) -> int:
+    """Exact value of the named absorber (A, B, C or D) at n, on the
+    caller's sieve when given (see gen_binomial)."""
+    return gen_binomial(absorber_index(which, n), sieve)
 
 
 def _absorber_floors(which: str, n: int) -> tuple:
@@ -278,14 +290,21 @@ def absorber_valuation(which: str, n: int, p: int) -> int:
     return _floors_valuation(_absorber_floors(which, n), p)
 
 
-def check_t2_divisibility_bound(n: int, sieve: PrimeSieve) -> bool:
+def check_t2_divisibility_bound(
+    n: int, sieve: PrimeSieve, t2: Optional[int] = None, absorbers=None
+) -> bool:
     """T2 <= 4^(n/6) * A * B * C * D, in integers.
 
     T2 <= ABCD settles it, since 4^(n/6) >= 1; otherwise the sixth powers
-    T2^6 <= 4^n * (ABCD)^6 decide.
+    T2^6 <= 4^n * (ABCD)^6 decide.  A caller that holds them passes T2's
+    value (decompose(n, sieve).t2.value()) and the four absorbers' values at
+    n; otherwise T2 is factored and the absorbers are built on the sieve.
     """
-    t2 = _factored(n, _size_classes(n, sieve)[1]).value()
-    abcd = math.prod(absorber(which, n) for which in "ABCD")
+    if t2 is None:
+        t2 = _factored(n, _size_classes(n, sieve)[1]).value()
+    if absorbers is None:
+        absorbers = [absorber(which, n, sieve) for which in "ABCD"]
+    abcd = math.prod(absorbers)
     return t2 <= abcd or t2**6 <= 4**n * abcd**6
 
 
@@ -305,11 +324,15 @@ def t2_bound_minimal_n(n_max: int, sieve: PrimeSieve):
     return settled_from(filter(fails, range(1, n_max + 1)), 1, n_max)
 
 
-def check_t1_bound(n: int, sieve: PrimeSieve) -> bool:
+def check_t1_bound(n: int, sieve: PrimeSieve, t1: Optional[int] = None) -> bool:
     """T1 < (4n)^pi(sqrt(4n)) and pi(sqrt(4n)) <= sqrt(n), both in
-    integers, the second as pi(sqrt(4n))^2 <= n."""
+    integers, the second as pi(sqrt(4n))^2 <= n.  A caller that holds T1's
+    value (decompose(n, sieve).t1.value()) passes it; otherwise T1 is
+    factored on the sieve."""
     if n < 16:
         raise DomainError("the T1 bound requires n >= 16 so that sqrt(4n) >= 8")
     small = _size_classes(n, sieve)[0]
     k = len(small)
-    return _factored(n, small).value() < (4 * n) ** k and k * k <= n
+    if t1 is None:
+        t1 = _factored(n, small).value()
+    return t1 < (4 * n) ** k and k * k <= n

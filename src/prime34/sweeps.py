@@ -516,10 +516,12 @@ def analytic_report(samples=None) -> dict:
 _ABSORBER_UPPER = {"A": ln_a_upper, "B": ln_b_upper, "C": ln_c_upper, "D": ln_d_upper}
 
 
-def absorber_below_bound(which: str, n: int) -> bool:
-    """Exact absorber value strictly below its closed-form upper bound."""
+def absorber_below_bound(which: str, n: int, value: Optional[int] = None) -> bool:
+    """Exact absorber value strictly below its closed-form upper bound; a
+    caller that holds the value (absorber(which, n, sieve)) passes it."""
     upper = _ABSORBER_UPPER[which]
-    value = absorber(which, n)
+    if value is None:
+        value = absorber(which, n)
     return _decide(lambda p: ln_of_int(value, p).less_than(upper(n, p)))
 
 
@@ -540,12 +542,29 @@ def decompose_report(n: int, sieve: Optional[PrimeSieve] = None) -> dict:
     """Factored T1/T2/T3 with ln values and pass/fail for every inequality
     applicable at this n.  Exact cross-checks (big-integer identity and
     bound comparisons) run for n <= EXACT_CHECK_CUTOFF; above that only
-    the factored forms and ln values are reported."""
+    the factored forms and ln values are reported.
+
+    Each value is built once per call.  The one sieve (to 4n, unless the
+    caller passes one) serves every prime the report needs.  decompose
+    factors T1, T2 and T3 on it; each is multiplied once, and the values go
+    to the binomial identity, check_t1_bound, check_t2_divisibility_bound
+    and the T3 check.  C(4n, 3n) is one math.comb, for the identity and the
+    binomial bound check.  Each absorber is built on the sieve by the first
+    check that needs it and handed to the others.  The closed forms and the
+    T3 bound are evaluated once per precision (the caches in bounds), for
+    the checks and for bound_report alike.
+    """
     if n < 1:
         raise DomainError("decompose requires n >= 1")
     if sieve is None:
         sieve = build_sieve(4 * n)
     dec = decompose(n, sieve)
+    absorbers = {}
+
+    def absorber_at(which):
+        if which not in absorbers:
+            absorbers[which] = absorber(which, n, sieve)
+        return absorbers[which]
 
     # binomial and t1..t3 are bound below the table, and only at n <=
     # EXACT_CHECK_CUTOFF, where the deciders run
@@ -554,10 +573,14 @@ def decompose_report(n: int, sieve: Optional[PrimeSieve] = None) -> dict:
         "binomial_above_lower_bound": lambda: _decide(
             lambda p: ln_binom_lower(n, p).less_than(ln_of_int(binomial, p))
         ),
-        "t1_cap": lambda: check_t1_bound(n, sieve),
-        "t2_divisibility": lambda: check_t2_divisibility_bound(n, sieve),
+        "t1_cap": lambda: check_t1_bound(n, sieve, t1),
+        "t2_divisibility": lambda: check_t2_divisibility_bound(
+            n, sieve, t2, [absorber_at(which) for which in "ABCD"]
+        ),
         **{
-            f"absorber_{which}_below_bound": partial(absorber_below_bound, which, n)
+            f"absorber_{which}_below_bound": lambda which=which: absorber_below_bound(
+                which, n, absorber_at(which)
+            )
             for which in "ABCD"
         },
         "t3_above_lower_bound": lambda: _decide(

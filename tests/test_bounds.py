@@ -6,7 +6,9 @@ from itertools import chain
 
 import pytest
 import sympy
-from mpmath import mp, mpf
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from mpmath import iv, mp, mpf
 
 from prime34 import (
     BoundReport,
@@ -607,3 +609,73 @@ def test_validate_checks_the_table_against_the_printed_t3_forms(monkeypatch, cha
         monkeypatch.undo()
         clear_caches()
     build_bound_report(1000).validate()
+
+
+def _e_term_by_terms(n):
+    """E(n) summed one Fraction per term: the binomial bound's corrections
+    less those of the four absorber bounds, as their docstrings print them."""
+    q = Fraction
+    binomial = q(1, 48 * n + 1) - q(1, 36 * n) - q(1, 12 * n)
+    absorbers = (
+        q(1, 16 * n) - q(1, 12 * n + 1) - q(1, 4 * n + 1)
+        + q(1, 24 * n) - q(1, 18 * n + 1) - q(1, 6 * n + 1)
+        + q(17, 48 * n) - q(13, 36 * n + 13) - q(221, 12 * n + 221)
+        + q(7, 24 * n) - q(5, 16 * n + 5) - q(35, 8 * n + 35)
+    )
+    return binomial - absorbers
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10**15))
+@example(1)
+@example(221)
+@example(10**15)
+def test_e_term_is_the_sum_of_its_fifteen_terms(n):
+    assert e_term(n) == _e_term_by_terms(n)
+
+
+def _fraction_closed_form(name, n, prec):
+    """A row of _FORMS as ln(lead) - ln(k pi n) / 2 + corrections + n ln rate,
+    with the lead and the corrections reduced Fractions."""
+    form = bounds._FORMS[name]
+    lead = Fraction(*(math.prod(a * n + b for a, b in side) for side in form.lead))
+    corr = sum((Fraction(c, a * n + b) for c, a, b in form.corrections), Fraction(0))
+    rate = bounds._constants(prec).rates[name]
+    with bounds._working(prec):
+        v = iv.log(bounds._rational(lead)) - iv.log(form.k * iv.pi * n) / 2
+        return v + bounds._rational(corr) + n * rate
+
+
+def _fraction_t3_terms(n, prefactor, n_power, prec):
+    """prefactor + E + n ln M - sqrt(n) ln 4n - n_power ln n, with E one
+    reduced Fraction and every term evaluated afresh."""
+    lm = ln_m(prec).interval
+    with bounds._working(prec):
+        tail = iv.sqrt(n) * iv.log(4 * n) + iv.mpf(n_power) * iv.log(n)
+        return prefactor + bounds._rational(_e_term_by_terms(n)) + n * lm - tail
+
+
+def _assert_overlaps_narrowly(value, interval):
+    assert value.consistent_with(LogReal.from_interval(interval, 512))
+    with mp.workprec(1024):
+        lo, hi = mpf(value.interval.a), mpf(value.interval.b)
+        assert hi - lo <= mpf(2) ** -100 * max(1, abs(lo))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(222, 10**12))
+@example(222)
+@example(307)
+@example(5000)
+def test_integer_ratio_forms_overlap_the_fraction_forms_at_512_bits(n):
+    for name in bounds._FORMS:
+        _assert_overlaps_narrowly(
+            bounds._closed_form(name, n, 128), _fraction_closed_form(name, n, 512)
+        )
+    wide, narrow = bounds._constants(128), bounds._constants(512)
+    for prefactor, n_power in (("t3_prefactor", 2.5), ("t3_prefactor_intermediate", 1.5)):
+        value = bounds._t3_terms(n, getattr(wide, prefactor), n_power, 128)
+        _assert_overlaps_narrowly(
+            LogReal.from_interval(value, 128),
+            _fraction_t3_terms(n, getattr(narrow, prefactor), n_power, 512),
+        )

@@ -441,3 +441,17 @@ def test_usage_errors():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+def test_an_absorber_beyond_its_sieve_exits_3_not_1(capsys, monkeypatch):
+    # a sieve that ends below [s] is a coverage error (exit 3), never a
+    # product with primes missing that fails its cross-check (exit 1)
+    from prime34 import build_sieve, exact
+
+    real = exact.absorber
+    monkeypatch.setattr(
+        sweeps, "absorber", lambda which, n, sieve: real(which, n, build_sieve(n))
+    )
+    code, out, err = run(capsys, ["decompose", "--n", "300"])
+    assert code == 3 and out == ""
+    assert err == "error: [s] = 400 beyond sieve limit 300\n"

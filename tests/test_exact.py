@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from prime34 import (
     CapacityError,
@@ -298,7 +300,7 @@ def test_t2_divisibility_bound_matches_exact_reference(sieve_mid, monkeypatch):
         t2 = decompose(n, sieve_mid).t2.value()
         for ratio in (2, 4 ** (n // 6), 4 ** (n // 6 + 1)):
             scaled = t2 // ratio
-            monkeypatch.setattr(exact, "absorber", lambda which, n: scaled if which == "A" else 1)
+            monkeypatch.setattr(exact, "absorber", lambda which, n, sieve: scaled if which == "A" else 1)
             assert check_t2_divisibility_bound(n, sieve_mid) == (t2**6 <= 4**n * scaled**6)
 
 
@@ -306,7 +308,7 @@ def test_no_float_decides_the_integer_bounds(sieve_mid, monkeypatch):
     # every sieve is built first, the absorbers' own included, so that
     # math.log is left only in the capacity estimate of a sieve build
     absorbers = {(which, n): absorber(which, n) for n in range(5, 401) for which in "ABCD"}
-    monkeypatch.setattr(exact, "absorber", lambda which, n: absorbers[which, n])
+    monkeypatch.setattr(exact, "absorber", lambda which, n, sieve: absorbers[which, n])
 
     def refuse(*args):
         raise AssertionError("a float decided an integer bound")
@@ -335,3 +337,38 @@ def test_decomposition_type_shape(sieve_small):
     assert isinstance(d, Decomposition)
     assert d.n == 25
     assert d.product() == d.t1.value() * d.t2.value() * d.t3.value()
+
+
+def test_gen_binomial_on_a_short_sieve_raises_coverage_error():
+    # a sieve that ends below [s] would drop primes from the product and
+    # surface as a route mismatch; it is refused before any product is formed
+    short = build_sieve(100)
+    with pytest.raises(CoverageError):
+        gen_binomial(GenBinomIndex(s=Fraction(403, 3), r=50), short)  # [s] = 134
+    with pytest.raises(CoverageError):
+        absorber("B", 60, short)  # [s] = 120
+    with pytest.raises(CoverageError):
+        t2_bound_minimal_n(30, short)  # at n = 26, T2 needs the primes to 104
+    assert gen_binomial(GenBinomIndex(s=100, r=30), short) == math.comb(100, 30)
+    assert absorber("B", 50, short) == absorber("B", 50)  # [s] = 100, the limit
+
+
+_gen_binomial_indices = st.builds(
+    lambda r, gap: GenBinomIndex(s=r + gap, r=r),
+    st.fractions(min_value=1, max_value=3000, max_denominator=60),
+    st.fractions(min_value=0, max_value=3000, max_denominator=60).filter(lambda g: g > 0),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_gen_binomial_indices)
+@example(GenBinomIndex(s=Fraction(3, 2), r=1))
+@example(GenBinomIndex(s=2, r=1))
+def test_gen_binomial_on_the_callers_sieve_matches_the_standalone_call(sieve_mid, idx):
+    fs = floor_of(idx.s)
+    standalone = gen_binomial(idx)
+    assert gen_binomial(idx, sieve_mid) == standalone
+    assert gen_binomial(idx, build_sieve(max(fs, 2))) == standalone
+    if fs > 2:
+        with pytest.raises(CoverageError):
+            gen_binomial(idx, build_sieve(fs - 1))

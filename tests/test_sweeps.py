@@ -1,6 +1,7 @@
 import concurrent.futures
 import json
 import random
+import sys
 import tracemalloc
 from array import array
 
@@ -29,7 +30,8 @@ from prime34 import (
     verify_corollary,
     verify_direct,
 )
-from prime34 import bounds, cli, sweeps
+from prime34 import bounds, cli, exact, sweeps
+from prime34 import sieve as sieve_module
 
 
 def test_direct_sweep_small():
@@ -647,7 +649,7 @@ def test_decompose_report_smallest():
 def test_decompose_report_propagates_errors_other_than_domain(monkeypatch):
     # only a DomainError reads as "not applicable"; a failed internal check
     # must reach the caller
-    def broken(n, sieve):
+    def broken(n, sieve, t1=None):
         raise ConsistencyError("T1 routes disagree")
 
     monkeypatch.setattr(sweeps, "check_t1_bound", broken)
@@ -672,3 +674,52 @@ def test_decompose_report_examples():
     assert report["bound_report"]["n"] == 300
     assert report["bound_report"]["m_constant_note"] == M_CORRECTION_NOTE
     assert report["ln_t1"] <= report["bound_report"]["ln_T1_upper"]
+
+
+def test_decompose_report_builds_each_quantity_once(sieve_mid, monkeypatch):
+    """One sieve per report, none for the T2 scan on the caller's sieve, and
+    T1, T2, T3 and each absorber built once per report."""
+    real_build = sieve_module.build_sieve
+    builds = []
+
+    def spy_build(limit, *args, **kwargs):
+        builds.append(limit)
+        return real_build(limit, *args, **kwargs)
+
+    patched = set()
+    for name, module in list(sys.modules.items()):
+        if name.startswith("prime34") and getattr(module, "build_sieve", None) is real_build:
+            monkeypatch.setattr(module, "build_sieve", spy_build)
+            patched.add(name)
+    assert {"prime34.sieve", "prime34.exact", "prime34.sweeps"} <= patched
+
+    real_factored, factored = exact._factored, []
+
+    def spy_factored(n, primes):
+        factored.append(tuple(primes))
+        return real_factored(n, primes)
+
+    real_gen_binomial, indices = exact.gen_binomial, []
+
+    def spy_gen_binomial(idx, sieve=None):
+        indices.append(idx)
+        return real_gen_binomial(idx, sieve)
+
+    monkeypatch.setattr(exact, "_factored", spy_factored)
+    monkeypatch.setattr(exact, "gen_binomial", spy_gen_binomial)
+    for n in (300, 2345, 5000):
+        builds.clear()
+        factored.clear()
+        indices.clear()
+        report = decompose_report(n)
+        assert all(v == "pass" for v in report["checks"].values()), n
+        assert builds == [4 * n]
+        t1, t2, t3 = exact._size_classes(n, real_build(4 * n))
+        assert sorted(factored) == sorted([t1, t2, t3]), n
+        assert sorted(indices, key=repr) == sorted(
+            (exact.absorber_index(which, n) for which in "ABCD"), key=repr
+        )
+
+    builds.clear()
+    assert exact.t2_bound_minimal_n(400, sieve_mid) == 5
+    assert builds == []
