@@ -18,8 +18,12 @@ once per claim.
 
 Window bounds and absorber valuations are integer arithmetic: bounds are
 floored as (num * n) // den, and valuations are Legendre sums at the
-integer floors of the absorber index; a sweep computes them once per
-(absorber, n) and shares them between the claims at that n.
+integer floors of the absorber index.  check_claim decides one window at
+one n.  A sweep decides all 22 windows of one n in a single pass
+(check_claims): 3n, 4n and the absorber floors are computed once per n,
+and since the windows tile, each window's primes are found with one
+bisection of the sieve at its floored end, the previous window's end
+being its start.  Both decide a window's primes by the same function.
 Every prime is still decided on its own, but when (lo + 1)^2 > 4n for the
 floored window start lo, each window prime p has p^2 > 4n, which exceeds
 every absorber floor too, so each Legendre sum is the single floor m//p:
@@ -30,13 +34,14 @@ that open at or below sqrt(4n) keep the full sums.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import isqrt
 from typing import Optional
 
-from .errors import DomainError
+from .errors import CoverageError, DomainError
 # absorber_valuation is no longer called here but stays in the namespace:
 # bench/tracing.py counts calls to it through this module
 from .exact import _absorber_floors, _beta, _floors_valuation, absorber_valuation  # noqa: F401
@@ -113,8 +118,9 @@ class ClaimSpec:
             raise DomainError(f"claim {self.id}: unknown consequence")
         if self.chain:
             parse_chain(self.chain)  # fail fast on typos
-        # integer numerators and denominators for floor_window, kept off
-        # the dataclass fields so equality and repr are unchanged
+        # integer numerators and denominators for floor_window, check_tiling
+        # and check_claims, kept off the dataclass fields so equality and
+        # repr are unchanged
         lo = self.lo_coeff
         lo_nd = None if lo is None else (lo.numerator, lo.denominator)
         object.__setattr__(
@@ -260,15 +266,18 @@ def check_tiling(table=None) -> bool:
     table = claim_table() if table is None else table
     if len(table) != 22 or table[0].lo_coeff is not None:
         return False
+    # coefficients as reduced (numerator, denominator) pairs, which are
+    # equal exactly when the rationals are
     prev_hi = None
     for claim in table:
-        if claim.lo_coeff is None:
+        lo, hi_num, hi_den = claim._floor_coeffs
+        if lo is None:
             if prev_hi is not None:
                 return False
-        elif claim.lo_coeff != prev_hi or claim.lo_coeff >= claim.hi_coeff:
+        elif lo != prev_hi or lo[0] * hi_den >= hi_num * lo[1]:
             return False
-        prev_hi = claim.hi_coeff
-    return prev_hi == 3
+        prev_hi = (hi_num, hi_den)
+    return prev_hi == (3, 1)
 
 
 def _chain_holds_at(sides, ops, n: int, p_coeff: Fraction, open_end: bool) -> bool:
@@ -312,7 +321,7 @@ def check_chain(claim: ClaimSpec, n: int) -> bool:
 
 def absorber_floors_at(n: int) -> dict:
     """{absorber: its index floors at n, or None where the index is outside
-    s > r >= 1}, for the check_claim calls that share this n."""
+    s > r >= 1}, for the windows that share this n."""
     return {which: _floors_or_none(which, n) for which in _ABSORBER_OF.values()}
 
 
@@ -332,14 +341,8 @@ def check_claim(
     is undefined at this n (index outside s > r >= 1) fails for every
     window prime, since nothing is available to absorb them.  floors, from
     absorber_floors_at(n), shares the absorber floors between the claims
-    at one n; when it is None they are computed here.
-
-    When (lo + 1)^2 > 4n for the floored window start lo, every window
-    prime p has p^2 > 4n, and 4n bounds every absorber floor (each is at
-    most 2n).  Each Legendre sum is then the single floor m//p, so the
-    primes are decided in one pass of integer floors, with beta(p) =
-    4n//p - 3n//p - n//p.  Other windows keep the full Legendre sums.
-    Detail strings are built, by the full sums, for failing primes only.
+    at one n; when it is None they are computed here.  The primes are
+    decided by _window_failures, as in check_claims.
     """
     if n < 1:
         raise DomainError("claims are checked for n >= 1")
@@ -349,39 +352,102 @@ def check_claim(
     primes = sieve.primes_in(lo, hi)
     if not primes:
         return ClaimResult(claim.id, n, 0, ())
+    which = _ABSORBER_OF.get(claim.consequence)
+    if which is None:
+        index = None
+    else:
+        index = _floors_or_none(which, n) if floors is None else floors[which]
+    n4 = 4 * n
+    failures = _window_failures(
+        claim.consequence, primes, n, 3 * n, n4, (lo + 1) * (lo + 1) > n4, index
+    )
+    return ClaimResult(claim.id, n, len(primes), failures)
 
-    consequence = claim.consequence
-    single = (lo + 1) * (lo + 1) > 4 * n
-    n3, n4 = 3 * n, 4 * n
+
+def _window_failures(consequence, primes, n, n3, n4, single, index) -> tuple:
+    """(p, detail) for each of one window's primes at n that fail its
+    consequence; n3 and n4 are 3n and 4n, index the floors of the claim's
+    absorber at n (None where it is undefined or the claim has none).
+
+    single means (lo + 1)^2 > 4n for the floored window start lo.  Then
+    every window prime p has p^2 > 4n, and 4n bounds every absorber floor
+    (each is at most 2n), so each Legendre sum is the single floor m//p:
+    beta(p) = 4n//p - 3n//p - n//p and v(p) = fs//p - fsr//p - fr//p.
+    Other windows keep the full Legendre sums.  Detail strings are built,
+    by the full sums, for failing primes only.
+    """
     if consequence == BETA_ZERO:
         if single:
             bad = [p for p in primes if n4 // p - n3 // p - n // p]
         else:
             bad = [p for p in primes if _beta(n, p)]
-        failures = tuple((p, f"beta={_beta(n, p)}") for p in bad)
-    elif consequence == PRIMORIAL_16TH:
+        if not bad:
+            return ()
+        return tuple((p, f"beta={_beta(n, p)}") for p in bad)
+    if consequence == PRIMORIAL_16TH:
         # product of window primes <= 4^(n/6), i.e. (product)^6 <= 4^n
-        ok = primorial_le(primes, n, 6)
-        failures = () if ok else ((0, "window primorial exceeds 4^(n/6)"),)
+        return () if primorial_le(primes, n, 6) else ((0, "window primorial exceeds 4^(n/6)"),)
+    which = _ABSORBER_OF[consequence]
+    if index is None:
+        detail = f"absorber {which} undefined at n={n}"
+        return tuple((p, detail) for p in primes)
+    if single:
+        fs, fsr, fr = index
+        bad = [p for p in primes if fs // p - fsr // p - fr // p < n4 // p - n3 // p - n // p]
     else:
-        which = _ABSORBER_OF[consequence]
-        index = _floors_or_none(which, n) if floors is None else floors[which]
-        if index is None:
-            detail = f"absorber {which} undefined at n={n}"
-            return ClaimResult(claim.id, n, len(primes), tuple((p, detail) for p in primes))
-        if single:
-            fs, fsr, fr = index
-            bad = [
-                p for p in primes
-                if fs // p - fsr // p - fr // p < n4 // p - n3 // p - n // p
-            ]
-        else:
-            bad = [p for p in primes if _floors_valuation(index, p) < _beta(n, p)]
-        failures = tuple(
-            (p, f"valuation {_floors_valuation(index, p)} in {which} < beta {_beta(n, p)}")
-            for p in bad
-        )
-    return ClaimResult(claim.id, n, len(primes), failures)
+        bad = [p for p in primes if _floors_valuation(index, p) < _beta(n, p)]
+    if not bad:
+        return ()
+    return tuple(
+        (p, f"valuation {_floors_valuation(index, p)} in {which} < beta {_beta(n, p)}")
+        for p in bad
+    )
+
+
+# per claim, in window order: the integer coefficients of the window's end
+# and the consequence with its absorber, for check_claims
+_WINDOW_ENDS = tuple(
+    (c._floor_coeffs[1], c._floor_coeffs[2], c.consequence, _ABSORBER_OF.get(c.consequence))
+    for c in _TABLE
+)
+
+
+def check_claims(sieve: PrimeSieve, start: int, stop: int) -> list:
+    """Per-claim (primes_checked, failures) of the 22 table claims over n in
+    [start, stop], in window order, failures as (n, p, detail): the totals
+    of check_claim over every (claim, n), and its failures in n order.
+
+    One pass per n: 3n, 4n and the absorber floors are computed once, and
+    the tiled window bounds are walked with one bisection per bound, window
+    k opening at window k-1's floored end.  Window 1 opens at isqrt(4n) and
+    window 2 at floor(n/6), also where window 1 is empty (below n = 144).
+    Each window's primes are decided by _window_failures, as in check_claim.
+    """
+    if start < 1:
+        raise DomainError("claims are checked for n >= 1")
+    if start <= stop and 3 * stop > sieve.limit:
+        raise CoverageError(f"endpoint {3 * stop} beyond sieve limit {sieve.limit}")
+    primes = sieve.primes
+    checked = [0] * len(_WINDOW_ENDS)
+    failed = [[] for _ in _WINDOW_ENDS]
+    for n in range(start, stop + 1):
+        n3, n4 = 3 * n, 4 * n
+        floors = absorber_floors_at(n)
+        lo = isqrt(n4)
+        i = bisect_right(primes, lo)
+        for k, (num, den, consequence, which) in enumerate(_WINDOW_ENDS):
+            hi = num * n // den
+            j = bisect_right(primes, hi)
+            if i < j:
+                checked[k] += j - i
+                failures = _window_failures(
+                    consequence, primes[i:j], n, n3, n4, (lo + 1) * (lo + 1) > n4,
+                    floors.get(which),
+                )
+                if failures:
+                    failed[k] += [(n, p, detail) for p, detail in failures]
+            i, lo = j, hi
+    return [(c, tuple(f)) for c, f in zip(checked, failed)]
 
 
 def minimal_valid_n(claim: ClaimSpec, n_max: int, sieve: PrimeSieve):

@@ -36,10 +36,12 @@ from .bounds import (
     ln_of_int,
     ln_t3_lower,
 )
+# check_claim is no longer called here but stays in the namespace:
+# bench/tracing.py counts calls to it through this module
 from .claims import (
-    absorber_floors_at,
     check_chain,
-    check_claim,
+    check_claim,  # noqa: F401
+    check_claims,
     check_tiling,
     claim_table,
     claim_to_dict,
@@ -152,20 +154,6 @@ def _scan_witnesses(sieve: PrimeSieve, start: int, stop: int, form: tuple) -> tu
     runs_p += (*ps[done:], 0)
     runs_l += (*lengths[done:], tail)
     return _canonical(runs_p, runs_l)
-
-
-def _scan_observations(sieve: PrimeSieve, start: int, stop: int) -> list:
-    """Per-claim (primes_checked, claim_failures) over n in [start, stop]."""
-    table = claim_table()
-    acc = [[0, []] for _ in table]
-    for n in range(start, stop + 1):
-        floors = absorber_floors_at(n)
-        for slot, claim in zip(acc, table):
-            result = check_claim(claim, n, sieve, floors)
-            slot[0] += result.primes_checked
-            if result.failures:
-                slot[1].extend((n, p, detail) for p, detail in result.failures)
-    return [(c, tuple(f)) for c, f in acc]
 
 
 _WORKER_SIEVE = None
@@ -393,11 +381,15 @@ class ObservationsReport:
 
 
 def observations_sweep(n_min: int, n_max: int, threads: int = 1) -> ObservationsReport:
-    """check_claim plus check_chain for all 22 claims over [n_min, n_max],
-    with per-claim minimal valid n and the symbolic tiling check.
+    """Every window claim and chain over [n_min, n_max], with per-claim
+    minimal valid n and the symbolic tiling check.
 
-    The windows close by 3n, so the sieve reaches 3 * n_max.  A chain's
-    verdict is the same at every n (check_chain), so it is decided once.
+    Each chunk of n runs check_claims, which decides all 22 windows of one
+    n in a single pass: 3n, 4n and the absorber floors once per n, and one
+    sieve bisection per window bound.  Its totals and failures are those
+    of check_claim over every (claim, n).  The windows close by 3n, so the
+    sieve reaches 3 * n_max.  A chain's verdict is the same at every n
+    (check_chain), so it is decided once.
 
     Failures at n >= 250 are contract violations; smaller n are reported
     only (the claims are not promised there)."""
@@ -406,7 +398,7 @@ def observations_sweep(n_min: int, n_max: int, threads: int = 1) -> Observations
     t0 = perf_counter()
     _check_threads(threads)
     sieve = build_sieve(3 * n_max)
-    parts = _run_chunked(_scan_observations, sieve, n_min, n_max, threads, _OBS_CHUNK)
+    parts = _run_chunked(check_claims, sieve, n_min, n_max, threads, _OBS_CHUNK)
     table = claim_table()
     entries = []
     violations = 0

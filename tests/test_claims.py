@@ -25,7 +25,8 @@ from prime34 import (
     parse_chain,
 )
 from prime34 import claims, observations_sweep
-from prime34.claims import ClaimResult, _chain_holds_at, absorber_floors_at
+from prime34.claims import ClaimResult, _chain_holds_at, absorber_floors_at, check_claims
+from prime34.errors import CoverageError
 from prime34.exact import absorber_valuation, beta
 
 HI_COEFFS = [
@@ -87,6 +88,41 @@ def test_tiling():
     short = list(table)
     short[-1] = ClaimSpec(22, Fraction(2), Fraction(5, 2), BETA_ZERO)
     assert not check_tiling(short)  # coverage stops before 3n
+
+
+def _reference_tiling(table) -> bool:
+    """check_tiling as Fraction comparisons."""
+    if len(table) != 22 or table[0].lo_coeff is not None:
+        return False
+    prev_hi = None
+    for claim in table:
+        if claim.lo_coeff is None:
+            if prev_hi is not None:
+                return False
+        elif claim.lo_coeff != prev_hi or claim.lo_coeff >= claim.hi_coeff:
+            return False
+        prev_hi = claim.hi_coeff
+    return prev_hi == 3
+
+
+def test_integer_tiling_matches_fraction_reference():
+    table = claim_table()
+    tables = [table, table[:-1], table[1:], table + table[:1], list(reversed(table))]
+    # each window end moved a little either way, or a sqrt(4n) window put
+    # in another place
+    for k, claim in enumerate(table):
+        for hi in (claim.hi_coeff - Fraction(1, 997), claim.hi_coeff + Fraction(1, 1009)):
+            if claim.lo_coeff is not None and hi <= claim.lo_coeff:
+                continue
+            moved = list(table)
+            moved[k] = ClaimSpec(claim.id, claim.lo_coeff, hi, claim.consequence)
+            tables.append(moved)
+        rootless = list(table)
+        rootless[k] = ClaimSpec(claim.id, None, claim.hi_coeff, claim.consequence)
+        tables.append(rootless)
+    verdicts = [check_tiling(t) for t in tables]
+    assert verdicts == [_reference_tiling(t) for t in tables]
+    assert verdicts.count(True) == 2  # the table, once as it is and once rebuilt
 
 
 def test_window_endpoints_are_exact():
@@ -287,9 +323,22 @@ def test_minimal_valid_n_spots(sieve_mid):
         minimal_valid_n(table[0], 0, sieve_mid)
 
 
+def _beta_reference(n, p):
+    """Exponent of the prime p in C(4n, 3n), by Legendre's formula for each
+    factorial."""
+
+    def exponent(m):
+        e, q = 0, p
+        while q <= m:
+            e, q = e + m // q, q * p
+        return e
+
+    return exponent(4 * n) - exponent(3 * n) - exponent(n)
+
+
 def _reference_check(claim, n, prime_set, beta_of):
-    """check_claim rebuilt prime by prime from the exact rational window
-    and the public beta and absorber_valuation."""
+    """check_claim rebuilt prime by prime from the exact rational window,
+    the given beta and the public absorber_valuation."""
     lo, hi = claim.window(n)
     primes = [p for p in range(math.floor(lo) + 1, math.floor(hi) + 1) if p in prime_set]
     failures = []
@@ -312,29 +361,60 @@ def _reference_check(claim, n, prime_set, beta_of):
 
 
 def test_check_claim_matches_per_prime_reference():
-    # every n in [1, 300] plus 40 strata draws up to 5000; the two synthetic
-    # windows open at 0, so primes p <= sqrt(4n) take the full Legendre path
-    # at every n, while the table windows take the single-floor path once
-    # (lo + 1)^2 > 4n
+    # every n in [1, 300] plus 40 strata draws up to 5000 and [20000, 20050];
+    # the two synthetic windows open at 0, so primes p <= sqrt(4n) take the
+    # full Legendre path at every n, while the table windows take the
+    # single-floor path once (lo + 1)^2 > 4n.  Below n = 144 window 1 is
+    # empty and window 2 opens below sqrt(4n).  The one-pass check_claims
+    # must give check_claim's counts and failures for every table claim.
     rng = random.Random("check_claim reference")
     draws = [rng.randint(301 + 117 * k, 300 + 117 * (k + 1)) for k in range(40)]
-    sieve = build_sieve(3 * max(draws))
+    far = range(20000, 20051)
+    sieve = build_sieve(3 * far[-1])
     prime_set = set(sieve.primes)
-    beta_of = lru_cache(maxsize=None)(beta)
+    beta_of = lru_cache(maxsize=None)(_beta_reference)
     synthetic = [
         ClaimSpec(4, Fraction(0), Fraction(3), BETA_ZERO),
         ClaimSpec(3, Fraction(0), Fraction(3), DIVIDES_A),
     ]
     table_failures = 0
-    for n in list(range(1, 301)) + draws:
-        for claim in claim_table() + synthetic:
+    for n in [*range(1, 301), *draws, *far]:
+        tallied = check_claims(sieve, n, n)
+        for claim in claim_table() + (synthetic if n < far[0] else []):
             got = check_claim(claim, n, sieve)
             assert got == _reference_check(claim, n, prime_set, beta_of), (claim.id, n)
             table_failures += claim not in synthetic and not got.ok
+            if claim not in synthetic:
+                failures = tuple((n, p, detail) for p, detail in got.failures)
+                assert tallied[claim.id - 1] == (got.primes_checked, failures), (claim.id, n)
         # both synthetic windows fail at every n here, so failure details
         # are compared on the full Legendre path too; for BETA_ZERO p = 2
         # always fails, since n and 3n share their lowest set bit and
         # adding them carries (Kummer)
-        assert all(not check_claim(c, n, sieve).ok for c in synthetic), n
+        assert n >= far[0] or all(not check_claim(c, n, sieve).ok for c in synthetic), n
     # the table claims fail below their minimal valid n
     assert table_failures > 0
+    # over a range, check_claims adds up its n in order
+    for span in (range(1, 301), far):
+        per_n = [check_claims(sieve, n, n) for n in span]
+        assert check_claims(sieve, span[0], span[-1]) == [
+            (sum(c for c, _ in column), tuple(row for _, f in column for row in f))
+            for column in zip(*per_n)
+        ]
+
+
+def test_check_claims_refuses_a_short_sieve():
+    # the windows close at 3n, so a sieve must reach 3 * stop; a shorter
+    # one is refused like check_claim refuses it, never by an IndexError or
+    # a short count
+    sieve = build_sieve(100)
+    with pytest.raises(CoverageError):
+        check_claims(sieve, 30, 40)
+    with pytest.raises(CoverageError):
+        check_claim(claim_table()[-1], 40, sieve)
+    with pytest.raises(CoverageError):
+        check_claims(build_sieve(119), 30, 40)
+    exact = build_sieve(120)
+    assert check_claims(exact, 30, 40) == check_claims(build_sieve(1000), 30, 40)
+    with pytest.raises(DomainError):
+        check_claims(exact, 0, 40)

@@ -233,6 +233,27 @@ def test_observations_cli(capsys):
     assert len(lines) == 23
 
 
+def test_observations_json_with_two_workers_matches_serial(capsys):
+    # [900, 1700] spans four 256-n chunks, merged in range order
+    texts = []
+    for threads in ("1", "2"):
+        argv = ["observations", "--nmin", "900", "--nmax", "1700", "--threads", threads]
+        code, out, err = run(capsys, argv)
+        assert code == 0 and err == ""
+        assert json.loads(out)["claims"][1]["primes_checked"] > 0
+        texts.append(re.sub(r'\n *"runtime_ms": [^\n]*', "", out))
+    assert texts[0] == texts[1]
+
+
+def test_observations_on_a_short_sieve_exits_3(capsys, monkeypatch):
+    # a sieve one short of 3 * nmax is refused, not read past or undercounted
+    full = sweeps.build_sieve
+    monkeypatch.setattr(sweeps, "build_sieve", lambda limit: full(limit - 1))
+    code, out, err = run(capsys, ["observations", "--nmin", "30", "--nmax", "40"])
+    assert code == 3 and out == ""
+    assert "beyond sieve limit 119" in err
+
+
 def test_csv_output_builds_no_json_report(capsys, monkeypatch):
     def refuse(report):
         raise AssertionError("JSON report built for CSV output")
