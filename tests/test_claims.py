@@ -414,7 +414,7 @@ def test_check_claims_refuses_a_short_sieve():
         check_claim(claim_table()[-1], 40, sieve)
     with pytest.raises(CoverageError):
         check_claims(build_sieve(119), 30, 40)
-    exact = build_sieve(120)
-    assert check_claims(exact, 30, 40) == check_claims(build_sieve(1000), 30, 40)
+    just_enough = build_sieve(120)
+    assert check_claims(just_enough, 30, 40) == check_claims(build_sieve(1000), 30, 40)
     with pytest.raises(DomainError):
-        check_claims(exact, 0, 40)
+        check_claims(just_enough, 0, 40)
