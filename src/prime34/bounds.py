@@ -473,11 +473,6 @@ def e_term(n: int) -> Fraction:
     return Fraction(*_ratio_sum(_E_TERMS, n))
 
 
-def _e_float(n: int) -> float:
-    """E(n) in double precision, for the threshold scans."""
-    return math.fsum(k / (a * n + b) for k, a, b in _E_TERMS)
-
-
 @lru_cache(maxsize=8)
 def ln_m(prec: int = DEFAULT_PREC) -> LogReal:
     """ln M for the ten-factor growth constant, first factor 256/27.
@@ -526,8 +521,7 @@ def replacement_step_holds(n: int) -> bool:
 
 def replacement_minimal_n(n_max: int = 10_000):
     """Smallest n such that replacement_step_holds for all n' in [n, n_max]."""
-    bad = (n for n in range(1, n_max + 1) if not replacement_step_holds(n))
-    return settled_from(bad, 1, n_max)
+    return settled_from(lambda n: not replacement_step_holds(n), 1, n_max)
 
 
 @lru_cache(maxsize=64)
@@ -579,48 +573,32 @@ def count_lower_bound(n: int, prec: int = DEFAULT_PREC) -> float:
         return float(t3.ln_value / mpmath.log(4 * n))
 
 
-def count_lower_bound_simplified(n: int) -> float:
-    """The further-simplified form n(ln M - ln(4n)/sqrt(n))/(2 ln n) - 5/2."""
+def _simplified(n: int, prec: int):
+    """The further-simplified count bound
+    n (ln M - ln(4n) / sqrt(n)) / (2 ln n) - 5/2 as an interval."""
     if n < T3_N_MIN:
         raise DomainError(f"count lower bound requires n >= {T3_N_MIN}")
-    with mpmath.workprec(DEFAULT_PREC):
-        lm = ln_m(DEFAULT_PREC).ln_value
-        v = n * (lm - mpmath.log(4 * n) / mpmath.sqrt(n)) / (2 * mpmath.log(n))
-        return float(v - mpmath.mpf("2.5"))
+    lm = ln_m(prec).interval
+    with _working(prec):
+        log = mpmath.iv.log
+        return n * (lm - log(4 * n) / mpmath.iv.sqrt(n)) / (2 * log(n)) - mpmath.iv.mpf(2.5)
 
 
-_T3_CONST = math.log(math.sqrt(3) * math.pi**1.5 / 332800)
+def count_lower_bound_simplified(n: int) -> float:
+    """The further-simplified form n(ln M - ln(4n)/sqrt(n))/(2 ln n) - 5/2,
+    the midpoint of its interval."""
+    return float(LogReal.from_interval(_simplified(n, DEFAULT_PREC), DEFAULT_PREC).ln_value)
 
 
-def _t3_float(n: int, lm: float) -> float:
-    """ln_t3_lower(n) in double precision, for the threshold scans."""
-    return (
-        _T3_CONST + _e_float(n) + n * lm - math.sqrt(n) * math.log(4 * n)
-        - 2.5 * math.log(n)
-    )
-
-
-def _float_threshold(float_bad, exact_bad, n_min: int, n_max: int):
-    """Smallest n such that float_bad(n', ln M) is false for all n' in
-    [n, n_max], or None.  The float scan's answer is re-checked with
-    exact_bad, the same test in log arithmetic: it must be false at n and,
-    when n > n_min, true at n - 1."""
-    # below T3_N_MIN the T3 bound is undefined; an empty scan finds no failure
-    # and would report n_min as settled
+def _t3_settled_from(fails, n_min: int, n_max: int):
+    """settled_from over [n_min, n_max] for a check on the T3 bound."""
+    # below T3_N_MIN the T3 bound is undefined, yet a scan that stops above
+    # it would never evaluate there and would return an answer
     if n_min < T3_N_MIN:
         raise DomainError(f"threshold scan requires n_min >= {T3_N_MIN}, got {n_min}")
     if n_max < n_min:
         raise DomainError(f"threshold scan requires n_min <= n_max, got [{n_min}, {n_max}]")
-    lm = float(ln_m(DEFAULT_PREC).ln_value)
-    bad = (n for n in range(n_min, n_max + 1) if float_bad(n, lm))
-    minimal = settled_from(bad, n_min, n_max)
-    if minimal is None:
-        return None
-    if exact_bad(minimal):
-        raise ConsistencyError(f"float scan and log arithmetic disagree at {minimal}")
-    if minimal > n_min and not exact_bad(minimal - 1):
-        raise ConsistencyError(f"float scan and log arithmetic disagree at {minimal - 1}")
-    return minimal
+    return settled_from(fails, n_min, n_max)
 
 
 def simplified_bound_minimal_n(n_max: int, n_min: int = T3_N_MIN):
@@ -628,34 +606,38 @@ def simplified_bound_minimal_n(n_max: int, n_min: int = T3_N_MIN):
 
     The simplification drops negative terms, so unlike the blanket n >= 4
     reading it only holds from an empirical threshold onward; this reports
-    that threshold.  Scanned in float arithmetic: the two forms separate at
-    a rate that dwarfs double rounding away from the single crossover; the
-    endpoints of the scan are re-checked with the mpmath forms.
+    that threshold.  Each n is decided in interval arithmetic, ln T3 / ln 4n
+    against the simplified form, escalating precision while the two
+    overlap.  The scan runs down from n_max and stops at the last failure,
+    so a call costs about 0.3-0.45 ms per n between n_max and the threshold
+    (2 cores): pass an n_max not far above the threshold.
     """
 
-    def simplified_above_exact(n, lm):
-        l4n = math.log(4 * n)
-        simplified = n * (lm - l4n / math.sqrt(n)) / (2 * math.log(n)) - 2.5
-        return simplified > _t3_float(n, lm) / l4n
+    def exact_below_simplified(n):
+        def attempt(p):
+            with _working(p):
+                count = ln_t3_lower(n, p).interval / mpmath.iv.log(4 * n)
+            return count < _simplified(n, p)
 
-    def above_in_mpmath(n):
-        return count_lower_bound_simplified(n) > count_lower_bound(n)
+        return _decide(attempt)
 
-    return _float_threshold(simplified_above_exact, above_in_mpmath, n_min, n_max)
+    return _t3_settled_from(exact_below_simplified, n_min, n_max)
 
 
 def t3_positive_minimal_n(n_max: int, n_min: int = T3_N_MIN):
     """Smallest n such that ln_t3_lower stays positive through [n, n_max],
     i.e. the empirical threshold past which T3 > 1 is guaranteed; None if
-    the bound is still nonpositive at n_max.  Scanned in float arithmetic
-    (the bound climbs at about ln M per step, far above double rounding);
-    the endpoints of the scan are re-verified in interval arithmetic.
+    the bound is still nonpositive at n_max.  Each n is decided in interval
+    arithmetic, escalating precision while the bound's interval holds 0.
+    The scan runs down from n_max and stops at the last failure, so a call
+    costs about 0.15-0.25 ms per n between n_max and the threshold (2
+    cores): pass an n_max not far above the threshold.
     """
 
-    def nonpositive(n):
+    def negative(n):
         return _decide(lambda p: ln_t3_lower(n, p).less_than(_zero(p)))
 
-    return _float_threshold(lambda n, lm: _t3_float(n, lm) <= 0, nonpositive, n_min, n_max)
+    return _t3_settled_from(negative, n_min, n_max)
 
 
 def _zero(prec: int) -> LogReal:

@@ -267,14 +267,14 @@ def check_tiling(table=None) -> bool:
     if len(table) != 22 or table[0].lo_coeff is not None:
         return False
     # coefficients as reduced (numerator, denominator) pairs, which are
-    # equal exactly when the rationals are
+    # equal exactly when the rationals are; ClaimSpec refuses an empty window
     prev_hi = None
     for claim in table:
         lo, hi_num, hi_den = claim._floor_coeffs
         if lo is None:
             if prev_hi is not None:
                 return False
-        elif lo != prev_hi or lo[0] * hi_den >= hi_num * lo[1]:
+        elif lo != prev_hi:
             return False
         prev_hi = (hi_num, hi_den)
     return prev_hi == (3, 1)
@@ -455,5 +455,4 @@ def minimal_valid_n(claim: ClaimSpec, n_max: int, sieve: PrimeSieve):
     None if the claim still fails at n_max."""
     if n_max < 1:
         raise DomainError("minimal_valid_n requires n_max >= 1")
-    bad = (n for n in range(1, n_max + 1) if check_claim(claim, n, sieve).failures)
-    return settled_from(bad, 1, n_max)
+    return settled_from(lambda n: bool(check_claim(claim, n, sieve).failures), 1, n_max)

@@ -22,8 +22,11 @@ from .sieve import (
     settled_from,
 )
 
-# Deterministic Miller-Rabin bases, valid for all inputs below 3.3 * 10^24.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Deterministic Miller-Rabin bases: the primes up to 41 admit no strong
+# pseudoprime below psi_13 = 3317044064679887385961981 (about 3.3 * 10^24;
+# J. Sorenson and J. Webster, "Strong pseudoprimes to twelve prime bases",
+# Math. Comp. 86, 2017).  Without 41 the bound is psi_12, about 3.2 * 10^23.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime_int(m: int) -> bool:
@@ -321,7 +324,7 @@ def t2_bound_minimal_n(n_max: int, sieve: PrimeSieve):
         except DomainError:
             return True
 
-    return settled_from(filter(fails, range(1, n_max + 1)), 1, n_max)
+    return settled_from(fails, 1, n_max)
 
 
 def check_t1_bound(n: int, sieve: PrimeSieve, t1: Optional[int] = None) -> bool:

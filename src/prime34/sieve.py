@@ -131,12 +131,17 @@ def _balanced_product(parts) -> int:
     return parts[0]
 
 
-def settled_from(bad_ns, n_min: int, n_max: int):
+def settled_from(fails, n_min: int, n_max: int):
     """Smallest n >= n_min from which a check holds through n_max, given the
-    n in [n_min, n_max] where it fails: one past the last failure, or None
-    when the check fails at n_max itself."""
-    last = max(bad_ns, default=0)
-    return None if last == n_max else max(n_min, last + 1)
+    predicate fails(n): one past the last n in [n_min, n_max] where it is
+    true, or None when the check fails at n_max or the range is empty.
+
+    The scan runs down from n_max and stops at the first failure it meets,
+    so no n below the last failure is evaluated."""
+    for n in range(n_max, n_min - 1, -1):
+        if fails(n):
+            return None if n == n_max else n + 1
+    return n_min if n_min <= n_max else None
 
 
 def primorial_le(primes, a: int, b: int) -> bool:

@@ -408,7 +408,7 @@ def observations_sweep(n_min: int, n_max: int, threads: int = 1) -> Observations
         chain_ok = not claim.chain or check_chain(claim, n_min)
         chain_bad = () if chain_ok else tuple(range(n_min, n_max + 1))
         bad = [n for n, _, _ in failures] + list(chain_bad)
-        minimal = settled_from(bad, n_min, n_max)
+        minimal = settled_from(set(bad).__contains__, n_min, n_max)
         violations += sum(1 for n in bad if n >= CONTRACT_N)
         entries.append(
             ClaimSweepEntry(claim.id, minimal, checked, failures, chain_bad)
@@ -508,12 +508,10 @@ def analytic_report(samples=None) -> dict:
 _ABSORBER_UPPER = {"A": ln_a_upper, "B": ln_b_upper, "C": ln_c_upper, "D": ln_d_upper}
 
 
-def absorber_below_bound(which: str, n: int, value: Optional[int] = None) -> bool:
-    """Exact absorber value strictly below its closed-form upper bound; a
-    caller that holds the value (absorber(which, n, sieve)) passes it."""
+def absorber_below_bound(which: str, n: int, value: int) -> bool:
+    """The named absorber's exact value at n (absorber(which, n, sieve))
+    strictly below its closed-form upper bound."""
     upper = _ABSORBER_UPPER[which]
-    if value is None:
-        value = absorber(which, n)
     return _decide(lambda p: ln_of_int(value, p).less_than(upper(n, p)))
 
 

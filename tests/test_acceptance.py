@@ -9,6 +9,7 @@ import math
 
 from prime34 import (
     M_CORRECTION_NOTE,
+    absorber,
     analytic_report,
     beta_at_most_one,
     build_bound_report,
@@ -102,12 +103,12 @@ def test_criterion_07_monotonicity_scans():
     report(7, h1 and h2, "h1 increasing on 50-pt grid, h2 unimodal+symmetric on 100-pt")
 
 
-def test_criterion_08_absorber_dominance():
+def test_criterion_08_absorber_dominance(sieve_mid):
     bad = [
         (which, n)
         for n in range(222, 2001)
         for which in "ABCD"
-        if not absorber_below_bound(which, n)
+        if not absorber_below_bound(which, n, absorber(which, n, sieve_mid))
     ]
     report(8, not bad, f"A,B,C,D below closed-form bounds on [222, 2000], bad={bad[:3]}")
 

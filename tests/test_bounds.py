@@ -309,44 +309,35 @@ def test_simplified_bound_threshold():
     assert count_lower_bound_simplified(58197) > count_lower_bound(58197)
 
 
-def test_e_term_exact_and_float_forms():
+def test_e_term_exact_values():
     assert e_term(1) == Fraction(845258813, 445444740)
     assert e_term(221) == Fraction(
         44632442067616205934062210291, 455023917459249503110249746060
     )
-    for n in [*range(1, 400), *range(58000, 59300, 7), 10**6, 10**9]:
-        assert abs(bounds._e_float(n) - float(e_term(n))) <= 4.5e-16
 
 
-def test_simplified_threshold_endpoints_are_rechecked(monkeypatch):
+def test_simplified_threshold_follows_the_interval_evaluator(monkeypatch):
     assert simplified_bound_minimal_n(58300, n_min=58000) == 58198
-    exact = bounds.count_lower_bound
-    # a disagreement at the returned n, then at the n just below it
-    monkeypatch.setattr(bounds, "count_lower_bound", lambda n, p=128: exact(n, p) - 1)
-    with pytest.raises(ConsistencyError, match="at 58198"):
-        simplified_bound_minimal_n(58300, n_min=58000)
-    monkeypatch.setattr(bounds, "count_lower_bound", lambda n, p=128: exact(n, p) + 1)
-    with pytest.raises(ConsistencyError, match="at 58197"):
-        simplified_bound_minimal_n(58300, n_min=58000)
-    # with n_min at the threshold there is no n below it to re-check
+    exact = bounds.ln_t3_lower
+    # every n is decided from ln_t3_lower's interval, so halving T3 moves
+    # the threshold up and doubling it moves the threshold down
+    monkeypatch.setattr(bounds, "ln_t3_lower", lambda n, p=128: exact(n, p) - ln_of_int(2, p))
+    assert simplified_bound_minimal_n(58300, n_min=58000) == 58271
+    monkeypatch.setattr(bounds, "ln_t3_lower", lambda n, p=128: exact(n, p) + ln_of_int(2, p))
+    assert simplified_bound_minimal_n(58300, n_min=58000) == 58125
+    # with n_min at the threshold the scan ends there
+    monkeypatch.setattr(bounds, "ln_t3_lower", exact)
     assert simplified_bound_minimal_n(58300, n_min=58198) == 58198
 
 
-def test_t3_threshold_endpoints_are_rechecked(monkeypatch):
+def test_t3_threshold_follows_the_interval_evaluator(monkeypatch):
     assert t3_positive_minimal_n(60000, n_min=59000) == 59201
     exact = bounds.ln_t3_lower
-    # ln T3 is within 0.03 of 0 at 59200 and 59201, so a factor 2 forces a
-    # disagreement at the returned n, then at the n just below it
-    monkeypatch.setattr(
-        bounds, "ln_t3_lower", lambda n, p=128: exact(n, p) - bounds.ln_of_int(2, p)
-    )
-    with pytest.raises(ConsistencyError, match="at 59201"):
-        t3_positive_minimal_n(60000, n_min=59000)
-    monkeypatch.setattr(
-        bounds, "ln_t3_lower", lambda n, p=128: exact(n, p) + bounds.ln_of_int(2, p)
-    )
-    with pytest.raises(ConsistencyError, match="at 59200"):
-        t3_positive_minimal_n(60000, n_min=59000)
+    # as for the simplified threshold: halving T3 moves it up, doubling down
+    monkeypatch.setattr(bounds, "ln_t3_lower", lambda n, p=128: exact(n, p) - ln_of_int(2, p))
+    assert t3_positive_minimal_n(60000, n_min=59000) == 59233
+    monkeypatch.setattr(bounds, "ln_t3_lower", lambda n, p=128: exact(n, p) + ln_of_int(2, p))
+    assert t3_positive_minimal_n(60000, n_min=59000) == 59170
 
 
 def test_t3_positivity_threshold():

@@ -42,8 +42,11 @@ from prime34.exact import _absorber_floors, floor_of
 def test_deterministic_primality(sieve_mid):
     for k in range(8000):
         assert is_prime_int(k) == sieve_mid.is_prime(k)
-    # strong-pseudoprime composites and large primes, against the oracle
-    for x in (3215031751, 3825123056546413051, 2**61 - 1, 10**12 + 39):
+    # strong-pseudoprime composites and large primes, against the oracle;
+    # psi_12 is a strong pseudoprime to every prime base up to 37
+    for x in (
+        3215031751, 3825123056546413051, 318665857834031151167461, 2**61 - 1, 10**12 + 39,
+    ):
         assert is_prime_int(x) == sympy.isprime(x)
 
 

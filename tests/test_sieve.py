@@ -171,15 +171,26 @@ def test_primorial_le_matches_the_exact_comparison(primes, b, offset):
 
 
 def test_settled_from_edges(sieve_small):
-    assert settled_from([4, 7], 1, 10) == 8
-    assert settled_from(iter([4, 7]), 1, 10) == 8
+    assert settled_from({4, 7}.__contains__, 1, 10) == 8
     # no failure at all: the floor n_min itself
-    assert settled_from([], 1, 10) == 1
-    assert settled_from([], 222, 1000) == 222
+    assert settled_from(lambda n: False, 1, 10) == 1
+    assert settled_from(lambda n: False, 222, 1000) == 222
     # failing at n_max leaves nothing settled
-    assert settled_from([3, 10], 1, 10) is None
-    assert settled_from([10], 10, 10) is None
-    # the empty range [1, 0] has nothing to settle either
-    assert settled_from([], 1, 0) is None
+    assert settled_from({3, 10}.__contains__, 1, 10) is None
+    assert settled_from({10}.__contains__, 10, 10) is None
+    # an empty range has nothing to settle either
+    assert settled_from(lambda n: False, 1, 0) is None
+    assert settled_from(lambda n: False, 5, 4) is None
     assert replacement_minimal_n(0) is None
     assert t2_bound_minimal_n(0, sieve_small) is None
+
+
+def test_settled_from_never_evaluates_below_the_last_failure():
+    asked = []
+
+    def fails(n):
+        asked.append(n)
+        return n in (4, 7)
+
+    assert settled_from(fails, 1, 10) == 8
+    assert asked == [10, 9, 8, 7]
