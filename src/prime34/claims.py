@@ -16,19 +16,21 @@ validity implies validity across the whole window; every side is also a
 multiple of n, so a chain's verdict is the same at every n and is decided
 once per claim.
 
-Window bounds and absorber valuations are integer arithmetic: bounds are
-floored as (num * n) // den, and valuations are Legendre sums at the
-integer floors of the absorber index.  check_claim decides one window at
-one n.  A sweep decides all 22 windows of one n in a single pass
-(check_claims): 3n, 4n and the absorber floors are computed once per n,
-and since the windows tile, each window's primes are found with one
-bisection of the sieve at its floored end, the previous window's end
-being its start.  Both decide a window's primes by the same function.
-Every prime is still decided on its own, but when (lo + 1)^2 > 4n for the
-floored window start lo, each window prime p has p^2 > 4n, which exceeds
-every absorber floor too, so each Legendre sum is the single floor m//p:
-beta(p) = 4n//p - 3n//p - n//p and v(p) = fs//p - fsr//p - fr//p.  Windows
-that open at or below sqrt(4n) keep the full sums.
+Window bounds and absorber valuations are integer arithmetic.  A sequence
+of claims becomes one window plan: per window, where it opens (at
+isqrt(4n), where the previous window closed, or at its own floored
+(num * n) // den), its end as (num, den), its consequence and its
+absorber.  One walker, _claims_pass, decides a plan over a range of n:
+3n, 4n and the absorber floors are computed once per n, and each window's
+primes are found by bisecting the sieve at its floored end, a tiled
+window reusing the previous window's end as its start.  check_claims
+walks the table's plan, check_claim a one-claim plan, and check_tiling
+reads the table's plan.  Every prime is still decided on its own, but
+when (lo + 1)^2 > 4n for the floored window start lo, each window prime p
+has p^2 > 4n, which exceeds every absorber floor too, so each Legendre
+sum is the single floor m//p: beta(p) = 4n//p - 3n//p - n//p and
+v(p) = fs//p - fsr//p - fr//p.  Windows that open at or below sqrt(4n)
+keep the full sums.
 """
 
 from __future__ import annotations
@@ -118,28 +120,12 @@ class ClaimSpec:
             raise DomainError(f"claim {self.id}: unknown consequence")
         if self.chain:
             parse_chain(self.chain)  # fail fast on typos
-        # integer numerators and denominators for floor_window, check_tiling
-        # and check_claims, kept off the dataclass fields so equality and
-        # repr are unchanged
-        lo = self.lo_coeff
-        lo_nd = None if lo is None else (lo.numerator, lo.denominator)
-        object.__setattr__(
-            self, "_floor_coeffs", (lo_nd, self.hi_coeff.numerator, self.hi_coeff.denominator)
-        )
 
     def window(self, n: int):
         """Exact rational (lo, hi] bounds at this n; lo of sqrt(4n) windows
         is isqrt(4n), since p > sqrt(4n) iff p > isqrt(4n) for integer p."""
         lo = Fraction(isqrt(4 * n)) if self.lo_coeff is None else self.lo_coeff * n
         return lo, self.hi_coeff * n
-
-    def floor_window(self, n: int):
-        """Integer floors of window(n), computed without Fractions; the
-        window's primes are exactly the p with lo < p <= hi."""
-        lo_nd, hi_num, hi_den = self._floor_coeffs
-        if lo_nd is None:
-            return isqrt(4 * n), hi_num * n // hi_den
-        return lo_nd[0] * n // lo_nd[1], hi_num * n // hi_den
 
     @cached_property
     def _chain_verdict(self) -> bool:
@@ -258,26 +244,18 @@ def claim_to_dict(claim: ClaimSpec) -> dict:
 
 
 def check_tiling(table=None) -> bool:
-    """Symbolic coefficient check that the windows tile (sqrt(4n), 3n]:
-    window 1 opens at sqrt(4n) and each later window opens exactly where
-    the previous one closed, ending at 3n.  (sqrt(4n) <= n/6 holds once
+    """Symbolic check, on the table's window plan, that the windows tile
+    (sqrt(4n), 3n]: window 1 opens at sqrt(4n) and each later window opens
+    exactly where the previous one closed, ending at 3n.  (sqrt(4n) <= n/6 holds once
     n >= 144; below that window 1 narrows or empties, and windows still
     never overlap because its lower bound is applied as p*p > 4n.)"""
-    table = claim_table() if table is None else table
-    if len(table) != 22 or table[0].lo_coeff is not None:
-        return False
-    # coefficients as reduced (numerator, denominator) pairs, which are
-    # equal exactly when the rationals are; ClaimSpec refuses an empty window
-    prev_hi = None
-    for claim in table:
-        lo, hi_num, hi_den = claim._floor_coeffs
-        if lo is None:
-            if prev_hi is not None:
-                return False
-        elif lo != prev_hi:
-            return False
-        prev_hi = (hi_num, hi_den)
-    return prev_hi == (3, 1)
+    plan = _TABLE_PLAN if table is None else _plan(table)
+    return (
+        len(plan) == 22
+        and plan[0][0] is None
+        and all(opens is _TILED for opens, *_ in plan[1:])
+        and plan[-1][1:3] == (3, 1)
+    )
 
 
 def _chain_holds_at(sides, ops, n: int, p_coeff: Fraction, open_end: bool) -> bool:
@@ -332,36 +310,16 @@ def _floors_or_none(which: str, n: int):
         return None
 
 
-def check_claim(
-    claim: ClaimSpec, n: int, sieve: PrimeSieve, floors: Optional[dict] = None
-) -> ClaimResult:
-    """Verify the claim's consequence for every prime in its window at n.
+def check_claim(claim: ClaimSpec, n: int, sieve: PrimeSieve) -> ClaimResult:
+    """Verify the claim's consequence for every prime in its window at n:
+    _claims_pass over the claim's one-window plan.
 
     An empty window passes vacuously.  A divisibility claim whose absorber
     is undefined at this n (index outside s > r >= 1) fails for every
-    window prime, since nothing is available to absorb them.  floors, from
-    absorber_floors_at(n), shares the absorber floors between the claims
-    at one n; when it is None they are computed here.  The primes are
-    decided by _window_failures, as in check_claims.
+    window prime, since nothing is available to absorb them.
     """
-    if n < 1:
-        raise DomainError("claims are checked for n >= 1")
-    lo, hi = claim.floor_window(n)
-    if lo >= hi:
-        return ClaimResult(claim.id, n, 0, ())
-    primes = sieve.primes_in(lo, hi)
-    if not primes:
-        return ClaimResult(claim.id, n, 0, ())
-    which = _ABSORBER_OF.get(claim.consequence)
-    if which is None:
-        index = None
-    else:
-        index = _floors_or_none(which, n) if floors is None else floors[which]
-    n4 = 4 * n
-    failures = _window_failures(
-        claim.consequence, primes, n, 3 * n, n4, (lo + 1) * (lo + 1) > n4, index
-    )
-    return ClaimResult(claim.id, n, len(primes), failures)
+    [(checked, failures)] = _claims_pass(sieve, n, n, _plan((claim,)))
+    return ClaimResult(claim.id, n, checked, tuple((p, detail) for _, p, detail in failures))
 
 
 def _window_failures(consequence, primes, n, n3, n4, single, index) -> tuple:
@@ -404,38 +362,57 @@ def _window_failures(consequence, primes, n, n3, n4, single, index) -> tuple:
     )
 
 
-# per claim, in window order: the integer coefficients of the window's end
-# and the consequence with its absorber, for check_claims
-_WINDOW_ENDS = tuple(
-    (c._floor_coeffs[1], c._floor_coeffs[2], c.consequence, _ABSORBER_OF.get(c.consequence))
-    for c in _TABLE
-)
+# where a window opens when it starts at the previous window's end
+_TILED = "tiled"
 
 
-def check_claims(sieve: PrimeSieve, start: int, stop: int) -> list:
-    """Per-claim (primes_checked, failures) of the 22 table claims over n in
-    [start, stop], in window order, failures as (n, p, detail): the totals
-    of check_claim over every (claim, n), and its failures in n order.
+def _plan(claims) -> tuple:
+    """The window plan of a sequence of claims, in their order: per window,
+    where it opens (None at isqrt(4n), _TILED where the previous window
+    closed, else its own (num, den)), its end's (num, den), its consequence
+    and its absorber.  Pairs are reduced, so equal pairs are equal
+    rationals and give equal floors."""
+    plan, prev = [], None
+    for c in claims:
+        lo, hi = c.lo_coeff, c.hi_coeff
+        opens = None if lo is None else (lo.numerator, lo.denominator)
+        if opens is not None and opens == prev:
+            opens = _TILED
+        prev = (hi.numerator, hi.denominator)
+        plan.append((opens, *prev, c.consequence, _ABSORBER_OF.get(c.consequence)))
+    return tuple(plan)
+
+
+_TABLE_PLAN = _plan(_TABLE)
+
+
+def _claims_pass(sieve: PrimeSieve, start: int, stop: int, plan) -> list:
+    """Per window of the plan, (primes_checked, failures) over n in
+    [start, stop], failures as (n, p, detail) in n order.
 
     One pass per n: 3n, 4n and the absorber floors are computed once, and
-    the tiled window bounds are walked with one bisection per bound, window
-    k opening at window k-1's floored end.  Window 1 opens at isqrt(4n) and
-    window 2 at floor(n/6), also where window 1 is empty (below n = 144).
-    Each window's primes are decided by _window_failures, as in check_claim.
+    each window's primes are the sieve between two bisections, at its
+    floored start and end.  A tiled window starts where the previous one
+    ended, also where that one is empty, so it needs one bisection, at its
+    end.  A sieve that stops short of the plan's furthest end at stop is
+    refused before any prime is read.
     """
     if start < 1:
         raise DomainError("claims are checked for n >= 1")
-    if start <= stop and 3 * stop > sieve.limit:
-        raise CoverageError(f"endpoint {3 * stop} beyond sieve limit {sieve.limit}")
+    if start <= stop:
+        end = max(num * stop // den for _, num, den, _, _ in plan)
+        if end > sieve.limit:
+            raise CoverageError(f"endpoint {end} beyond sieve limit {sieve.limit}")
     primes = sieve.primes
-    checked = [0] * len(_WINDOW_ENDS)
-    failed = [[] for _ in _WINDOW_ENDS]
+    checked = [0] * len(plan)
+    failed = [[] for _ in plan]
     for n in range(start, stop + 1):
         n3, n4 = 3 * n, 4 * n
         floors = absorber_floors_at(n)
-        lo = isqrt(n4)
-        i = bisect_right(primes, lo)
-        for k, (num, den, consequence, which) in enumerate(_WINDOW_ENDS):
+        for k, (opens, num, den, consequence, which) in enumerate(plan):
+            if opens is not _TILED:
+                lo = isqrt(n4) if opens is None else opens[0] * n // opens[1]
+                i = bisect_right(primes, lo)
             hi = num * n // den
             j = bisect_right(primes, hi)
             if i < j:
@@ -448,6 +425,19 @@ def check_claims(sieve: PrimeSieve, start: int, stop: int) -> list:
                     failed[k] += [(n, p, detail) for p, detail in failures]
             i, lo = j, hi
     return [(c, tuple(f)) for c, f in zip(checked, failed)]
+
+
+def check_claims(sieve: PrimeSieve, start: int, stop: int) -> list:
+    """Per-claim (primes_checked, failures) of the 22 table claims over n in
+    [start, stop], in window order, failures as (n, p, detail): the totals
+    of check_claim over every (claim, n), and its failures in n order.
+
+    _claims_pass over the table's plan, which tiles: window 1 opens at
+    isqrt(4n) and window k > 1 at window k-1's floored end, so each n takes
+    one bisection per window end plus one at isqrt(4n).  Window 2 opens at
+    floor(n/6) also where window 1 is empty (below n = 144).
+    """
+    return _claims_pass(sieve, start, stop, _TABLE_PLAN)
 
 
 def minimal_valid_n(claim: ClaimSpec, n_max: int, sieve: PrimeSieve):

@@ -27,10 +27,14 @@ from .sieve import (
 # J. Sorenson and J. Webster, "Strong pseudoprimes to twelve prime bases",
 # Math. Comp. 86, 2017).  Without 41 the bound is psi_12, about 3.2 * 10^23.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981  # psi_13, itself a strong pseudoprime
 
 
 def is_prime_int(m: int) -> bool:
-    """Deterministic primality test for machine-scale integers."""
+    """Deterministic primality test for integers below psi_13; larger ones
+    are refused, since the bases prove nothing there."""
+    if m >= _MR_BOUND:
+        raise DomainError(f"{m} is at or above psi_13 = {_MR_BOUND}, past the proven bases")
     if m < 2:
         return False
     for q in _MR_BASES:

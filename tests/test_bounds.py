@@ -46,6 +46,14 @@ from prime34 import (
     simplified_bound_minimal_n,
     t3_positive_minimal_n,
 )
+from prime34 import (
+    CoverageError,
+    beta,
+    beta_at_most_one,
+    build_sieve,
+    check_pi_bound,
+    decompose,
+)
 from prime34 import bounds, sweeps
 from prime34.bounds import _all_less, _decide
 
@@ -670,3 +678,26 @@ def test_integer_ratio_forms_overlap_the_fraction_forms_at_512_bits(n):
             LogReal.from_interval(value, 128),
             _fraction_t3_terms(n, getattr(narrow, prefactor), n_power, 512),
         )
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda s: check_pi_bound(s, 101), CoverageError, "beyond sieve limit"),
+        (lambda s: beta(10, 9), DomainError, "not prime"),
+        (lambda s: decompose(0, s), DomainError, "requires n >= 1"),
+        (lambda s: beta_at_most_one(0, s), DomainError, "requires n >= 1"),
+        (lambda s: ln_t1_upper(0), DomainError, "requires n >= 1"),
+        (lambda s: ln_factorial(-1), DomainError, "requires n >= 0"),
+        (lambda s: count_lower_bound_simplified(221), DomainError, "requires n >= 222"),
+        (lambda s: default_h2_grid(Fraction(1, 2)), DomainError, "requires c >= 1"),
+    ],
+    ids=[
+        "check_pi_bound", "beta", "decompose", "beta_at_most_one", "ln_t1_upper",
+        "ln_factorial", "count_lower_bound_simplified", "default_h2_grid",
+    ],
+)
+def test_input_guards_refuse(call, error, message):
+    # each guard on an input it refuses, with a sieve to 100 where one is taken
+    with pytest.raises(error, match=message):
+        call(build_sieve(100))

@@ -207,13 +207,16 @@ def test_cached_chain_verdict_matches_direct_evaluation():
             assert check_chain(claim, n) == direct == expected, (claim.id, n)
 
 
-def test_floor_window_is_floor_of_exact_window():
-    for claim in claim_table():
-        for n in range(1, 2001):
+def test_check_claims_counts_the_primes_of_each_exact_window(sieve_mid):
+    # the plan's integer floors select exactly the primes p with lo < p <= hi
+    # of the rational window; window 1 is empty below n = 144 and counts none
+    table = claim_table()
+    for n in range(1, 2001):
+        expected = []
+        for claim in table:
             lo, hi = claim.window(n)
-            bounds = claim.floor_window(n)
-            assert bounds == (math.floor(lo), math.floor(hi)), (claim.id, n)
-            assert all(type(b) is int for b in bounds)
+            expected.append(max(0, sieve_mid.pi(math.floor(hi)) - sieve_mid.pi(math.floor(lo))))
+        assert [checked for checked, _ in check_claims(sieve_mid, n, n)] == expected, n
 
 
 def test_check_chain_domain_errors():
@@ -283,17 +286,10 @@ def test_check_claim_undefined_absorber(sieve_mid):
 
 def test_shared_absorber_floors_give_the_same_results(sieve_mid, monkeypatch):
     # r >= 1 needs n >= 4 for D (r = 4n/15) and n >= 5 for C (r = 3n/13), so
-    # below that the undefined-absorber details come from the shared floors
-    table = claim_table()
+    # below that the shared floors leave those absorbers undefined
     for n in list(range(1, 40)) + [300, 2000]:
-        floors = absorber_floors_at(n)
-        undefined = {w for w, f in floors.items() if f is None}
+        undefined = {w for w, f in absorber_floors_at(n).items() if f is None}
         assert undefined == ({"C", "D"} if n < 4 else {"C"} if n == 4 else set())
-        for claim in table:
-            assert check_claim(claim, n, sieve_mid, floors) == check_claim(claim, n, sieve_mid)
-    synthetic = ClaimSpec(7, Fraction(1, 2), Fraction(3), DIVIDES_C)
-    r = check_claim(synthetic, 4, sieve_mid, absorber_floors_at(4))
-    assert all("absorber C undefined" in reason for _, reason in r.failures)
 
     # the claims sweep decides each (absorber, n) once
     calls = []
@@ -306,6 +302,35 @@ def test_shared_absorber_floors_give_the_same_results(sieve_mid, monkeypatch):
     monkeypatch.setattr(claims, "_absorber_floors", counted)
     observations_sweep(300, 319)
     assert sorted(calls) == sorted((w, n) for w in "ABCD" for n in range(300, 320))
+
+
+def test_untiled_plan_matches_check_claim(sieve_mid):
+    # window 5 of this table opens at 21n/100, past window 4's end, so the
+    # walker bisects at its own start; window 6 opens where it closes
+    gap = claim_table()
+    gap[4] = ClaimSpec(5, Fraction(21, 100), Fraction(2, 9), DIVIDES_A)
+    plan = claims._plan(gap)
+    assert [opens for opens, *_ in plan][3:6] == [claims._TILED, (21, 100), claims._TILED]
+    for n in [*range(1, 301), 1000, 2000]:
+        walked = claims._claims_pass(sieve_mid, n, n, plan)
+        for claim, (checked, failures) in zip(gap, walked):
+            r = check_claim(claim, n, sieve_mid)
+            assert (checked, failures) == (
+                r.primes_checked, tuple((n, p, detail) for p, detail in r.failures)
+            ), (claim.id, n)
+    # the gap (n/5, 21n/100] is in no window: at n = 2000 it holds 401,
+    # 409 and 419
+    assert claims._claims_pass(sieve_mid, 2000, 2000, plan)[4][0] + 3 == (
+        check_claims(sieve_mid, 2000, 2000)[4][0]
+    )
+
+
+def test_check_claim_refuses_a_sieve_short_of_its_window_end():
+    # claim 1 at n = 100 is empty (isqrt(400) > 100/6), but its end 16 is
+    # past the sieve's 10, as for every other window
+    with pytest.raises(CoverageError):
+        check_claim(claim_table()[0], 100, build_sieve(10))
+    assert check_claim(claim_table()[0], 100, build_sieve(16)).primes_checked == 0
 
 
 def test_check_claim_domain_error(sieve_mid):

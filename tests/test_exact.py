@@ -50,6 +50,16 @@ def test_deterministic_primality(sieve_mid):
         assert is_prime_int(x) == sympy.isprime(x)
 
 
+def test_primality_refuses_psi13_and_above():
+    # psi_13 is a strong pseudoprime to every prime base up to 41, so the
+    # test refuses it and everything above
+    assert not sympy.isprime(exact._MR_BOUND)
+    assert is_prime_int(exact._MR_BOUND - 2) == sympy.isprime(exact._MR_BOUND - 2)
+    for x in (exact._MR_BOUND, exact._MR_BOUND + 2, 10**30):
+        with pytest.raises(DomainError):
+            is_prime_int(x)
+
+
 def test_legendre_valuation_matches_sympy():
     for n in (1, 7, 10, 100, 999):
         for p in (2, 3, 7, 97):
