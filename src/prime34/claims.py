@@ -314,9 +314,10 @@ def check_claim(claim: ClaimSpec, n: int, sieve: PrimeSieve) -> ClaimResult:
     """Verify the claim's consequence for every prime in its window at n:
     _claims_pass over the claim's one-window plan.
 
-    An empty window passes vacuously.  A divisibility claim whose absorber
-    is undefined at this n (index outside s > r >= 1) fails for every
-    window prime, since nothing is available to absorb them.
+    An empty window passes vacuously, but a sieve short of the window's
+    end is refused even then.  A divisibility claim whose absorber is
+    undefined at this n (index outside s > r >= 1) fails for every window
+    prime, since nothing is available to absorb them.
     """
     [(checked, failures)] = _claims_pass(sieve, n, n, _plan((claim,)))
     return ClaimResult(claim.id, n, checked, tuple((p, detail) for _, p, detail in failures))
@@ -369,7 +370,7 @@ _TILED = "tiled"
 def _plan(claims) -> tuple:
     """The window plan of a sequence of claims, in their order: per window,
     where it opens (None at isqrt(4n), _TILED where the previous window
-    closed, else its own (num, den)), its end's (num, den), its consequence
+    closed, else its own (num, den)), its end as (num, den), its consequence
     and its absorber.  Pairs are reduced, so equal pairs are equal
     rationals and give equal floors."""
     plan, prev = [], None

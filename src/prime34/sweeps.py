@@ -417,7 +417,7 @@ def observations_sweep(n_min: int, n_max: int, threads: int = 1) -> Observations
         n_min,
         n_max,
         tuple(entries),
-        check_tiling(table),
+        check_tiling(),
         violations,
         (perf_counter() - t0) * 1e3,
     )
