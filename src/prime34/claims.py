@@ -252,8 +252,8 @@ def check_tiling(table=None) -> bool:
     plan = _TABLE_PLAN if table is None else _plan(table)
     return (
         len(plan) == 22
-        and plan[0][0] is None
-        and all(opens is _TILED for opens, *_ in plan[1:])
+        and plan[0][0] is _ROOT
+        and all(opens is None for opens, *_ in plan[1:])
         and plan[-1][1:3] == (3, 1)
     )
 
@@ -363,22 +363,22 @@ def _window_failures(consequence, primes, n, n3, n4, single, index) -> tuple:
     )
 
 
-# where a window opens when it starts at the previous window's end
-_TILED = "tiled"
+# where a window opens when it starts at isqrt(4n)
+_ROOT = "sqrt(4n)"
 
 
 def _plan(claims) -> tuple:
     """The window plan of a sequence of claims, in their order: per window,
-    where it opens (None at isqrt(4n), _TILED where the previous window
-    closed, else its own (num, den)), its end as (num, den), its consequence
-    and its absorber.  Pairs are reduced, so equal pairs are equal
-    rationals and give equal floors."""
+    where it opens (None where the previous window closed, _ROOT at
+    isqrt(4n), else its own (num, den)), its end as (num, den), its
+    consequence and its absorber.  Pairs are reduced, so equal pairs are
+    equal rationals and give equal floors."""
     plan, prev = [], None
     for c in claims:
         lo, hi = c.lo_coeff, c.hi_coeff
-        opens = None if lo is None else (lo.numerator, lo.denominator)
-        if opens is not None and opens == prev:
-            opens = _TILED
+        opens = _ROOT if lo is None else (lo.numerator, lo.denominator)
+        if opens == prev:
+            opens = None
         prev = (hi.numerator, hi.denominator)
         plan.append((opens, *prev, c.consequence, _ABSORBER_OF.get(c.consequence)))
     return tuple(plan)
@@ -411,8 +411,8 @@ def _claims_pass(sieve: PrimeSieve, start: int, stop: int, plan) -> list:
         n3, n4 = 3 * n, 4 * n
         floors = absorber_floors_at(n)
         for k, (opens, num, den, consequence, which) in enumerate(plan):
-            if opens is not _TILED:
-                lo = isqrt(n4) if opens is None else opens[0] * n // opens[1]
+            if opens is not None:
+                lo = isqrt(n4) if opens is _ROOT else opens[0] * n // opens[1]
                 i = bisect_right(primes, lo)
             hi = num * n // den
             j = bisect_right(primes, hi)
