@@ -306,7 +306,7 @@ def test_shared_absorber_floors_give_the_same_results(sieve_mid, monkeypatch):
 
 def test_untiled_plan_matches_check_claim(sieve_mid):
     # window 5 of this table opens at 21n/100, past window 4's end, so the
-    # walker bisects at its own start; window 6 opens where it closes
+    # walker bisects at its own start; window 6 opens where window 5 closes
     gap = claim_table()
     gap[4] = ClaimSpec(5, Fraction(21, 100), Fraction(2, 9), DIVIDES_A)
     plan = claims._plan(gap)
