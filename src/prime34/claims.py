@@ -21,16 +21,24 @@ of claims becomes one window plan: per window, where it opens (at
 isqrt(4n), where the previous window closed, or at its own floored
 (num * n) // den), its end as (num, den), its consequence and its
 absorber.  One walker, _claims_pass, decides a plan over a range of n:
-3n, 4n and the absorber floors are computed once per n, and each window's
+the absorber floors are computed once per n, and each window's
 primes are found by bisecting the sieve at its floored end, a tiled
 window reusing the previous window's end as its start.  check_claims
 walks the table's plan, check_claim a one-claim plan, and check_tiling
-reads the table's plan.  Every prime is still decided on its own, but
-when (lo + 1)^2 > 4n for the floored window start lo, each window prime p
-has p^2 > 4n, which exceeds every absorber floor too, so each Legendre
-sum is the single floor m//p: beta(p) = 4n//p - 3n//p - n//p and
-v(p) = fs//p - fsr//p - fr//p.  Windows that open at or below sqrt(4n)
-keep the full sums.
+reads the table's plan.  When (lo + 1)^2 > 4n for the floored window
+start lo, each window prime p has p^2 > 4n, which exceeds every absorber
+floor too, so each Legendre sum is the single floor m//p:
+beta(p) = 4n//p - 3n//p - n//p and v(p) = fs//p - fsr//p - fr//p.
+Windows that open at or below sqrt(4n) keep the full sums.
+
+The walker takes n in blocks [N, M] of _BLOCK n, D = M - N.  In the
+single-floor regime a prime that lies in a window at every n of the
+block is settled for the whole block, with no per-n decision, when
+N % p + 3N % p + 4D < p (beta stays 0) or, for a divisibility claim,
+v(N) = 1 and the floors fsr//p and fr//p stay put (v stays 1 >= beta).
+Every other prime, claim 1's window and every single-n call are decided
+per n by _window_failures, the one per-prime decision rule, which also
+writes every failure.
 """
 
 from __future__ import annotations
@@ -387,16 +395,41 @@ def _plan(claims) -> tuple:
 _TABLE_PLAN = _plan(_TABLE)
 
 
+# n per block of _claims_pass.  On 256-n ranges 32 took 15-40 % less time
+# per n than 16 from n = 5000 up and the same at n = 2500; a range shorter
+# than a block is one block either way.
+_BLOCK = 32
+
+
 def _claims_pass(sieve: PrimeSieve, start: int, stop: int, plan) -> list:
     """Per window of the plan, (primes_checked, failures) over n in
     [start, stop], failures as (n, p, detail) in n order.
 
-    One pass per n: 3n, 4n and the absorber floors are computed once, and
-    each window's primes are the sieve between two bisections, at its
-    floored start and end.  A tiled window starts where the previous one
-    ended, also where that one is empty, so it needs one bisection, at its
-    end.  A sieve that stops short of the plan's furthest end at stop is
-    refused before any prime is read.
+    Per n, the absorber floors are computed once, and each window's
+    primes are the sieve between two bisections, at its floored start and
+    end.  A tiled window starts where the previous one ended,
+    also where that one is empty, so it needs one bisection, at its end.
+    A sieve that stops short of the plan's furthest end at stop is refused
+    before any prime is read.
+
+    The n are walked in blocks [N, M] of _BLOCK, D = M - N.  A window's
+    core primes, primes[i(M):j(N)], lie in it at every n of the block,
+    since both its bounds grow with n.  _window_failures decides every
+    window prime at every n, except a core prime that the block lemma
+    settles for the whole block.  The lemma applies when D > 0, the
+    window is not claim 1's primorial, every n of the block has
+    (lo + 1)^2 > 4n (so beta and v are single floors) and the absorber,
+    if any, is defined at N (then at every later n).  A core prime p is
+    settled when
+      - N % p + 3N % p + 4D < p: at n = N + d the residues n % p and
+        3n % p are those at N plus d and 3d, with no wrap, so beta(n),
+        the carry of n % p + 3n % p past p, stays 0; or
+      - v(N) = 1 and fsr // p and fr // p stay constant over the block,
+        for the absorber floors (fs, fsr, fr): fs never falls, so v(n) >=
+        v(N), and fs <= fsr + fr + 1, so v(n) <= 1; thus v stays 1, and
+        beta <= 1.
+    Either way the consequence holds at every n of the block.  All
+    failures, and their details, come from _window_failures.
     """
     if start < 1:
         raise DomainError("claims are checked for n >= 1")
@@ -407,25 +440,78 @@ def _claims_pass(sieve: PrimeSieve, start: int, stop: int, plan) -> list:
     primes = sieve.primes
     checked = [0] * len(plan)
     failed = [[] for _ in plan]
-    for n in range(start, stop + 1):
-        n3, n4 = 3 * n, 4 * n
-        floors = absorber_floors_at(n)
-        for k, (opens, num, den, consequence, which) in enumerate(plan):
-            if opens is not None:
-                lo = isqrt(n4) if opens is _ROOT else opens[0] * n // opens[1]
-                i = bisect_right(primes, lo)
-            hi = num * n // den
-            j = bisect_right(primes, hi)
-            if i < j:
+    for first in range(start, stop + 1, _BLOCK):
+        block = range(first, min(first + _BLOCK, stop + 1))
+        d = len(block) - 1
+        floors = [absorber_floors_at(n) for n in block]
+        bounds = [_window_bounds(primes, n, plan) for n in block]
+        for k, (_, _, _, consequence, which) in enumerate(plan):
+            # the core primes[a:b]; unsettled stays None where the lemma
+            # does not apply
+            a, b = bounds[-1][k][0], bounds[0][k][1]
+            index = floors[0].get(which)
+            unsettled = None
+            if (
+                d
+                and a < b
+                and consequence != PRIMORIAL_16TH
+                and (which is None or index is not None)
+                and all(row[k][2] for row in bounds)
+            ):
+                unsettled = tuple(_unsettled(primes[a:b], first, d, index, floors[-1].get(which)))
+            for n, row, at_n in zip(block, bounds, floors):
+                i, j, single = row[k]
+                if i >= j:
+                    continue
                 checked[k] += j - i
+                if unsettled is None:
+                    window = primes[i:j]
+                else:
+                    window = primes[i:a] + unsettled + primes[b:j]
+                    if not window:
+                        continue
                 failures = _window_failures(
-                    consequence, primes[i:j], n, n3, n4, (lo + 1) * (lo + 1) > n4,
-                    floors.get(which),
+                    consequence, window, n, 3 * n, 4 * n, single, at_n.get(which)
                 )
                 if failures:
                     failed[k] += [(n, p, detail) for p, detail in failures]
-            i, lo = j, hi
     return [(c, tuple(f)) for c, f in zip(checked, failed)]
+
+
+def _window_bounds(primes, n: int, plan) -> list:
+    """Per window of the plan at n, (i, j, single): its primes are
+    primes[i:j], and single means (lo + 1)^2 > 4n for its floored start."""
+    n4 = 4 * n
+    row = []
+    for opens, num, den, _, _ in plan:
+        if opens is not None:
+            lo = isqrt(n4) if opens is _ROOT else opens[0] * n // opens[1]
+            i = bisect_right(primes, lo)
+        hi = num * n // den
+        j = bisect_right(primes, hi)
+        row.append((i, j, (lo + 1) * (lo + 1) > n4))
+        i, lo = j, hi
+    return row
+
+
+def _unsettled(core, n: int, d: int, index, index_last) -> list:
+    """The core primes that the block lemma (see _claims_pass) does not
+    settle over [n, n + d]; index and index_last are the absorber floors at
+    n and n + d, both None for a BETA_ZERO window."""
+    n3, d4 = 3 * n, 4 * d
+    if index is None:
+        return [p for p in core if n % p + n3 % p + d4 >= p]
+    fs, fsr, fr = index
+    _, fsr_last, fr_last = index_last
+    return [
+        p for p in core
+        if n % p + n3 % p + d4 >= p
+        and (
+            fs // p - fsr // p - fr // p != 1
+            or fsr_last // p != fsr // p
+            or fr_last // p != fr // p
+        )
+    ]
 
 
 def check_claims(sieve: PrimeSieve, start: int, stop: int) -> list:
@@ -436,7 +522,10 @@ def check_claims(sieve: PrimeSieve, start: int, stop: int) -> list:
     _claims_pass over the table's plan, which tiles: window 1 opens at
     isqrt(4n) and window k > 1 at window k-1's floored end, so each n takes
     one bisection per window end plus one at isqrt(4n).  Window 2 opens at
-    floor(n/6) also where window 1 is empty (below n = 144).
+    floor(n/6) also where window 1 is empty (below n = 144).  The n are
+    taken in blocks of _BLOCK; a window prime that the block lemma settles
+    is decided once for its block, every other one once per n, so the cost
+    per n grows with the primes at a window's edges, not with all of them.
     """
     return _claims_pass(sieve, start, stop, _TABLE_PLAN)
 

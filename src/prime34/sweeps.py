@@ -384,12 +384,13 @@ def observations_sweep(n_min: int, n_max: int, threads: int = 1) -> Observations
     """Every window claim and chain over [n_min, n_max], with per-claim
     minimal valid n and the symbolic tiling check.
 
-    Each chunk of n runs check_claims, which decides all 22 windows of one
-    n in a single pass: 3n, 4n and the absorber floors once per n, and one
-    sieve bisection per window bound.  Its totals and failures are those
-    of check_claim over every (claim, n).  The windows close by 3n, so the
-    sieve reaches 3 * n_max.  A chain's verdict is the same at every n
-    (check_chain), so it is decided once.
+    Each chunk of n runs check_claims, one pass over the 22 windows in
+    blocks of n (claims._claims_pass): the absorber floors once per n, one
+    sieve bisection per window bound, and each window prime decided once
+    per block where the block lemma settles it, else once per n.  Its
+    totals and failures are those of check_claim over every (claim, n).
+    The windows close by 3n, so the sieve reaches 3 * n_max.  A chain's
+    verdict is the same at every n (check_chain), so it is decided once.
 
     Failures at n >= 250 are contract violations; smaller n are reported
     only (the claims are not promised there)."""

@@ -27,7 +27,7 @@ from prime34 import (
 from prime34 import claims, observations_sweep
 from prime34.claims import ClaimResult, _chain_holds_at, absorber_floors_at, check_claims
 from prime34.errors import CoverageError
-from prime34.exact import absorber_valuation, beta
+from prime34.exact import ABSORBER_COEFFS, absorber_valuation, beta
 
 HI_COEFFS = [
     Fraction(1, 6), Fraction(2, 11), Fraction(4, 21), Fraction(1, 5),
@@ -443,3 +443,115 @@ def test_check_claims_refuses_a_short_sieve():
     assert check_claims(just_enough, 30, 40) == check_claims(build_sieve(1000), 30, 40)
     with pytest.raises(DomainError):
         check_claims(just_enough, 0, 40)
+
+
+
+# Windows on which a claim fails for some primes, so the block lemma of
+# claims._claims_pass can settle some core primes and must leave the others
+# to the per-n decision.  From n = 145 on, all but the last two open above
+# sqrt(4n).  With x = n/p:
+#   - BETA_ZERO on (2n/11, 4n/21]: beta is 1 above p = 3n/16, 0 below;
+#   - BETA_ZERO on (3n/2, 2n]: beta is 1 throughout;
+#   - BETA_ZERO on (7n/4, 5n/2]: beta is 1 up to p = 2n and 0 above, so a
+#     prime just above 2N at a block's first n fails before its last;
+#   - DIVIDES_B on (n/3, 2n/5]: v in B is 1 above p = 3n/8 and 0 below,
+#     and beta, 0 on (4n/11, 3n/8], turns 1 below p = 4n/11;
+#   - DIVIDES_D on (n/4, 2n/7]: v in D is 1 above p = 4n/15 and 0 below,
+#     where beta is 1, since [4n/15]//p moves where 4n//p does;
+#   - claim 1's consequence on (2n, 3n], where beta is 0 but the product
+#     of the primes exceeds 4^(n/6);
+#   - BETA_ZERO on (n/100, n/10], where p^2 <= 4n for the primes up to
+#     sqrt(4n), so beta has a second Legendre term.
+_BLOCK_PROBES = [
+    ClaimSpec(4, Fraction(2, 11), Fraction(4, 21), BETA_ZERO),
+    ClaimSpec(20, Fraction(3, 2), Fraction(2), BETA_ZERO),
+    ClaimSpec(22, Fraction(7, 4), Fraction(5, 2), BETA_ZERO),
+    ClaimSpec(13, Fraction(1, 3), Fraction(2, 5), DIVIDES_B),
+    ClaimSpec(10, Fraction(1, 4), Fraction(2, 7), DIVIDES_D),
+    ClaimSpec(1, Fraction(2), Fraction(3), PRIMORIAL_16TH),
+    ClaimSpec(2, Fraction(1, 100), Fraction(1, 10), BETA_ZERO),
+]
+
+
+@pytest.mark.parametrize(
+    "d_coeffs",
+    [ABSORBER_COEFFS["D"], (Fraction(2, 7), Fraction(2, 105))],
+    ids=["D", "D-mirrored"],
+)
+def test_block_pass_matches_per_n_decisions_where_claims_fail(d_coeffs, monkeypatch):
+    # v = [s]//p - [s - r]//p - [r]//p is symmetric in [s - r] and [r].  D
+    # mirrored swaps them (s - r = 4n/15, r = 2n/105), so it gives the same
+    # verdicts, but its v flips where [s - r]//p moves rather than [r]//p:
+    # the two runs need each of the lemma's floor conditions.
+    monkeypatch.setitem(ABSORBER_COEFFS, "D", d_coeffs)
+    block = claims._BLOCK
+    plan = claims._plan(_BLOCK_PROBES)
+    sieve = build_sieve(3 * 20100)
+    prime_set = set(sieve.primes)
+    beta_of = lru_cache(maxsize=None)(_beta_reference)
+    per_n = {}
+
+    def decided(n):
+        if n not in per_n:
+            results = [check_claim(claim, n, sieve) for claim in _BLOCK_PROBES]
+            assert results == [
+                _reference_check(claim, n, prime_set, beta_of) for claim in _BLOCK_PROBES
+            ], n
+            per_n[n] = results
+        return per_n[n]
+
+    for first in (145, 300, 700, 2500, 4900, 20000):
+        for length in (1, block - 1, block, block + 1, 2 * block + 3):
+            span = range(first, first + length)
+            expected = [
+                (
+                    sum(r.primes_checked for r in column),
+                    tuple((r.n, p, detail) for r in column for p, detail in r.failures),
+                )
+                for column in zip(*map(decided, span))
+            ]
+            assert claims._claims_pass(sieve, span[0], span[-1], plan) == expected, span
+    # each probe fails on some of its primes; all but (3n/2, 2n] hold on others
+    tallies = [
+        (sum(len(rs[k].failures) for rs in per_n.values()),
+         sum(rs[k].primes_checked for rs in per_n.values()))
+        for k in range(len(_BLOCK_PROBES))
+    ]
+    assert all(failed for failed, _ in tallies)
+    assert [failed < checked for failed, checked in tallies] == [True, False, *[True] * 5]
+
+
+def test_check_claims_across_block_boundaries(sieve_mid):
+    # check_claims over a range equals the per-n concatenation where
+    #   - window 2 (from n/6) turns single-floor inside the block at 130;
+    #   - windows 4, 9 and 11 are empty at 130 but not at 161, and window 3
+    #     is empty at 300 but not at 331;
+    #   - the last block is partial.
+    block = claims._BLOCK
+    primes, plan = sieve_mid.primes, claims._TABLE_PLAN
+    rows = {n: claims._window_bounds(primes, n, plan) for n in range(130, 130 + block)}
+    assert {rows[n][1][2] for n in rows} == {False, True}
+    first, last = rows[130], rows[130 + block - 1]
+    assert [k + 1 for k in range(22) if first[k][0] >= first[k][1] and last[k][0] < last[k][1]] == [
+        4, 9, 11
+    ]
+    for span in (range(130, 130 + 2 * block + 5), range(300, 300 + block + 7)):
+        assert len(span) % block
+        per_n = [check_claims(sieve_mid, n, n) for n in span]
+        assert check_claims(sieve_mid, span[0], span[-1]) == [
+            (sum(c for c, _ in column), tuple(row for _, f in column for row in f))
+            for column in zip(*per_n)
+        ]
+    at_300, at_331 = claims._window_bounds(primes, 300, plan), claims._window_bounds(primes, 331, plan)
+    assert at_300[2][0] >= at_300[2][1] and at_331[2][0] < at_331[2][1]
+    # absorber C turns defined inside the block [4, 5] (r = 3n/13 >= 1 from
+    # n = 5); at n = 4 every prime of (n, 3n] fails, also 11, where beta is 0
+    widened = ClaimSpec(19, Fraction(1), Fraction(3), DIVIDES_C)
+    results = [check_claim(widened, n, sieve_mid) for n in (4, 5)]
+    assert claims._claims_pass(sieve_mid, 4, 5, claims._plan([widened])) == [
+        (
+            sum(r.primes_checked for r in results),
+            tuple((r.n, p, detail) for r in results for p, detail in r.failures),
+        )
+    ]
+    assert results[0].failures[-1] == (11, "absorber C undefined at n=4")
