@@ -458,8 +458,8 @@ def test_check_claims_refuses_a_short_sieve():
 #     and beta, 0 on (4n/11, 3n/8], turns 1 below p = 4n/11;
 #   - DIVIDES_D on (n/4, 2n/7]: v in D is 1 above p = 4n/15 and 0 below,
 #     where beta is 1, since [4n/15]//p moves where 4n//p does;
-#   - claim 1's consequence on (2n, 3n], where beta is 0 but the product
-#     of the primes exceeds 4^(n/6);
+#   - claim 1's consequence on (2n, 5n/2], where beta is 0 but the
+#     product of the primes exceeds 4^(n/6);
 #   - BETA_ZERO on (n/100, n/10], where p^2 <= 4n for the primes up to
 #     sqrt(4n), so beta has a second Legendre term.
 _BLOCK_PROBES = [
@@ -468,35 +468,26 @@ _BLOCK_PROBES = [
     ClaimSpec(22, Fraction(7, 4), Fraction(5, 2), BETA_ZERO),
     ClaimSpec(13, Fraction(1, 3), Fraction(2, 5), DIVIDES_B),
     ClaimSpec(10, Fraction(1, 4), Fraction(2, 7), DIVIDES_D),
-    ClaimSpec(1, Fraction(2), Fraction(3), PRIMORIAL_16TH),
+    ClaimSpec(1, Fraction(2), Fraction(5, 2), PRIMORIAL_16TH),
     ClaimSpec(2, Fraction(1, 100), Fraction(1, 10), BETA_ZERO),
 ]
 
 
-@pytest.mark.parametrize(
-    "d_coeffs",
-    [ABSORBER_COEFFS["D"], (Fraction(2, 7), Fraction(2, 105))],
-    ids=["D", "D-mirrored"],
-)
-def test_block_pass_matches_per_n_decisions_where_claims_fail(d_coeffs, monkeypatch):
-    # v = [s]//p - [s - r]//p - [r]//p is symmetric in [s - r] and [r].  D
-    # mirrored swaps them (s - r = 4n/15, r = 2n/105), so it gives the same
-    # verdicts, but its v flips where [s - r]//p moves rather than [r]//p:
-    # the two runs need each of the lemma's floor conditions.
-    monkeypatch.setitem(ABSORBER_COEFFS, "D", d_coeffs)
+def _block_pass_against_per_n(probes, sieve) -> list:
+    """Compare claims._claims_pass on the probes' plan, over ranges of 1,
+    B - 1, B, B + 1 and 2B + 3 n (B the block size), with per-n check_claim
+    and _reference_check; per probe, (failures, primes checked) over every n
+    compared."""
     block = claims._BLOCK
-    plan = claims._plan(_BLOCK_PROBES)
-    sieve = build_sieve(3 * 20100)
+    plan = claims._plan(probes)
     prime_set = set(sieve.primes)
     beta_of = lru_cache(maxsize=None)(_beta_reference)
     per_n = {}
 
     def decided(n):
         if n not in per_n:
-            results = [check_claim(claim, n, sieve) for claim in _BLOCK_PROBES]
-            assert results == [
-                _reference_check(claim, n, prime_set, beta_of) for claim in _BLOCK_PROBES
-            ], n
+            results = [check_claim(claim, n, sieve) for claim in probes]
+            assert results == [_reference_check(c, n, prime_set, beta_of) for c in probes], n
             per_n[n] = results
         return per_n[n]
 
@@ -511,14 +502,29 @@ def test_block_pass_matches_per_n_decisions_where_claims_fail(d_coeffs, monkeypa
                 for column in zip(*map(decided, span))
             ]
             assert claims._claims_pass(sieve, span[0], span[-1], plan) == expected, span
-    # each probe fails on some of its primes; all but (3n/2, 2n] hold on others
-    tallies = [
+    return [
         (sum(len(rs[k].failures) for rs in per_n.values()),
          sum(rs[k].primes_checked for rs in per_n.values()))
-        for k in range(len(_BLOCK_PROBES))
+        for k in range(len(probes))
     ]
+
+
+def test_block_pass_matches_per_n_decisions_where_claims_fail():
+    tallies = _block_pass_against_per_n(_BLOCK_PROBES, build_sieve(3 * 20100))
+    # each probe fails on some of its primes; all but (3n/2, 2n] hold on others
     assert all(failed for failed, _ in tallies)
     assert [failed < checked for failed, checked in tallies] == [True, False, *[True] * 5]
+
+
+def test_block_pass_with_an_absorber_whose_lower_floors_swap(monkeypatch):
+    # v = [s]//p - [s - r]//p - [r]//p is symmetric in [s - r] and [r].  D
+    # mirrored swaps them (s - r = 4n/15, r = 2n/105), so it gives D's
+    # verdicts, but its v flips where [s - r]//p moves, not [r]//p.  For
+    # each of A-D, r/(s - r) is an integer, so [s - r]//p moves only where
+    # [r]//p does; only a mirrored absorber needs the lemma's [s - r] term.
+    monkeypatch.setitem(ABSORBER_COEFFS, "D", (Fraction(2, 7), Fraction(2, 105)))
+    [(failed, checked)] = _block_pass_against_per_n([_BLOCK_PROBES[4]], build_sieve(3 * 20100))
+    assert 0 < failed < checked
 
 
 def test_check_claims_across_block_boundaries(sieve_mid):
