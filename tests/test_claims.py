@@ -445,11 +445,10 @@ def test_check_claims_refuses_a_short_sieve():
         check_claims(just_enough, 0, 40)
 
 
-
 # Windows on which a claim fails for some primes, so the block lemma of
 # claims._claims_pass can settle some core primes and must leave the others
-# to the per-n decision.  From n = 145 on, all but the last two open above
-# sqrt(4n).  With x = n/p:
+# to the per-n decision.  From n = 145 on, all but the last open above
+# sqrt(4n).
 #   - BETA_ZERO on (2n/11, 4n/21]: beta is 1 above p = 3n/16, 0 below;
 #   - BETA_ZERO on (3n/2, 2n]: beta is 1 throughout;
 #   - BETA_ZERO on (7n/4, 5n/2]: beta is 1 up to p = 2n and 0 above, so a
@@ -534,13 +533,16 @@ def test_check_claims_across_block_boundaries(sieve_mid):
     #     is empty at 300 but not at 331;
     #   - the last block is partial.
     block = claims._BLOCK
-    primes, plan = sieve_mid.primes, claims._TABLE_PLAN
-    rows = {n: claims._window_bounds(primes, n, plan) for n in range(130, 130 + block)}
-    assert {rows[n][1][2] for n in rows} == {False, True}
-    first, last = rows[130], rows[130 + block - 1]
-    assert [k + 1 for k in range(22) if first[k][0] >= first[k][1] and last[k][0] < last[k][1]] == [
-        4, 9, 11
-    ]
+
+    def bounds(n):
+        return claims._window_bounds(sieve_mid.primes, n, claims._TABLE_PLAN)
+
+    def opening(first):  # windows empty at first but not at the block's last n
+        a, b = bounds(first), bounds(first + block - 1)
+        return [k + 1 for k in range(22) if a[k][0] >= a[k][1] and b[k][0] < b[k][1]]
+
+    assert {bounds(n)[1][2] for n in range(130, 130 + block)} == {False, True}
+    assert opening(130) == [4, 9, 11] and opening(300) == [3]
     for span in (range(130, 130 + 2 * block + 5), range(300, 300 + block + 7)):
         assert len(span) % block
         per_n = [check_claims(sieve_mid, n, n) for n in span]
@@ -548,8 +550,6 @@ def test_check_claims_across_block_boundaries(sieve_mid):
             (sum(c for c, _ in column), tuple(row for _, f in column for row in f))
             for column in zip(*per_n)
         ]
-    at_300, at_331 = claims._window_bounds(primes, 300, plan), claims._window_bounds(primes, 331, plan)
-    assert at_300[2][0] >= at_300[2][1] and at_331[2][0] < at_331[2][1]
     # absorber C turns defined inside the block [4, 5] (r = 3n/13 >= 1 from
     # n = 5); at n = 4 every prime of (n, 3n] fails, also 11, where beta is 0
     widened = ClaimSpec(19, Fraction(1), Fraction(3), DIVIDES_C)

@@ -235,29 +235,19 @@ def test_observations_cli(capsys):
 
 
 def test_observations_json_with_two_workers_matches_serial(capsys):
-    # [900, 1700] spans four 256-n chunks, merged in range order
-    texts = []
-    for threads in ("1", "2"):
-        argv = ["observations", "--nmin", "900", "--nmax", "1700", "--threads", threads]
-        code, out, err = run(capsys, argv)
-        assert code == 0 and err == ""
-        assert json.loads(out)["claims"][1]["primes_checked"] > 0
-        texts.append(re.sub(r'\n *"runtime_ms": [^\n]*', "", out))
-    assert texts[0] == texts[1]
-
-
-def test_observations_json_with_two_workers_matches_serial_on_partial_blocks(capsys):
-    # [2000, 2700] is three 256-n chunks, and its 701 n are no whole number
-    # of the claims pass's blocks of n, so the last chunk ends in a partial
-    # block
-    assert math.ceil(701 / sweeps._OBS_CHUNK) == 3 and 701 % claims._BLOCK
-    texts = []
-    for threads in ("1", "2"):
-        argv = ["observations", "--nmin", "2000", "--nmax", "2700", "--threads", threads]
-        code, out, err = run(capsys, argv)
-        assert code == 0 and err == ""
-        texts.append(re.sub(r'\n *"runtime_ms": [^\n]*', "", out))
-    assert texts[0] == texts[1]
+    # [900, 1700] spans four 256-n chunks, merged in range order; [2000, 2700]
+    # spans three, and its 701 n are no whole number of the claims pass's
+    # blocks of n, so its last chunk ends in a partial block
+    assert 701 % claims._BLOCK
+    for n_min, n_max in ((900, 1700), (2000, 2700)):
+        texts = []
+        for threads in ("1", "2"):
+            argv = ["observations", "--nmin", str(n_min), "--nmax", str(n_max), "--threads", threads]
+            code, out, err = run(capsys, argv)
+            assert code == 0 and err == ""
+            assert json.loads(out)["claims"][1]["primes_checked"] > 0
+            texts.append(re.sub(r'\n *"runtime_ms": [^\n]*', "", out))
+        assert texts[0] == texts[1]
 
 
 def test_observations_on_a_short_sieve_exits_3(capsys, monkeypatch):
