@@ -31,20 +31,23 @@ floor too, so each Legendre sum is the single floor m//p:
 beta(p) = 4n//p - 3n//p - n//p and v(p) = fs//p - fsr//p - fr//p.
 Windows that open at or below sqrt(4n) keep the full sums.
 
-The walker takes n in blocks [N, M] of _BLOCK n, D = M - N.  In the
-single-floor regime a prime that lies in a window at every n of the
-block is settled for the whole block, with no per-n decision, when
-N % p + 3N % p + 4D < p (beta stays 0) or, for a divisibility claim,
-v(N) = 1 and the floors fsr//p and fr//p stay put (v stays 1 >= beta).
-Every other prime, claim 1's window and every single-n call are decided
-per n by _window_failures, the one per-prime decision rule, which also
-writes every failure.
+The walker takes n in blocks of _BLOCK n.  A window's bounds never fall,
+so within a block each prime is in the window over one stay
+[N', N' + D'].  In the single-floor regime a prime is settled for its
+whole stay, with no per-n decision, when N' % p + 3N' % p + 4D' < p
+(beta stays 0) or, for a divisibility claim, v(N') = 1 and the floors
+fsr//p and fr//p stay put over the stay (v stays 1 >= beta).  Every
+other prime, and every prime of a single-n call, is decided per n by
+_window_failures, the one per-prime decision rule, which also writes
+every failure.  Claim 1's window product is carried across the n of a
+call, its primes multiplied in as they enter and divided out as they
+leave.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -55,7 +58,7 @@ from .errors import CoverageError, DomainError
 # absorber_valuation is no longer called here but stays in the namespace:
 # bench/tracing.py counts calls to it through this module
 from .exact import _absorber_floors, _beta, _floors_valuation, absorber_valuation  # noqa: F401
-from .sieve import PrimeSieve, primorial_le, settled_from
+from .sieve import PrimeSieve, _balanced_product, _power_le, settled_from
 
 BETA_ZERO = "BETA_ZERO"
 DIVIDES_A = "DIVIDES_A"
@@ -333,8 +336,10 @@ def check_claim(claim: ClaimSpec, n: int, sieve: PrimeSieve) -> ClaimResult:
 
 def _window_failures(consequence, primes, n, n3, n4, single, index) -> tuple:
     """(p, detail) for each of one window's primes at n that fail its
-    consequence; n3 and n4 are 3n and 4n, index the floors of the claim's
-    absorber at n (None where it is undefined or the claim has none).
+    consequence, BETA_ZERO or a divisibility (_claims_pass decides a
+    primorial window itself); n3 and n4 are 3n and 4n, index the floors
+    of the claim's absorber at n (None where it is undefined or the claim
+    has none).
 
     single means (lo + 1)^2 > 4n for the floored window start lo.  Then
     every window prime p has p^2 > 4n, and 4n bounds every absorber floor
@@ -351,9 +356,6 @@ def _window_failures(consequence, primes, n, n3, n4, single, index) -> tuple:
         if not bad:
             return ()
         return tuple((p, f"beta={_beta(n, p)}") for p in bad)
-    if consequence == PRIMORIAL_16TH:
-        # product of window primes <= 4^(n/6), i.e. (product)^6 <= 4^n
-        return () if primorial_le(primes, n, 6) else ((0, "window primorial exceeds 4^(n/6)"),)
     which = _ABSORBER_OF[consequence]
     if index is None:
         detail = f"absorber {which} undefined at n={n}"
@@ -412,24 +414,32 @@ def _claims_pass(sieve: PrimeSieve, start: int, stop: int, plan) -> list:
     A sieve that stops short of the plan's furthest end at stop is refused
     before any prime is read.
 
-    The n are walked in blocks [N, M] of _BLOCK, D = M - N.  A window's
-    core primes, primes[i(M):j(N)], lie in it at every n of the block,
-    since both its bounds grow with n.  _window_failures decides every
-    window prime at every n, except a core prime that the block lemma
-    settles for the whole block.  The lemma applies when D > 0, the
-    window is not claim 1's primorial, every n of the block has
+    The n are walked in blocks [N, M] of _BLOCK, D = M - N.  Both bounds of
+    a window grow with n, so each prime that is in a window at some n of
+    the block is in it over one stay [N', N' + D'] (see _stays), and the
+    primes with the same stay are contiguous.  The block lemma settles a
+    prime for its whole stay, with no per-n decision; it applies when
+    D > 0, the window is not claim 1's primorial, every n of the block has
     (lo + 1)^2 > 4n (so beta and v are single floors) and the absorber,
-    if any, is defined at N (then at every later n).  A core prime p is
-    settled when
-      - N % p + 3N % p + 4D < p: at n = N + d the residues n % p and
-        3n % p are those at N plus d and 3d, with no wrap, so beta(n),
+    if any, is defined at N (then at every later n).  A prime p is settled
+    when
+      - N' % p + 3N' % p + 4D' < p: at n = N' + d the residues n % p and
+        3n % p are those at N' plus d and 3d, with no wrap, so beta(n),
         the carry of n % p + 3n % p past p, stays 0; or
-      - v(N) = 1 and fsr // p and fr // p stay constant over the block,
+      - v(N') = 1 and fsr // p and fr // p stay constant over the stay,
         for the absorber floors (fs, fsr, fr): fs never falls, so v(n) >=
-        v(N), and fs <= fsr + fr + 1, so v(n) <= 1; thus v stays 1, and
+        v(N'), and fs <= fsr + fr + 1, so v(n) <= 1; thus v stays 1, and
         beta <= 1.
-    Either way the consequence holds at every n of the block.  All
-    failures, and their details, come from _window_failures.
+    Either way the consequence holds at every n of the stay.  Each prime
+    the lemma leaves, and every prime where it does not apply, is decided
+    at each n of its stay by _window_failures, in ascending p, which
+    writes every failure and its detail.
+
+    A primorial window (claim 1) carries the product of its primes across
+    the n of the call: the primes that enter are multiplied in and those
+    that leave divided out, and the product is rebuilt only when the
+    window has moved past the carried one.  _power_le, primorial_le's
+    rule, decides (product)^6 <= 4^n.
     """
     if start < 1:
         raise DomainError("claims are checked for n >= 1")
@@ -440,34 +450,58 @@ def _claims_pass(sieve: PrimeSieve, start: int, stop: int, plan) -> list:
     primes = sieve.primes
     checked = [0] * len(plan)
     failed = [[] for _ in plan]
+    # per primorial window, (i, j, product of primes[i:j]) as last decided
+    carried = [(0, 0, 1)] * len(plan)
     for first in range(start, stop + 1, _BLOCK):
         block = range(first, min(first + _BLOCK, stop + 1))
         d = len(block) - 1
         floors = [absorber_floors_at(n) for n in block]
         bounds = [_window_bounds(primes, n, plan) for n in block]
-        for k, (_, _, _, consequence, which) in enumerate(plan):
-            # the core primes[a:b]; unsettled stays None where the lemma
-            # does not apply
-            a, b = bounds[-1][k][0], bounds[0][k][1]
-            index = floors[0].get(which)
+        for k, column in enumerate(zip(*bounds)):
+            consequence, which = plan[k][3:]
+            checked[k] += sum(j - i for i, j, _ in column if i < j)
+            if consequence == PRIMORIAL_16TH:
+                ci, cj, product = carried[k]
+                for n, (i, j, _) in zip(block, column):
+                    if i >= j:
+                        continue
+                    if i >= cj:
+                        product = _balanced_product(primes[i:j])
+                    elif (i, j) != (ci, cj):
+                        product = (
+                            product * _balanced_product(primes[cj:j])
+                            // _balanced_product(primes[ci:i])
+                        )
+                    ci, cj = i, j
+                    if not _power_le(product, n, 6):
+                        failed[k].append((n, 0, "window primorial exceeds 4^(n/6)"))
+                carried[k] = ci, cj, product
+                continue
+            # the primes left to decide per n; None where the lemma does
+            # not apply
             unsettled = None
             if (
                 d
-                and a < b
-                and consequence != PRIMORIAL_16TH
-                and (which is None or index is not None)
-                and all(row[k][2] for row in bounds)
+                and (which is None or floors[0].get(which) is not None)
+                and all(single for _, _, single in column)
             ):
-                unsettled = tuple(_unsettled(primes[a:b], first, d, index, floors[-1].get(which)))
-            for n, row, at_n in zip(block, bounds, floors):
-                i, j, single = row[k]
+                unsettled = []
+                for x, y, t1, t2 in _stays(column):
+                    unsettled += _unsettled(
+                        primes[x:y], block[t1], t2 - t1,
+                        floors[t1].get(which), floors[t2].get(which),
+                    )
+                if not unsettled:
+                    continue
+            for n, (i, j, single), at_n in zip(block, column, floors):
                 if i >= j:
                     continue
-                checked[k] += j - i
                 if unsettled is None:
                     window = primes[i:j]
                 else:
-                    window = primes[i:a] + unsettled + primes[b:j]
+                    window = unsettled[
+                        bisect_left(unsettled, primes[i]) : bisect_right(unsettled, primes[j - 1])
+                    ]
                     if not window:
                         continue
                 failures = _window_failures(
@@ -494,17 +528,36 @@ def _window_bounds(primes, n: int, plan) -> list:
     return row
 
 
-def _unsettled(core, n: int, d: int, index, index_last) -> list:
-    """The core primes that the block lemma (see _claims_pass) does not
-    settle over [n, n + d]; index and index_last are the absorber floors at
-    n and n + d, both None for a BETA_ZERO window."""
+def _stays(column) -> list:
+    """(x, y, t1, t2) per run of prime indices x..y-1 that are in a window
+    at the same block positions t1..t2, given the window's (i, j, single)
+    at each position.  i and j never fall, so index x is in the window
+    from t1 = bisect_right(jcol, x), the first position with x < j, to
+    t2 = bisect_right(icol, x) - 1, the last with i <= x.  Both change
+    only where x passes an i or a j, so the runs lie between consecutive
+    distinct bounds; a run in the window at no position is left out."""
+    icol = [i for i, _, _ in column]
+    jcol = [j for _, j, _ in column]
+    cuts = sorted({*icol, *jcol})
+    stays = []
+    for x, y in zip(cuts, cuts[1:]):
+        t1, t2 = bisect_right(jcol, x), bisect_right(icol, x) - 1
+        if t1 <= t2:
+            stays.append((x, y, t1, t2))
+    return stays
+
+
+def _unsettled(stay, n: int, d: int, index, index_last) -> list:
+    """The primes of one stay [n, n + d] that the block lemma (see
+    _claims_pass) does not settle; index and index_last are the absorber
+    floors at n and n + d, both None for a BETA_ZERO window."""
     n3, d4 = 3 * n, 4 * d
     if index is None:
-        return [p for p in core if n % p + n3 % p + d4 >= p]
+        return [p for p in stay if n % p + n3 % p + d4 >= p]
     fs, fsr, fr = index
     _, fsr_last, fr_last = index_last
     return [
-        p for p in core
+        p for p in stay
         if n % p + n3 % p + d4 >= p
         and (
             fs // p - fsr // p - fr // p != 1
@@ -524,8 +577,10 @@ def check_claims(sieve: PrimeSieve, start: int, stop: int) -> list:
     one bisection per window end plus one at isqrt(4n).  Window 2 opens at
     floor(n/6) also where window 1 is empty (below n = 144).  The n are
     taken in blocks of _BLOCK; a window prime that the block lemma settles
-    is decided once for its block, every other one once per n, so the cost
-    per n grows with the primes at a window's edges, not with all of them.
+    over its stay in a block, also one that enters or leaves the window
+    inside the block, is decided once for that stay, every other one once
+    per n.  Claim 1's product is carried across the n of the call, so per
+    n it takes in only the primes that enter or leave its window.
     """
     return _claims_pass(sieve, start, stop, _TABLE_PLAN)
 

@@ -146,14 +146,18 @@ def settled_from(fails, n_min: int, n_max: int):
 
 def primorial_le(primes, a: int, b: int) -> bool:
     """Whether (prod primes)^b <= 4^a, for a sequence of primes and ints
-    a >= 0, b >= 1.
+    a >= 0, b >= 1: _power_le on their product."""
+    return _power_le(_balanced_product(primes), a, b)
+
+
+def _power_le(product: int, a: int, b: int) -> bool:
+    """Whether product^b <= 4^a, for ints product >= 1, a >= 0, b >= 1.
 
     With P the product, 2^m <= P <= 2^l for m = P.bit_length() - 1 and
     l = (P - 1).bit_length(), so b*l <= 2a proves the bound and b*m > 2a
     refutes it.  Only between the two is P^b compared with 4^a, refused
     for b > 4096.
     """
-    product = _balanced_product(primes)
     if b * (product - 1).bit_length() <= 2 * a:
         return True
     if b * (product.bit_length() - 1) > 2 * a:

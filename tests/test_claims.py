@@ -27,6 +27,7 @@ from prime34 import (
 from prime34 import claims, observations_sweep
 from prime34.claims import ClaimResult, _chain_holds_at, absorber_floors_at, check_claims
 from prime34.errors import CoverageError
+from prime34.sieve import primorial_le
 from prime34.exact import ABSORBER_COEFFS, absorber_valuation, beta
 
 HI_COEFFS = [
@@ -561,3 +562,183 @@ def test_check_claims_across_block_boundaries(sieve_mid):
         )
     ]
     assert results[0].failures[-1] == (11, "absorber C undefined at n=4")
+
+
+# Windows whose edge primes, those that enter at the top or leave at the
+# floor inside a block, fail at some n of their stay but not at others, so
+# the block lemma must settle each over its own stay in the block, not over
+# the whole block.  From n = 145 on both open above sqrt(4n).
+#   - BETA_ZERO on (13n/10, 27n/20]: beta is 1 for p <= 4n/3 and 0 above, so
+#     a prime that enters at 27n/20 holds until n = 3p/4 and fails from
+#     there until it leaves at 13n/10;
+#   - DIVIDES_B on (7n/20, 19n/50]: v in B is 1 for p > 3n/8 and 0 below,
+#     beta is 1 for p > 3n/8, 0 on (4n/11, 3n/8] and 1 below, so a prime
+#     enters holding with v = 1 and fails from p <= 4n/11 until it leaves.
+_EDGE_PROBES = [
+    ClaimSpec(16, Fraction(13, 10), Fraction(27, 20), BETA_ZERO),
+    ClaimSpec(13, Fraction(7, 20), Fraction(19, 50), DIVIDES_B),
+]
+
+
+def _stays(claim, block, sieve) -> dict:
+    """{p: the n of the block at which p is in the claim's window}, from the
+    rational window at each n."""
+    stays = {}
+    for n in block:
+        lo, hi = map(math.floor, claim.window(n))
+        for p in sieve.primes_in(lo, hi) if lo < hi else ():
+            stays.setdefault(p, []).append(n)
+    return stays
+
+
+def test_block_pass_settles_edge_primes_over_their_own_stay():
+    sieve = build_sieve(3 * 20100)
+    tallies = _block_pass_against_per_n(_EDGE_PROBES, sieve)
+    assert all(0 < failed < checked for failed, checked in tallies)
+    # each probe has primes that enter, and primes that leave, inside a
+    # block and over their stay in it fail at some n but not at others
+    block = claims._BLOCK
+    for claim in _EDGE_PROBES:
+        mixed = set()
+        for first in range(145, 845, block):
+            span = range(first, first + block)
+            failing = {
+                (n, p) for n in span for p, _ in check_claim(claim, n, sieve).failures
+            }
+            for p, stay in _stays(claim, span, sieve).items():
+                fails = sum((n, p) in failing for n in stay)
+                if 0 < fails < len(stay):
+                    mixed |= {"enters"} if stay[0] > first else set()
+                    mixed |= {"leaves"} if stay[-1] < span[-1] else set()
+        assert mixed == {"enters", "leaves"}, claim
+
+
+def _settled(claim, p, stay) -> bool:
+    """Whether the block lemma settles p over its stay, the n of one block
+    at which it is in the claim's window, with the absorber's floors taken
+    from its rational index."""
+    n, d = stay[0], stay[-1] - stay[0]
+    if n % p + 3 * n % p + 4 * d < p:
+        return True
+    if claim.consequence == BETA_ZERO:
+        return False
+    which = claim.consequence[-1]
+    s, r = ABSORBER_COEFFS[which]
+
+    def lower_floors(m):
+        return math.floor((s - r) * m) // p, math.floor(r * m) // p
+
+    return absorber_valuation(which, n, p) == 1 and lower_floors(n) == lower_floors(stay[-1])
+
+
+def test_block_pass_decides_per_n_only_the_primes_the_lemma_leaves(monkeypatch):
+    # the walker hands _window_failures, at each n, exactly the window's
+    # primes that the block lemma does not settle over their own stay in
+    # the block, in ascending order; every window prime where the lemma
+    # does not apply (a single-n block, a window not single-floor at every
+    # n of the block, or an absorber undefined at its first n).  Rebuilt
+    # here prime by prime from the rational windows.  Window 2 is
+    # single-floor at n = 132, not from 133 to 137 and again from 138.
+    calls = []
+    decide = claims._window_failures
+
+    def recorded(consequence, primes, n, *rest):
+        calls.append((n, tuple(primes)))
+        return decide(consequence, primes, n, *rest)
+
+    monkeypatch.setattr(claims, "_window_failures", recorded)
+    sieve = build_sieve(3 * 20100)
+    block = claims._BLOCK
+    table = claim_table()[1:]
+    probes = _EDGE_PROBES + _BLOCK_PROBES[3:5]
+    cases = [
+        (table, 132, 2 * block + 5), (table, 2500, 2 * block + 3), (table, 20000, block + 1),
+        (probes, 145, 2 * block + 3), (probes, 700, 2 * block + 3), (probes, 4900, 1),
+    ]
+    settled_edges = 0
+    for windows, first, length in cases:
+        span = range(first, first + length)
+        expected = []
+        for start in span[::block]:
+            part = span[span.index(start) : span.index(start) + block]
+            for claim in windows:
+                lo, _ = zip(*map(claim.window, part))
+                which = claim.consequence[-1]
+                applies = (
+                    len(part) > 1
+                    and all((math.floor(x) + 1) ** 2 > 4 * n for x, n in zip(lo, part))
+                    and (claim.consequence == BETA_ZERO or absorber_floors_at(part[0])[which])
+                )
+                stays = _stays(claim, part, sieve)
+                left = {
+                    p for p, stay in stays.items() if not (applies and _settled(claim, p, stay))
+                }
+                edges = {p for p, stay in stays.items() if stay != list(part)}
+                settled_edges += len(edges - left)
+                for n in part:
+                    decided = tuple(p for p in sorted(left) if n in stays[p])
+                    if decided:
+                        expected.append((n, decided))
+        calls.clear()
+        claims._claims_pass(sieve, span[0], span[-1], claims._plan(windows))
+        assert calls == expected, (windows[0].id, first, length)
+    # the lemma settles edge primes too, not only those in the window
+    # throughout the block
+    assert settled_edges > 0
+
+
+def test_carried_primorial_matches_a_fresh_product_at_every_n(monkeypatch):
+    # the walker carries each primorial window's product across the n of a
+    # call; at every n its verdict must be primorial_le on the window's
+    # primes, multiplied afresh.  Claim 1 holds at every n here, so three
+    # windows from sqrt(4n) whose products sit near 4^(n/6) flip verdicts
+    # in [1, 400], [4900, 5100] and [20000, 20100].  The ranges cross
+    # window 1's opening at n = 144, block seams and the exits at isqrt(4n)
+    # of the primes 2 to 37 and of 283 (at n = 20023); the calls that
+    # start inside a range build their first product from scratch there.
+    sieve = build_sieve(3 * 20100)
+    windows = [claim_table()[0]] + [
+        ClaimSpec(1, None, hi, PRIMORIAL_16TH)
+        for hi in (Fraction(3, 8), Fraction(21, 80), Fraction(249, 1000))
+    ]
+    plan = claims._plan(windows)
+    ranges = [(1, 400), (4900, 5100), (20000, 20100), (163, 400), (4937, 5100), (20011, 20100)]
+    verdicts = {}
+    for first, last in ranges:
+        expected = []
+        for k, claim in enumerate(windows):
+            checked, failures = 0, []
+            for n in range(first, last + 1):
+                lo, hi = math.isqrt(4 * n), math.floor(claim.hi_coeff * n)
+                window = sieve.primes_in(lo, hi) if lo < hi else []
+                checked += len(window)
+                verdicts.setdefault(k, {})[n] = primorial_le(window, n, 6)
+                if not verdicts[k][n]:
+                    failures.append((n, 0, "window primorial exceeds 4^(n/6)"))
+            expected.append((checked, tuple(failures)))
+        assert claims._claims_pass(sieve, first, last, plan) == expected, (first, last)
+    # window 1 opens at n = 144 and holds throughout; each other window
+    # both holds and fails within its range
+    assert all(verdicts[0].values())
+    assert claims._claims_pass(sieve, 1, 144, plan)[0][0] == 0 < expected[0][0]
+    for k, (first, last) in enumerate(ranges[:3], 1):
+        assert {verdicts[k][n] for n in range(first, last + 1)} == {False, True}, k
+    exits = [
+        n for first, last in ranges[:3] for n in range(first, last + 1)
+        if math.isqrt(4 * n) > math.isqrt(4 * n - 4) and sieve.is_prime(math.isqrt(4 * n))
+    ]
+    assert exits == [1, 3, 7, 13, 31, 43, 73, 91, 133, 211, 241, 343, 20023]
+    # over one call, window 1's product takes its primes at the first n and
+    # then only those that enter or leave, also across block seams
+    factors = []
+    multiply = claims._balanced_product
+
+    def counted(ps):
+        factors.append(len(ps))
+        return multiply(ps)
+
+    monkeypatch.setattr(claims, "_balanced_product", counted)
+    claims._claims_pass(sieve, 20000, 20100, plan[:1])
+    ends = [(sieve.pi(math.isqrt(4 * n)), sieve.pi(n // 6)) for n in range(20000, 20101)]
+    moved = sum(i1 - i0 + j1 - j0 for (i0, j0), (i1, j1) in zip(ends, ends[1:]))
+    assert sum(factors) == ends[0][1] - ends[0][0] + moved
