@@ -459,10 +459,11 @@ def _claims_pass(sieve: PrimeSieve, start: int, stop: int, plan) -> list:
         bounds = [_window_bounds(primes, n, plan) for n in block]
         for k, column in enumerate(zip(*bounds)):
             consequence, which = plan[k][3:]
-            checked[k] += sum(j - i for i, j, _ in column if i < j)
+            icol, jcol, scol = zip(*column)
+            checked[k] += sum([j - i for i, j in zip(icol, jcol) if i < j])
             if consequence == PRIMORIAL_16TH:
                 ci, cj, product = carried[k]
-                for n, (i, j, _) in zip(block, column):
+                for n, i, j in zip(block, icol, jcol):
                     if i >= j:
                         continue
                     if i >= cj:
@@ -483,17 +484,17 @@ def _claims_pass(sieve: PrimeSieve, start: int, stop: int, plan) -> list:
             if (
                 d
                 and (which is None or floors[0].get(which) is not None)
-                and all(single for _, _, single in column)
+                and all(scol)
             ):
                 unsettled = []
-                for x, y, t1, t2 in _stays(column):
+                for x, y, t1, t2 in _stays(icol, jcol):
                     unsettled += _unsettled(
                         primes[x:y], block[t1], t2 - t1,
                         floors[t1].get(which), floors[t2].get(which),
                     )
                 if not unsettled:
                     continue
-            for n, (i, j, single), at_n in zip(block, column, floors):
+            for n, i, j, single, at_n in zip(block, icol, jcol, scol, floors):
                 if i >= j:
                     continue
                 if unsettled is None:
@@ -528,16 +529,15 @@ def _window_bounds(primes, n: int, plan) -> list:
     return row
 
 
-def _stays(column) -> list:
+def _stays(icol, jcol) -> list:
     """(x, y, t1, t2) per run of prime indices x..y-1 that are in a window
-    at the same block positions t1..t2, given the window's (i, j, single)
-    at each position.  i and j never fall, so index x is in the window
-    from t1 = bisect_right(jcol, x), the first position with x < j, to
-    t2 = bisect_right(icol, x) - 1, the last with i <= x.  Both change
-    only where x passes an i or a j, so the runs lie between consecutive
-    distinct bounds; a run in the window at no position is left out."""
-    icol = [i for i, _, _ in column]
-    jcol = [j for _, j, _ in column]
+    at the same block positions t1..t2, given the window's primes
+    primes[icol[t]:jcol[t]] at each position t.  i and j never fall, so
+    index x is in the window from t1 = bisect_right(jcol, x), the first
+    position with x < j, to t2 = bisect_right(icol, x) - 1, the last with
+    i <= x.  Both change only where x passes an i or a j, so the runs lie
+    between consecutive distinct bounds; a run in the window at no
+    position is left out."""
     cuts = sorted({*icol, *jcol})
     stays = []
     for x, y in zip(cuts, cuts[1:]):
