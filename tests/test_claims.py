@@ -580,7 +580,7 @@ _EDGE_PROBES = [
 ]
 
 
-def _stays(claim, block, sieve) -> dict:
+def _window_stays(claim, block, sieve) -> dict:
     """{p: the n of the block at which p is in the claim's window}, from the
     rational window at each n."""
     stays = {}
@@ -605,7 +605,7 @@ def test_block_pass_settles_edge_primes_over_their_own_stay():
             failing = {
                 (n, p) for n in span for p, _ in check_claim(claim, n, sieve).failures
             }
-            for p, stay in _stays(claim, span, sieve).items():
+            for p, stay in _window_stays(claim, span, sieve).items():
                 fails = sum((n, p) in failing for n in stay)
                 if 0 < fails < len(stay):
                     mixed |= {"enters"} if stay[0] > first else set()
@@ -634,9 +634,9 @@ def _settled(claim, p, stay) -> bool:
 def test_block_pass_decides_per_n_only_the_primes_the_lemma_leaves(monkeypatch):
     # the walker hands _window_failures, at each n, exactly the window's
     # primes that the block lemma does not settle over their own stay in
-    # the block, in ascending order; every window prime where the lemma
-    # does not apply (a single-n block, a window not single-floor at every
-    # n of the block, or an absorber undefined at its first n).  Rebuilt
+    # the block, in ascending order, and every window prime where the
+    # lemma does not apply (a single-n block, a window not single-floor at
+    # every n of the block, or an absorber undefined at its first n).  Rebuilt
     # here prime by prime from the rational windows.  Window 2 is
     # single-floor at n = 132, not from 133 to 137 and again from 138.
     calls = []
@@ -669,7 +669,7 @@ def test_block_pass_decides_per_n_only_the_primes_the_lemma_leaves(monkeypatch):
                     and all((math.floor(x) + 1) ** 2 > 4 * n for x, n in zip(lo, part))
                     and (claim.consequence == BETA_ZERO or absorber_floors_at(part[0])[which])
                 )
-                stays = _stays(claim, part, sieve)
+                stays = _window_stays(claim, part, sieve)
                 left = {
                     p for p, stay in stays.items() if not (applies and _settled(claim, p, stay))
                 }
@@ -717,10 +717,11 @@ def test_carried_primorial_matches_a_fresh_product_at_every_n(monkeypatch):
                     failures.append((n, 0, "window primorial exceeds 4^(n/6)"))
             expected.append((checked, tuple(failures)))
         assert claims._claims_pass(sieve, first, last, plan) == expected, (first, last)
-    # window 1 opens at n = 144 and holds throughout; each other window
-    # both holds and fails within its range
+    # window 1 is empty up to n = 144 and holds throughout; each other
+    # window both holds and fails within its range
     assert all(verdicts[0].values())
-    assert claims._claims_pass(sieve, 1, 144, plan)[0][0] == 0 < expected[0][0]
+    assert claims._claims_pass(sieve, 1, 144, plan)[0][0] == 0
+    assert claims._claims_pass(sieve, 145, 400, plan)[0][0] > 0
     for k, (first, last) in enumerate(ranges[:3], 1):
         assert {verdicts[k][n] for n in range(first, last + 1)} == {False, True}, k
     exits = [
