@@ -12,7 +12,9 @@ import argparse
 import errno
 import json
 import os
+import stat
 import sys
+from contextlib import suppress
 from functools import lru_cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -239,6 +241,33 @@ def _check_writable(path: Path) -> None:
     raise OSError(err, os.strerror(err), str(path))
 
 
+def _write_report(path: Path, text: str) -> None:
+    """Write text over the file at path in place, then cut a regular file
+    to the report's length; the file keeps its inode and mode.  It is not
+    opened with O_TRUNC: on ext4, truncating the file on every call made
+    each write wait for the flush of the report before it (most likely
+    ext4's auto_da_alloc).  A failed write leaves a prefix of the report
+    and raises an OSError that names path."""
+    data = memoryview(text.encode())
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    written = 0
+    regular = False
+    try:
+        # /dev/null, a FIFO or a tty cannot be cut, as O_TRUNC ignores them
+        regular = stat.S_ISREG(os.fstat(fd).st_mode)
+        while written < len(data):
+            written += os.write(fd, data[written:])
+        if regular:
+            os.ftruncate(fd, written)
+    except OSError as exc:  # os.write and os.ftruncate name no file
+        if regular:  # never leave the old report's tail behind the new bytes
+            with suppress(OSError):
+                os.ftruncate(fd, written)
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
+    finally:
+        os.close(fd)
+
+
 def _cannot_write(exc: OSError) -> int:
     print(f"error: cannot write the report: {exc}", file=sys.stderr)
     return 2
@@ -266,7 +295,7 @@ def main(argv=None) -> int:
         sys.stdout.write(text)
         return code
     try:
-        args.out.write_text(text)
+        _write_report(args.out, text)
     except OSError as exc:  # what the early check cannot see, or a path changed since
         return _cannot_write(exc)
     return code

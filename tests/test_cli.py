@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -143,15 +144,67 @@ def test_unwritable_out_exits_2_before_the_report_is_computed(
 
 
 def test_out_write_failure_after_the_check_exits_2(tmp_path, capsys, monkeypatch):
-    def refused(self, text):
-        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(self))
+    def refused(fd, data):  # as os.write raises: no filename
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
-    monkeypatch.setattr(Path, "write_text", refused)
+    monkeypatch.setattr(os, "write", refused)
     target = tmp_path / "report.json"
     code, out, err = run(capsys, ["lower-bound", "--n", "222", "--out", str(target)])
     assert code == 2 and out == ""
     reason = f"[Errno 28] No space left on device: '{target}'"
     assert err == f"error: cannot write the report: {reason}\n"
+
+
+def test_out_write_failure_leaves_a_prefix_of_the_new_report(tmp_path, capsys, monkeypatch):
+    # the report is written over the old file in place: a write that fails
+    # part way must not leave the old file's tail behind the new bytes
+    argv = ["verify-direct", "--nmax", "2000", "--witnesses", "--format", "csv"]
+    report = run(capsys, argv)[1].encode()
+    target = tmp_path / "direct.csv"
+    target.write_bytes(b"o" * 2 * len(report))
+    real_write = os.write
+    calls = []
+
+    def one_chunk_then_refused(fd, data):
+        calls.append(len(data))
+        if len(calls) > 1:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return real_write(fd, data[:4096])
+
+    monkeypatch.setattr(os, "write", one_chunk_then_refused)
+    code, out, err = run(capsys, [*argv, "--out", str(target)])
+    assert code == 2 and out == "" and len(calls) == 2
+    reason = f"[Errno 28] No space left on device: '{target}'"
+    assert err == f"error: cannot write the report: {reason}\n"
+    assert len(report) > 4096 and target.read_bytes() == report[:4096]
+
+
+def test_out_to_a_character_device_exits_0(capsys):
+    # ftruncate refuses /dev/null with EINVAL, so only a regular file is cut
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+    code, out, err = run(capsys, ["lower-bound", "--n", "222", "--out", os.devnull])
+    assert code == 0 and out == "" and err == ""
+
+
+def test_no_out_write_opens_its_file_with_o_trunc(tmp_path, capsys, monkeypatch):
+    # truncating on open makes the next command on ext4 wait for the flush
+    # of the file it replaced; the report is cut to length after writing
+    real_open = os.open
+    opened = []
+
+    def recorded(path, flags, *args, **kwargs):
+        opened.append((os.fspath(path), flags))
+        return real_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", recorded)
+    target = tmp_path / "report"
+    for command in JSON_COMMANDS:
+        opened.clear()
+        code, out, err = run(capsys, [*command.split(), "--out", str(target)])
+        assert code == 0 and out == "" and err == ""
+        target_flags = [flags for path, flags in opened if path == str(target)]
+        assert target_flags, f"{command}: the report was not written through os.open"
+        assert not any(flags & os.O_TRUNC for flags in target_flags), command
 
 
 def test_out_path_without_write_access_exits_2(tmp_path, capsys, monkeypatch):

@@ -9,7 +9,9 @@ shows up here.
 """
 
 import hashlib
+import os
 import re
+import stat
 
 import pytest
 
@@ -83,3 +85,33 @@ def report_digest(command: str, path) -> tuple:
 @pytest.mark.parametrize("command", GOLDEN)
 def test_report_matches_golden(command, tmp_path):
     assert report_digest(command, tmp_path / "report") == (0, GOLDEN[command])
+
+
+_CSV = "verify-direct --nmax 20000 --witnesses --format csv"
+
+
+@pytest.mark.parametrize("old_size", [1 << 20, 16], ids=["longer", "shorter"])
+@pytest.mark.parametrize("command", ["lower-bound --n 222", _CSV])
+def test_report_over_an_existing_file_matches_golden(command, old_size, tmp_path):
+    # the report overwrites the file in place and cuts it to its length
+    path = tmp_path / "report"
+    path.write_bytes(b"\xff" * old_size)
+    path.chmod(0o600)
+    inode = path.stat().st_ino
+    assert report_digest(command, path) == (0, GOLDEN[command])
+    after = path.stat()
+    assert after.st_ino == inode and stat.S_IMODE(after.st_mode) == 0o600
+    assert (after.st_size < old_size) == (old_size == 1 << 20)
+
+
+def test_report_written_in_short_writes_matches_golden(tmp_path, monkeypatch):
+    real_write = os.write
+    calls = []
+
+    def at_most_4096(fd, data):
+        calls.append(len(data))
+        return real_write(fd, data[:4096])
+
+    monkeypatch.setattr(os, "write", at_most_4096)
+    assert report_digest(_CSV, tmp_path / "report") == (0, GOLDEN[_CSV])
+    assert len(calls) > 1
