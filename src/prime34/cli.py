@@ -244,10 +244,14 @@ def _check_writable(path: Path) -> None:
 def _write_report(path: Path, text: str) -> None:
     """Write text over the file at path in place, then cut a regular file
     to the report's length; the file keeps its inode and mode.  It is not
-    opened with O_TRUNC: on ext4, truncating the file on every call made
-    each write wait for the flush of the report before it (most likely
-    ext4's auto_da_alloc).  A failed write leaves a prefix of the report
-    and raises an OSError that names path."""
+    opened with O_TRUNC: on ext4, a truncating write over a file that held
+    data took 0.4 ms longer for a 6 KB report and 1.3 ms longer for
+    2.1 MB, in a fresh process too, however long after the last write.
+    A failed write leaves a prefix of the report and raises an OSError
+    that names path.  A system crash after a successful write can leave a
+    file of the new length that mixes old and new bytes, where a
+    truncating write on ext4 leaves the old report, the new one or an
+    empty file."""
     data = memoryview(text.encode())
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     written = 0
