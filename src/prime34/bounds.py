@@ -450,6 +450,10 @@ def ln_d_upper(n: int, prec: int = DEFAULT_PREC) -> LogReal:
     return _closed_form("D", n, prec)
 
 
+# The upper bound on each absorber, read by sweeps.absorber_below_bound
+_ABSORBER_UPPER = {"A": ln_a_upper, "B": ln_b_upper, "C": ln_c_upper, "D": ln_d_upper}
+
+
 def ln_t1_upper(n: int, prec: int = DEFAULT_PREC) -> LogReal:
     """ln of (4n)^sqrt(n), the analytic cap on T1."""
     if n < 1:

@@ -6,6 +6,10 @@ sweep for (n, 4(n+2)/3), the per-claim window sweep, and single-n reports
 the n-range into fixed-size chunks over one immutable sieve; chunk results
 are merged in range order, so serial and parallel runs emit byte-identical
 CSV for the same inputs.
+
+Only sieve and errors are imported here.  Each driver of the claims sweep
+or of the single-n reports imports claims, or bounds and exact, when it
+runs, so the existence sweeps load neither.
 """
 
 from __future__ import annotations
@@ -16,38 +20,13 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import partial
+from importlib import import_module
 from itertools import accumulate, chain, compress, repeat
 from operator import gt, mul, ne, sub
 from time import perf_counter
 from typing import Optional
 
-from .bounds import (
-    DEFAULT_PREC,
-    T3_N_MIN,
-    _decide,
-    _zero,
-    build_bound_report,
-    count_lower_bound,
-    ln_a_upper,
-    ln_b_upper,
-    ln_binom_lower,
-    ln_c_upper,
-    ln_d_upper,
-    ln_of_int,
-    ln_t3_lower,
-)
-# check_claim is no longer called here but stays in the namespace:
-# bench/tracing.py counts calls to it through this module
-from .claims import (
-    check_chain,
-    check_claim,  # noqa: F401
-    check_claims,
-    check_tiling,
-    claim_table,
-    claim_to_dict,
-)
 from .errors import DomainError
-from .exact import absorber, check_t1_bound, check_t2_divisibility_bound, decompose
 from .sieve import PrimeSieve, _check_capacity, build_sieve, settled_from
 
 DEFAULT_DIRECT_NMAX = 162755  # ceiling of e^12, closing the n < e^12 range
@@ -56,6 +35,29 @@ EXACT_CHECK_CUTOFF = 5000  # largest n where decompose runs exact cross-checks
 
 _DIRECT_CHUNK = 8192
 _OBS_CHUNK = 256
+
+# Names bench/tracing.py reads from this module, by their home module.
+_TRACED = {
+    "check_claim": "claims",
+    "check_chain": "claims",
+    "decompose": "exact",
+    "check_t1_bound": "exact",
+    "check_t2_divisibility_bound": "exact",
+    "build_bound_report": "bounds",
+    "_ABSORBER_UPPER": "bounds",
+}
+
+
+def __getattr__(name: str):
+    """The object a traced name is bound to in its home module.
+
+    bench/tracing.py, this shim's only reader, patches these names in this
+    module's namespace as well as in their home modules, which the drivers
+    read at call time.  The shim goes with the tracer's rewrite (ROADMAP
+    item 10)."""
+    if name not in _TRACED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{_TRACED[name]}", __package__), name)
 
 
 @dataclass(frozen=True)
@@ -395,6 +397,8 @@ def observations_sweep(n_min: int, n_max: int, threads: int = 1) -> Observations
 
     Failures at n >= 250 are contract violations; smaller n are reported
     only (the claims are not promised there)."""
+    from .claims import check_chain, check_claims, check_tiling, claim_table
+
     if n_min < 1 or n_max < n_min:
         raise DomainError("observations sweep requires 1 <= n_min <= n_max")
     t0 = perf_counter()
@@ -426,6 +430,8 @@ def observations_sweep(n_min: int, n_max: int, threads: int = 1) -> Observations
 
 
 def observations_to_json_dict(report: ObservationsReport) -> dict:
+    from .claims import claim_table, claim_to_dict
+
     by_id = {claim.id: claim for claim in claim_table()}
     entries = []
     for e in report.entries:
@@ -460,6 +466,8 @@ def observations_csv_lines(report: ObservationsReport):
 
 def lower_bound_report(n: int, sieve: Optional[PrimeSieve] = None) -> dict:
     """Analytic lower bound vs the actual sieve count of primes in (3n, 4n)."""
+    from .bounds import T3_N_MIN, _decide, count_lower_bound, ln_of_int, ln_t3_lower
+
     if n < T3_N_MIN:
         raise DomainError(f"lower bound report requires n >= {T3_N_MIN}")
     if sieve is None:
@@ -480,6 +488,8 @@ def analytic_report(samples=None) -> dict:
     """ln of the T3 lower bound at each sample: positivity and first
     differences over a geometric ladder standing in for the n -> infinity
     trend."""
+    from .bounds import DEFAULT_PREC, _decide, _zero, ln_t3_lower
+
     samples = DEFAULT_ANALYTIC_SAMPLES if samples is None else tuple(samples)
     if not samples:
         raise DomainError("analytic report requires at least one sample")
@@ -507,12 +517,11 @@ def analytic_report(samples=None) -> dict:
     }
 
 
-_ABSORBER_UPPER = {"A": ln_a_upper, "B": ln_b_upper, "C": ln_c_upper, "D": ln_d_upper}
-
-
 def absorber_below_bound(which: str, n: int, value: int) -> bool:
     """The named absorber's exact value at n (absorber(which, n, sieve))
     strictly below its closed-form upper bound."""
+    from .bounds import _ABSORBER_UPPER, _decide, ln_of_int
+
     upper = _ABSORBER_UPPER[which]
     return _decide(lambda p: ln_of_int(value, p).less_than(upper(n, p)))
 
@@ -546,6 +555,16 @@ def decompose_report(n: int, sieve: Optional[PrimeSieve] = None) -> dict:
     T3 bound are evaluated once per precision (the caches in bounds), for
     the checks and for bound_report alike.
     """
+    from .bounds import (
+        T3_N_MIN,
+        _decide,
+        build_bound_report,
+        ln_binom_lower,
+        ln_of_int,
+        ln_t3_lower,
+    )
+    from .exact import absorber, check_t1_bound, check_t2_divisibility_bound, decompose
+
     if n < 1:
         raise DomainError("decompose requires n >= 1")
     if sieve is None:

@@ -1,4 +1,5 @@
 import errno
+import importlib
 import json
 import math
 import os
@@ -483,31 +484,123 @@ def test_module_entry_point_matches_main(capsys):
 
 
 # Runs each command line of argv in one interpreter and prints, after each,
-# the loaded modules of mpmath's package code and of the process pool.
+# the loaded modules of prime34, of mpmath's package code and of the
+# process pool.
 _IMPORT_PROBE = """
 import json, os, sys
 from prime34.cli import main
 
 for argv in sys.argv[1:]:
     assert main([*argv.split(), "--out", os.devnull]) == 0
-    loaded = [m for m in sys.modules if m.startswith("mpmath.")]
+    loaded = [m for m in sys.modules if m.startswith(("prime34.", "mpmath."))]
     loaded += [m for m in sys.modules if m == "concurrent.futures.process"]
     print(json.dumps(loaded))
 """
 
+# A bare import loads no submodule; a submodule read as an attribute of the
+# package loads that module and what it imports.
+_BARE_IMPORT_PROBE = """
+import sys, prime34
+print([m for m in sys.modules if m.startswith("prime34.")])
+prime34.errors
+print([m for m in sys.modules if m.startswith("prime34.")])
+"""
+
+
+def _loaded_after(*argvs):
+    """The modules _IMPORT_PROBE finds after each command line, all run in
+    one fresh interpreter."""
+    done = _python("-c", _IMPORT_PROBE, *argvs)
+    assert (done.returncode, done.stderr) == (0, b"")
+    return [set(json.loads(line)) for line in done.stdout.splitlines()]
+
 
 def test_commands_import_only_what_they_run():
-    sweeps_only = [
-        "verify-direct --nmax 50",
-        "verify-corollary --nmax 50",
-        "observations --nmin 1 --nmax 20",
+    # one fresh interpreter per command family, pinning the prime34 modules
+    # it loads and whether it loads mpmath, so a stray top-level import
+    # shows here; no family starts the process pool
+    sweep_modules = {"prime34.cli", "prime34.errors", "prime34.sieve", "prime34.sweeps"}
+    families = [
+        (["verify-direct --nmax 50", "verify-corollary --nmax 50"], set(), False),
+        (["observations --nmin 1 --nmax 20"], {"prime34.claims", "prime34.exact"}, False),
+        (
+            [
+                "decompose --n 300",
+                "lower-bound --n 300",
+                "verify-analytic --samples 170000,340000",
+            ],
+            {"prime34.bounds", "prime34.exact"},
+            True,
+        ),
     ]
-    done = _python("-c", _IMPORT_PROBE, *sweeps_only, "decompose --n 300")
-    assert (done.returncode, done.stderr) == (0, b"")
-    *after_sweeps, after_decompose = map(json.loads, done.stdout.splitlines())
-    assert after_sweeps == [[]] * len(sweeps_only)
-    assert "mpmath.ctx_iv" in after_decompose
-    assert "concurrent.futures.process" not in after_decompose
+    for argvs, modules, mpmath in families:
+        for argv, loaded in zip(argvs, _loaded_after(*argvs), strict=True):
+            assert {m for m in loaded if m.startswith("prime34.")} == sweep_modules | modules, argv
+            if mpmath:
+                assert "mpmath.ctx_iv" in loaded, argv
+            else:
+                assert not any(m.startswith("mpmath.") for m in loaded), argv
+            assert "concurrent.futures.process" not in loaded, argv
+    bare = _python("-c", _BARE_IMPORT_PROBE)
+    assert (bare.returncode, bare.stdout, bare.stderr) == (0, b"[]\n['prime34.errors']\n", b"")
+
+
+# The names prime34 exported before its namespace was made lazy, by home
+# module.
+_EXPORTS = {
+    "bounds": (
+        "BoundReport DEFAULT_PREC LogReal M_CORRECTION_NOTE MAX_PREC build_bound_report "
+        "check_factorial_sandwich count_lower_bound count_lower_bound_simplified "
+        "default_h1_grid default_h2_grid e_term factorial_sandwich_sweep ln_a_upper "
+        "ln_b_upper ln_binom_lower ln_c_upper ln_d_upper ln_f ln_factorial ln_g ln_m "
+        "ln_m_rate_identity ln_of_int ln_t1_upper ln_t3_lower ln_t3_lower_intermediate "
+        "replacement_minimal_n replacement_step_holds scan_h1_monotone scan_h2_unimodal "
+        "simplified_bound_minimal_n t3_positive_minimal_n"
+    ),
+    "claims": (
+        "BETA_ZERO ClaimResult ClaimSpec CONSEQUENCES DIVIDES_A DIVIDES_B DIVIDES_C "
+        "DIVIDES_D PRIMORIAL_16TH check_chain check_claim check_tiling claim_table "
+        "claim_to_dict minimal_valid_n parse_chain"
+    ),
+    "errors": "CapacityError ConsistencyError CoverageError DomainError PrecisionError",
+    "exact": (
+        "Decomposition GenBinomIndex ValuationMap absorber absorber_index "
+        "absorber_valuation beta beta_at_most_one check_t1_bound "
+        "check_t2_divisibility_bound decompose delta gen_binomial is_prime_int "
+        "legendre_valuation t2_bound_minimal_n"
+    ),
+    "sieve": "MEMORY_CAP PrimeSieve Rational build_sieve check_pi_bound check_primorial_bound",
+    "sweeps": (
+        "CONTRACT_N DEFAULT_ANALYTIC_SAMPLES DEFAULT_DIRECT_NMAX EXACT_CHECK_CUTOFF "
+        "ClaimSweepEntry ObservationsReport SweepReport absorber_below_bound "
+        "analytic_report decompose_report lower_bound_report observations_csv_lines "
+        "observations_sweep observations_to_json_dict sweep_csv_lines sweep_csv_text "
+        "sweep_to_json_dict verify_corollary verify_direct"
+    ),
+}
+
+
+def test_package_names_are_the_objects_of_their_home_modules():
+    import prime34
+
+    exported = [name for names in _EXPORTS.values() for name in names.split()]
+    assert len(exported) == 95 and prime34.__all__ == exported
+    star = {}
+    exec("from prime34 import *", star)
+    assert set(exported) <= set(star) and set(exported) <= set(dir(prime34))
+    for module, names in _EXPORTS.items():
+        home = importlib.import_module(f"prime34.{module}")
+        assert getattr(prime34, module) is home
+        for name in names.split():
+            assert getattr(prime34, name) is star[name] is getattr(home, name), name
+    with pytest.raises(AttributeError, match="'prime34' has no attribute 'no_such_name'"):
+        prime34.no_such_name
+    assert prime34.__version__ == "0.1.0"
+    # the dict bench/tracing.py patches through sweeps is the one in bounds;
+    # any other name sweeps lacks is still an AttributeError
+    assert sweeps._ABSORBER_UPPER is prime34.bounds._ABSORBER_UPPER
+    with pytest.raises(AttributeError, match="'prime34.sweeps' has no attribute 'ln_a_upper'"):
+        sweeps.ln_a_upper
 
 
 def test_usage_errors():
@@ -529,7 +622,7 @@ def test_an_absorber_beyond_its_sieve_exits_3_not_1(capsys, monkeypatch):
 
     real = exact.absorber
     monkeypatch.setattr(
-        sweeps, "absorber", lambda which, n, sieve: real(which, n, build_sieve(n))
+        exact, "absorber", lambda which, n, sieve: real(which, n, build_sieve(n))
     )
     code, out, err = run(capsys, ["decompose", "--n", "300"])
     assert code == 3 and out == ""

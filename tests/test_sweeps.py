@@ -30,7 +30,7 @@ from prime34 import (
     verify_corollary,
     verify_direct,
 )
-from prime34 import bounds, cli, exact, sweeps
+from prime34 import bounds, claims, cli, exact, sweeps
 from prime34 import sieve as sieve_module
 
 
@@ -137,7 +137,7 @@ def test_chains_are_decided_once_per_sweep(monkeypatch):
         calls.append((claim.id, n))
         return claim.id != 22
 
-    monkeypatch.setattr(sweeps, "check_chain", claim_22_fails)
+    monkeypatch.setattr(claims, "check_chain", claim_22_fails)
     report = observations_sweep(300, 320)
     assert calls == [(claim.id, 300) for claim in claim_table() if claim.chain]
     for e in report.entries:
@@ -652,7 +652,7 @@ def test_decompose_report_propagates_errors_other_than_domain(monkeypatch):
     def broken(n, sieve, t1=None):
         raise ConsistencyError("T1 routes disagree")
 
-    monkeypatch.setattr(sweeps, "check_t1_bound", broken)
+    monkeypatch.setattr(exact, "check_t1_bound", broken)
     with pytest.raises(ConsistencyError, match="T1 routes disagree"):
         decompose_report(20)
 
