@@ -7,9 +7,9 @@ the n-range into fixed-size chunks over one immutable sieve; chunk results
 are merged in range order, so serial and parallel runs emit byte-identical
 CSV for the same inputs.
 
-Only sieve and errors are imported here.  Each driver of the claims sweep
-or of the single-n reports imports claims, or bounds and exact, when it
-runs, so the existence sweeps load neither.
+Of the package, only sieve and errors are imported here.  Each driver of
+the claims sweep or of the single-n reports imports claims, or bounds and
+exact, when it runs, so the existence sweeps load none of them.
 """
 
 from __future__ import annotations
