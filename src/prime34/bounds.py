@@ -26,9 +26,7 @@ pins a first attempt.
 
 from __future__ import annotations
 
-import importlib.util
 import math
-import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -37,28 +35,11 @@ from itertools import chain, pairwise
 from types import SimpleNamespace
 from typing import NamedTuple, Optional
 
+import mpmath
+
 from .errors import ConsistencyError, DomainError, PrecisionError
 from .exact import ABSORBER_COEFFS
 from .sieve import _as_rational, settled_from
-
-
-def _lazy_module(name: str):
-    """The module name, executed on its first attribute access unless it
-    is imported already.  LazyLoader is not thread-safe before Python 3.12;
-    prime34 runs mpmath on its main thread only."""
-    if name in sys.modules:
-        return sys.modules[name]
-    spec = importlib.util.find_spec(name)
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-# Only decompose, lower-bound and verify-analytic evaluate a bound, so the
-# other commands never pay for loading mpmath.
-mpmath = _lazy_module("mpmath")
 
 DEFAULT_PREC = 128
 MAX_PREC = 4096

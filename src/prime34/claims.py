@@ -25,23 +25,22 @@ the absorber floors are computed once per n, and each window's
 primes are found by bisecting the sieve at its floored end, a tiled
 window reusing the previous window's end as its start.  check_claims
 walks the table's plan, check_claim a one-claim plan, and check_tiling
-reads the table's plan.  When (lo + 1)^2 > 4n for the floored window
-start lo, each window prime p has p^2 > 4n, which exceeds every absorber
-floor too, so each Legendre sum is the single floor m//p:
-beta(p) = 4n//p - 3n//p - n//p and v(p) = fs//p - fsr//p - fr//p.
-Windows that open at or below sqrt(4n) keep the full sums.
+reads the table's plan.
 
-The walker takes n in blocks of _BLOCK n.  A window's bounds never fall,
-so within a block each prime is in the window over one stay
-[N', N' + D'].  In the single-floor regime a prime is settled for its
-whole stay, with no per-n decision, when N' % p + 3N' % p + 4D' < p
-(beta stays 0) or, for a divisibility claim, v(N') = 1 and the floors
-fsr//p and fr//p stay put over the stay (v stays 1 >= beta).  Every
-other prime, and every prime of a single-n call, is decided per n by
-_window_failures, the one per-prime decision rule, which also writes
-every failure.  Claim 1's window product is carried across the n of a
-call, its primes multiplied in as they enter and divided out as they
-leave.
+The walker takes n in blocks of _BLOCK n, a single-n call being one block.
+A window's bounds never fall, so within a block [N, M] each prime is in the
+window over one stay [N', N' + D'].  A prime with p^2 > 4M has p^2 > 4n at
+every n of the block, which also exceeds every absorber floor (each is at
+most 2n), so each Legendre sum is the single floor m//p:
+beta(p) = 4n//p - 3n//p - n//p and v(p) = fs//p - fsr//p - fr//p.  Such a
+prime, unless its claim's absorber is undefined at N, is settled for its
+whole stay, with no per-n decision, when N' % p + 3N' % p + 4D' < p (beta
+stays 0) or, for a divisibility claim, v(N') = 1 and the floors fsr//p and
+fr//p stay put over the stay (v stays 1 >= beta).  Every other prime is decided
+per n by _window_failures, the one per-prime decision rule, by the full
+Legendre sums, which also writes every failure.  Claim 1's window product
+is carried across the n of a call, its primes multiplied in as they enter
+and divided out as they leave.
 """
 
 from __future__ import annotations
@@ -334,42 +333,23 @@ def check_claim(claim: ClaimSpec, n: int, sieve: PrimeSieve) -> ClaimResult:
     return ClaimResult(claim.id, n, checked, tuple((p, detail) for _, p, detail in failures))
 
 
-def _window_failures(consequence, primes, n, n3, n4, single, index) -> tuple:
+def _window_failures(consequence, primes, n, index) -> tuple:
     """(p, detail) for each of one window's primes at n that fail its
     consequence, BETA_ZERO or a divisibility (_claims_pass decides a
-    primorial window itself); n3 and n4 are 3n and 4n, index the floors
-    of the claim's absorber at n (None where it is undefined or the claim
-    has none).
-
-    single means (lo + 1)^2 > 4n for the floored window start lo.  Then
-    every window prime p has p^2 > 4n, and 4n bounds every absorber floor
-    (each is at most 2n), so each Legendre sum is the single floor m//p:
-    beta(p) = 4n//p - 3n//p - n//p and v(p) = fs//p - fsr//p - fr//p.
-    Other windows keep the full Legendre sums.  Detail strings are built,
-    by the full sums, for failing primes only.
+    primorial window itself), by the full Legendre sums; index is the
+    floors of the claim's absorber at n (None where it is undefined or the
+    claim has none).  Detail strings are built for failing primes only.
     """
     if consequence == BETA_ZERO:
-        if single:
-            bad = [p for p in primes if n4 // p - n3 // p - n // p]
-        else:
-            bad = [p for p in primes if _beta(n, p)]
-        if not bad:
-            return ()
-        return tuple((p, f"beta={_beta(n, p)}") for p in bad)
+        return tuple((p, f"beta={_beta(n, p)}") for p in primes if _beta(n, p))
     which = _ABSORBER_OF[consequence]
     if index is None:
         detail = f"absorber {which} undefined at n={n}"
         return tuple((p, detail) for p in primes)
-    if single:
-        fs, fsr, fr = index
-        bad = [p for p in primes if fs // p - fsr // p - fr // p < n4 // p - n3 // p - n // p]
-    else:
-        bad = [p for p in primes if _floors_valuation(index, p) < _beta(n, p)]
-    if not bad:
-        return ()
     return tuple(
         (p, f"valuation {_floors_valuation(index, p)} in {which} < beta {_beta(n, p)}")
-        for p in bad
+        for p in primes
+        if _floors_valuation(index, p) < _beta(n, p)
     )
 
 
@@ -414,15 +394,17 @@ def _claims_pass(sieve: PrimeSieve, start: int, stop: int, plan) -> list:
     A sieve that stops short of the plan's furthest end at stop is refused
     before any prime is read.
 
-    The n are walked in blocks [N, M] of _BLOCK, D = M - N.  Both bounds of
-    a window grow with n, so each prime that is in a window at some n of
-    the block is in it over one stay [N', N' + D'] (see _stays), and the
-    primes with the same stay are contiguous.  The block lemma settles a
-    prime for its whole stay, with no per-n decision; it applies when
-    D > 0, the window is not claim 1's primorial, every n of the block has
-    (lo + 1)^2 > 4n (so beta and v are single floors) and the absorber,
-    if any, is defined at N (then at every later n).  A prime p is settled
-    when
+    The n are walked in blocks [N, M] of _BLOCK, D = M - N, a single n
+    being a block with D = 0.  Both bounds of a window grow with n, so each
+    prime that is in a window at some n of the block is in it over one
+    stay [N', N' + D'] (see _stays), and the primes with the same stay are
+    contiguous.  The block lemma takes every window but a primorial one
+    and settles a prime for its whole stay, with no per-n decision.  It
+    leaves each prime with p^2 <= 4M, and every prime of a divisibility
+    window whose absorber is undefined at N.  Any other prime has p^2 > 4n
+    at every n of the block, above every absorber floor too (each is at
+    most 2n), so beta and v are single floors, and the absorber is defined
+    at every n from N on.  Such a prime p is settled when
       - N' % p + 3N' % p + 4D' < p: at n = N' + d the residues n % p and
         3n % p are those at N' plus d and 3d, with no wrap, so beta(n),
         the carry of n % p + 3n % p past p, stays 0; or
@@ -430,10 +412,11 @@ def _claims_pass(sieve: PrimeSieve, start: int, stop: int, plan) -> list:
         for the absorber floors (fs, fsr, fr): fs never falls, so v(n) >=
         v(N'), and fs <= fsr + fr + 1, so v(n) <= 1; thus v stays 1, and
         beta <= 1.
-    Either way the consequence holds at every n of the stay.  Each prime
-    the lemma leaves, and every prime where it does not apply, is decided
-    at each n of its stay by _window_failures, in ascending p, which
-    writes every failure and its detail.
+    Either way the consequence holds at every n of the stay; with D' = 0
+    the two tests are exactly beta(N') = 0 and v(N') = 1 >= beta(N').
+    Each prime the lemma leaves is decided at each n of its stay by
+    _window_failures, in ascending p, which writes every failure and its
+    detail.
 
     A primorial window (claim 1) carries the product of its primes across
     the n of the call: the primes that enter are multiplied in and those
@@ -454,12 +437,13 @@ def _claims_pass(sieve: PrimeSieve, start: int, stop: int, plan) -> list:
     carried = [(0, 0, 1)] * len(plan)
     for first in range(start, stop + 1, _BLOCK):
         block = range(first, min(first + _BLOCK, stop + 1))
-        d = len(block) - 1
         floors = [absorber_floors_at(n) for n in block]
         bounds = [_window_bounds(primes, n, plan) for n in block]
+        # primes[:root] are those with p^2 <= 4M
+        root = bisect_right(primes, isqrt(4 * block[-1]))
         for k, column in enumerate(zip(*bounds)):
             consequence, which = plan[k][3:]
-            icol, jcol, scol = zip(*column)
+            icol, jcol = zip(*column)
             checked[k] += sum([j - i for i, j in zip(icol, jcol) if i < j])
             if consequence == PRIMORIAL_16TH:
                 ci, cj, product = carried[k]
@@ -478,54 +462,41 @@ def _claims_pass(sieve: PrimeSieve, start: int, stop: int, plan) -> list:
                         failed[k].append((n, 0, "window primorial exceeds 4^(n/6)"))
                 carried[k] = ci, cj, product
                 continue
-            # the primes left to decide per n; None where the lemma does
-            # not apply
-            unsettled = None
-            if (
-                d
-                and (which is None or floors[0].get(which) is not None)
-                and all(scol)
-            ):
-                unsettled = []
-                for x, y, t1, t2 in _stays(icol, jcol):
-                    unsettled += _unsettled(
-                        primes[x:y], block[t1], t2 - t1,
-                        floors[t1].get(which), floors[t2].get(which),
-                    )
-                if not unsettled:
-                    continue
-            for n, i, j, single, at_n in zip(block, icol, jcol, scol, floors):
+            # the lemma leaves the primes below the cut, and all of them
+            # where the absorber is undefined at the block's first n
+            cut = root if which is None or floors[0][which] is not None else len(primes)
+            unsettled = []
+            for x, y, t1, t2 in _stays(icol, jcol):
+                z = min(max(x, cut), y)
+                unsettled += primes[x:z]
+                unsettled += _unsettled(
+                    primes[z:y], block[t1], t2 - t1,
+                    floors[t1].get(which), floors[t2].get(which),
+                )
+            if not unsettled:
+                continue
+            for n, i, j, at_n in zip(block, icol, jcol, floors):
                 if i >= j:
                     continue
-                if unsettled is None:
-                    window = primes[i:j]
-                else:
-                    window = unsettled[
-                        bisect_left(unsettled, primes[i]) : bisect_right(unsettled, primes[j - 1])
-                    ]
-                    if not window:
-                        continue
-                failures = _window_failures(
-                    consequence, window, n, 3 * n, 4 * n, single, at_n.get(which)
-                )
-                if failures:
+                window = unsettled[
+                    bisect_left(unsettled, primes[i]) : bisect_right(unsettled, primes[j - 1])
+                ]
+                if window:
+                    failures = _window_failures(consequence, window, n, at_n.get(which))
                     failed[k] += [(n, p, detail) for p, detail in failures]
     return [(c, tuple(f)) for c, f in zip(checked, failed)]
 
 
 def _window_bounds(primes, n: int, plan) -> list:
-    """Per window of the plan at n, (i, j, single): its primes are
-    primes[i:j], and single means (lo + 1)^2 > 4n for its floored start."""
-    n4 = 4 * n
+    """Per window of the plan at n, (i, j): its primes are primes[i:j]."""
     row = []
     for opens, num, den, _, _ in plan:
         if opens is not None:
-            lo = isqrt(n4) if opens is _ROOT else opens[0] * n // opens[1]
+            lo = isqrt(4 * n) if opens is _ROOT else opens[0] * n // opens[1]
             i = bisect_right(primes, lo)
-        hi = num * n // den
-        j = bisect_right(primes, hi)
-        row.append((i, j, (lo + 1) * (lo + 1) > n4))
-        i, lo = j, hi
+        j = bisect_right(primes, num * n // den)
+        row.append((i, j))
+        i = j
     return row
 
 
@@ -576,8 +547,9 @@ def check_claims(sieve: PrimeSieve, start: int, stop: int) -> list:
     isqrt(4n) and window k > 1 at window k-1's floored end, so each n takes
     one bisection per window end plus one at isqrt(4n).  Window 2 opens at
     floor(n/6) also where window 1 is empty (below n = 144).  The n are
-    taken in blocks of _BLOCK; a window prime that the block lemma settles
-    over its stay in a block, also one that enters or leaves the window
+    taken in blocks of _BLOCK, a single n being one block; a window prime
+    with p^2 > 4M for the block's last n M that the block lemma settles
+    over its stay in the block, also one that enters or leaves the window
     inside the block, is decided once for that stay, every other one once
     per n.  Claim 1's product is carried across the n of the call, so per
     n it takes in only the primes that enter or leave its window.

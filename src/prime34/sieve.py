@@ -59,18 +59,16 @@ class PrimeSieve:
 
         Membership is decided by integer floors of the endpoints, never by
         floating point: p > lo iff p >= floor(lo) + 1, p <= hi iff
-        p <= floor(hi).  Int endpoints are used as they are.
+        p <= floor(hi).
         """
-        lo, hi = lo_exclusive, hi_inclusive
-        if not (type(lo) is int and type(hi) is int and 0 <= lo < hi <= self.limit):
-            lo, hi = _as_exact(lo), _as_exact(hi)
-            if lo < 0:
-                raise DomainError("lower endpoint must be >= 0")
-            if lo >= hi:
-                raise DomainError(f"empty interval: lo={lo} >= hi={hi}")
-            if hi > self.limit:
-                raise CoverageError(f"endpoint {hi} beyond sieve limit {self.limit}")
-            lo, hi = math.floor(lo), math.floor(hi)
+        lo, hi = _as_exact(lo_exclusive), _as_exact(hi_inclusive)
+        if lo < 0:
+            raise DomainError("lower endpoint must be >= 0")
+        if lo >= hi:
+            raise DomainError(f"empty interval: lo={lo} >= hi={hi}")
+        if hi > self.limit:
+            raise CoverageError(f"endpoint {hi} beyond sieve limit {self.limit}")
+        lo, hi = math.floor(lo), math.floor(hi)
         primes = self.primes
         stop = bisect_right(primes, hi)
         return list(primes[bisect_right(primes, lo, 0, stop) : stop])

@@ -389,9 +389,11 @@ def observations_sweep(n_min: int, n_max: int, threads: int = 1) -> Observations
     Each chunk of n runs check_claims, one pass over the 22 windows in
     blocks of n (claims._claims_pass): the absorber floors once per n, one
     sieve bisection per window bound, each window prime decided once per
-    stay in a block where the block lemma settles it, else once per n, and
-    claim 1's window product carried across the chunk's n.  Its
-    totals and failures are those of check_claim over every (claim, n).
+    stay in a block where the block lemma settles it (p^2 above 4n at the
+    block's last n, and the absorber defined at its first; a single n is a
+    block too), else once per n, and claim 1's window product carried
+    across the chunk's n.  Its totals and failures are those of
+    check_claim over every (claim, n).
     The windows close by 3n, so the sieve reaches 3 * n_max.  A chain's
     verdict is the same at every n (check_chain), so it is decided once.
 

@@ -542,7 +542,7 @@ def test_check_claims_across_block_boundaries(sieve_mid):
         a, b = bounds(first), bounds(first + block - 1)
         return [k + 1 for k in range(22) if a[k][0] >= a[k][1] and b[k][0] < b[k][1]]
 
-    assert {bounds(n)[1][2] for n in range(130, 130 + block)} == {False, True}
+    assert {(n // 6 + 1) ** 2 > 4 * n for n in range(130, 130 + block)} == {False, True}
     assert opening(130) == [4, 9, 11] and opening(300) == [3]
     for span in (range(130, 130 + 2 * block + 5), range(300, 300 + block + 7)):
         assert len(span) % block
@@ -634,11 +634,12 @@ def _settled(claim, p, stay) -> bool:
 def test_block_pass_decides_per_n_only_the_primes_the_lemma_leaves(monkeypatch):
     # the walker hands _window_failures, at each n, exactly the window's
     # primes that the block lemma does not settle over their own stay in
-    # the block, in ascending order, and every window prime where the
-    # lemma does not apply (a single-n block, a window not single-floor at
-    # every n of the block, or an absorber undefined at its first n).  Rebuilt
-    # here prime by prime from the rational windows.  Window 2 is
-    # single-floor at n = 132, not from 133 to 137 and again from 138.
+    # the block, in ascending order: also every prime with p^2 <= 4M for
+    # the block's last n M, and every prime of a window whose absorber is
+    # undefined at the block's first n.  A single-n block takes the lemma
+    # too.  Rebuilt here prime by prime from the rational windows.  Window
+    # 2 opens above sqrt(4n) at n = 132, not from 133 to 137 and again from
+    # 138; the primes of (n/100, n/10] lie on both sides of sqrt(4n).
     calls = []
     decide = claims._window_failures
 
@@ -650,7 +651,7 @@ def test_block_pass_decides_per_n_only_the_primes_the_lemma_leaves(monkeypatch):
     sieve = build_sieve(3 * 20100)
     block = claims._BLOCK
     table = claim_table()[1:]
-    probes = _EDGE_PROBES + _BLOCK_PROBES[3:5]
+    probes = _EDGE_PROBES + _BLOCK_PROBES[3:5] + _BLOCK_PROBES[6:]
     cases = [
         (table, 132, 2 * block + 5), (table, 2500, 2 * block + 3), (table, 20000, block + 1),
         (probes, 145, 2 * block + 3), (probes, 700, 2 * block + 3), (probes, 4900, 1),
@@ -662,16 +663,12 @@ def test_block_pass_decides_per_n_only_the_primes_the_lemma_leaves(monkeypatch):
         for start in span[::block]:
             part = span[span.index(start) : span.index(start) + block]
             for claim in windows:
-                lo, _ = zip(*map(claim.window, part))
                 which = claim.consequence[-1]
-                applies = (
-                    len(part) > 1
-                    and all((math.floor(x) + 1) ** 2 > 4 * n for x, n in zip(lo, part))
-                    and (claim.consequence == BETA_ZERO or absorber_floors_at(part[0])[which])
-                )
+                defined = claim.consequence == BETA_ZERO or absorber_floors_at(part[0])[which]
                 stays = _window_stays(claim, part, sieve)
                 left = {
-                    p for p, stay in stays.items() if not (applies and _settled(claim, p, stay))
+                    p for p, stay in stays.items()
+                    if not (p * p > 4 * part[-1] and defined and _settled(claim, p, stay))
                 }
                 edges = {p for p, stay in stays.items() if stay != list(part)}
                 settled_edges += len(edges - left)
