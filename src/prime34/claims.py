@@ -28,15 +28,9 @@ walks the table's plan, check_claim a one-claim plan, and check_tiling
 reads the table's plan.
 
 The walker takes n in blocks of _BLOCK n, a single-n call being one block.
-A window's bounds never fall, so within a block [N, M] each prime is in the
-window over one stay [N', N' + D'].  A prime with p^2 > 4M has p^2 > 4n at
-every n of the block, which also exceeds every absorber floor (each is at
-most 2n), so each Legendre sum is the single floor m//p:
-beta(p) = 4n//p - 3n//p - n//p and v(p) = fs//p - fsr//p - fr//p.  Such a
-prime, unless its claim's absorber is undefined at N, is settled for its
-whole stay, with no per-n decision, when N' % p + 3N' % p + 4D' < p (beta
-stays 0) or, for a divisibility claim, v(N') = 1 and the floors fsr//p and
-fr//p stay put over the stay (v stays 1 >= beta).  Every other prime is decided
+In a block, the block lemma settles a window prime for its whole stay in
+the window, with no per-n decision; _claims_pass states the lemma, the
+primes it leaves and why it is sound.  Every prime it leaves is decided
 per n by _window_failures, the one per-prime decision rule, by the full
 Legendre sums, which also writes every failure.  Claim 1's window product
 is carried across the n of a call, its primes multiplied in as they enter
@@ -403,15 +397,16 @@ def _claims_pass(sieve: PrimeSieve, start: int, stop: int, plan) -> list:
     leaves each prime with p^2 <= 4M, and every prime of a divisibility
     window whose absorber is undefined at N.  Any other prime has p^2 > 4n
     at every n of the block, above every absorber floor too (each is at
-    most 2n), so beta and v are single floors, and the absorber is defined
-    at every n from N on.  Such a prime p is settled when
+    most 2n), so beta and v are single floors, beta = 4n//p - 3n//p - n//p
+    and v = fs//p - fsr//p - fr//p, and the absorber is defined at every n
+    from N on.  Such a prime p is settled when
       - N' % p + 3N' % p + 4D' < p: at n = N' + d the residues n % p and
         3n % p are those at N' plus d and 3d, with no wrap, so beta(n),
         the carry of n % p + 3n % p past p, stays 0; or
-      - v(N') = 1 and fsr // p and fr // p stay constant over the stay,
-        for the absorber floors (fs, fsr, fr): fs never falls, so v(n) >=
-        v(N'), and fs <= fsr + fr + 1, so v(n) <= 1; thus v stays 1, and
-        beta <= 1.
+      - for a divisibility window, v(N') = 1 and fsr // p and fr // p stay
+        constant over the stay, for the absorber floors (fs, fsr, fr): fs
+        never falls, so v(n) >= v(N'), and fs <= fsr + fr + 1, so
+        v(n) <= 1; thus v stays 1, and beta <= 1.
     Either way the consequence holds at every n of the stay; with D' = 0
     the two tests are exactly beta(N') = 0 and v(N') = 1 >= beta(N').
     Each prime the lemma leaves is decided at each n of its stay by
@@ -548,11 +543,11 @@ def check_claims(sieve: PrimeSieve, start: int, stop: int) -> list:
     one bisection per window end plus one at isqrt(4n).  Window 2 opens at
     floor(n/6) also where window 1 is empty (below n = 144).  The n are
     taken in blocks of _BLOCK, a single n being one block; a window prime
-    with p^2 > 4M for the block's last n M that the block lemma settles
-    over its stay in the block, also one that enters or leaves the window
-    inside the block, is decided once for that stay, every other one once
-    per n.  Claim 1's product is carried across the n of the call, so per
-    n it takes in only the primes that enter or leave its window.
+    that the block lemma settles over its stay in a block is decided once
+    for that stay, every other one once per n (_claims_pass states the
+    lemma and when it applies).  Claim 1's product is carried across the n
+    of the call, so per n it takes in only the primes that enter or leave
+    its window.
     """
     return _claims_pass(sieve, start, stop, _TABLE_PLAN)
 

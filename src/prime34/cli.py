@@ -42,23 +42,21 @@ from .sweeps import (
 )
 
 
-def _add_output_flags(sub, formats=("csv", "json")):
-    sub.add_argument(
-        "--format", choices=formats, default="json", help="report format"
-    )
+def _add_report_flags(sub, sweep: bool = True):
+    """--format and --out; a sweep also writes csv and takes --threads."""
+    formats = ("csv", "json") if sweep else ("json",)
+    sub.add_argument("--format", choices=formats, default="json", help="report format")
     sub.add_argument("--out", type=Path, default=None, help="write report to PATH")
+    if sweep:
+        sub.add_argument(
+            "--threads", type=int, default=1, help="worker processes for the sweep"
+        )
 
 
 def comma_separated_ints(text: str) -> list:
     """The ints of a comma-separated list, skipping empty items; argparse
     names this function when an item is not an int."""
     return [int(x) for x in text.split(",") if x]
-
-
-def _add_threads_flag(sub):
-    sub.add_argument(
-        "--threads", type=int, default=1, help="worker processes for the sweep"
-    )
 
 
 @lru_cache(maxsize=1)
@@ -72,31 +70,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser(
-        "verify-direct", help="smallest prime in [3n, 4n] for every n up to nmax"
-    )
-    p.add_argument("--nmax", type=int, default=DEFAULT_DIRECT_NMAX)
-    p.add_argument(
-        "--witnesses", action="store_true", help="keep the witness prime per n"
-    )
-    _add_output_flags(p)
-    _add_threads_flag(p)
-
-    p = sub.add_parser(
-        "verify-corollary", help="a prime strictly inside (n, 4(n+2)/3) for n >= 3"
-    )
-    p.add_argument("--nmax", type=int, required=True)
-    p.add_argument(
-        "--witnesses", action="store_true", help="keep the witness prime per n"
-    )
-    _add_output_flags(p)
-    _add_threads_flag(p)
+    for name, summary, nmax in (
+        ("verify-direct", "smallest prime in [3n, 4n] for every n up to nmax",
+         {"default": DEFAULT_DIRECT_NMAX}),
+        ("verify-corollary", "a prime strictly inside (n, 4(n+2)/3) for n >= 3",
+         {"required": True}),
+    ):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--nmax", type=int, **nmax)
+        p.add_argument(
+            "--witnesses", action="store_true", help="keep the witness prime per n"
+        )
+        _add_report_flags(p)
 
     p = sub.add_parser(
         "lower-bound", help="analytic prime-count lower bound vs sieve count"
     )
     p.add_argument("--n", type=int, required=True)
-    _add_output_flags(p, formats=("json",))
+    _add_report_flags(p, sweep=False)
 
     p = sub.add_parser(
         "verify-analytic", help="T3 lower bound positivity on a sample ladder"
@@ -104,22 +95,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--samples",
         type=comma_separated_ints,
-        default=None,
         help=f"comma-separated n values, each above {DEFAULT_DIRECT_NMAX - 1}",
     )
-    _add_output_flags(p, formats=("json",))
+    _add_report_flags(p, sweep=False)
 
     p = sub.add_parser("decompose", help="factored T1/T2/T3 and bound checks at n")
     p.add_argument("--n", type=int, required=True)
-    _add_output_flags(p, formats=("json",))
+    _add_report_flags(p, sweep=False)
 
     p = sub.add_parser(
         "observations", help="all 22 window claims and chains over [nmin, nmax]"
     )
     p.add_argument("--nmin", type=int, required=True)
     p.add_argument("--nmax", type=int, required=True)
-    _add_output_flags(p)
-    _add_threads_flag(p)
+    _add_report_flags(p)
 
     return parser
 
@@ -183,45 +172,36 @@ def _json_text(obj, nl: str = "\n") -> str:
     return "{" + inner + ("," + inner).join(texts) + nl + "}"
 
 
-def _render(report, to_json, to_csv, fmt: str) -> str:
-    """The report in fmt, built only by the formatter for that format;
-    to_csv gives the whole CSV text."""
-    if fmt == "csv":
-        return to_csv(report)
-    return _json_text(to_json(report)) + "\n"
-
-
-def _observations_csv_text(report) -> str:
-    return "\n".join(observations_csv_lines(report)) + "\n"
-
-
 def _dispatch(args) -> tuple:
-    """The report text of the command and its exit code."""
+    """The command's report text, built in the asked format only, and its exit code."""
     if args.command in ("verify-direct", "verify-corollary"):
         verify = verify_direct if args.command == "verify-direct" else verify_corollary
         report = verify(args.nmax, args.witnesses, args.threads)
-        text = _render(report, sweep_to_json_dict, sweep_csv_text, args.format)
-        return text, 1 if report.failures else 0
+        code = 1 if report.failures else 0
+        if args.format == "csv":
+            return sweep_csv_text(report), code
+        return _json_text(sweep_to_json_dict(report)) + "\n", code
 
     if args.command == "lower-bound":
         report = lower_bound_report(args.n)
-        return _render(report, dict, None, "json"), 0 if report["satisfied"] else 1
+        return _json_text(report) + "\n", 0 if report["satisfied"] else 1
 
     if args.command == "verify-analytic":
         report = analytic_report(args.samples)
         passed = report["all_positive"] and report["strictly_increasing"]
-        return _render(report, dict, None, "json"), 0 if passed else 1
+        return _json_text(report) + "\n", 0 if passed else 1
 
     if args.command == "decompose":
         report = decompose_report(args.n)
         failed = any(value == "fail" for value in report["checks"].values())
-        return _render(report, dict, None, "json"), 1 if failed else 0
+        return _json_text(report) + "\n", 1 if failed else 0
 
     if args.command == "observations":
         report = observations_sweep(args.nmin, args.nmax, args.threads)
-        to_json, to_csv = observations_to_json_dict, _observations_csv_text
-        text = _render(report, to_json, to_csv, args.format)
-        return text, 1 if report.contract_violations or not report.tiling_ok else 0
+        code = 1 if report.contract_violations or not report.tiling_ok else 0
+        if args.format == "csv":
+            return "\n".join(observations_csv_lines(report)) + "\n", code
+        return _json_text(observations_to_json_dict(report)) + "\n", code
 
     raise DomainError(f"unknown command {args.command!r}")
 

@@ -76,10 +76,7 @@ def legendre_valuation(n: int, p: int) -> int:
 
 
 def _beta(n: int, p: int) -> int:
-    # unchecked core; p must be prime.  Once p*p > 4n every Legendre sum
-    # is a single floor.
-    if p * p > 4 * n:
-        return 4 * n // p - 3 * n // p - n // p
+    # unchecked core; p must be prime
     return _legendre(4 * n, p) - _legendre(3 * n, p) - _legendre(n, p)
 
 
@@ -175,7 +172,7 @@ def beta_at_most_one(n: int, sieve: PrimeSieve) -> bool:
     """beta(p) <= 1 for every prime with sqrt(4n) < p <= 3n."""
     if n < 1:
         raise DomainError("beta_at_most_one requires n >= 1")
-    return all(_beta(n, p) <= 1 for p in _size_classes(n, sieve)[1])
+    return all(e <= 1 for _, e in _factored(n, _size_classes(n, sieve)[1]).entries)
 
 
 def floor_of(x) -> int:

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from prime34 import (
     CapacityError,
     ConsistencyError,
+    ObservationsReport,
     PrecisionError,
     SweepReport,
     claims,
@@ -448,11 +449,72 @@ def test_threads_below_one_exit_code(capsys):
         assert "threads" in err
 
 
-def test_failure_exit_code(capsys, monkeypatch):
-    failing = SweepReport(1, 5, (2,), None, 1.0)
-    monkeypatch.setattr(cli, "verify_direct", lambda *a, **k: failing)
-    code, _, _ = run(capsys, ["verify-direct", "--nmax", "5"])
-    assert code == 1
+_ANALYTIC = ["verify-analytic"]
+_OBSERVATIONS = ["observations", "--nmin", "1", "--nmax", "5"]
+
+
+# one failing report per exit-1 verdict of cli._dispatch, returned by the
+# command's driver; the two verify-analytic and the two observations reports
+# each fail on one flag alone, so a verdict that joins its two flags the
+# wrong way exits 0 on one of them
+@pytest.mark.parametrize(
+    "argv, driver, failing",
+    [
+        pytest.param(
+            ["verify-direct", "--nmax", "5"],
+            "verify_direct",
+            SweepReport(1, 5, (2,), None, 1.0),
+            id="direct",
+        ),
+        pytest.param(
+            ["verify-corollary", "--nmax", "5"],
+            "verify_corollary",
+            SweepReport(3, 5, (4,), None, 1.0),
+            id="corollary",
+        ),
+        pytest.param(
+            ["lower-bound", "--n", "222"],
+            "lower_bound_report",
+            {"n": 222, "satisfied": False},
+            id="lower-bound",
+        ),
+        pytest.param(
+            _ANALYTIC,
+            "analytic_report",
+            {"all_positive": False, "strictly_increasing": True},
+            id="analytic-positive",
+        ),
+        pytest.param(
+            _ANALYTIC,
+            "analytic_report",
+            {"all_positive": True, "strictly_increasing": False},
+            id="analytic-increasing",
+        ),
+        pytest.param(
+            ["decompose", "--n", "300"],
+            "decompose_report",
+            {"n": 300, "checks": {"a": "pass", "b": "fail", "c": "not applicable"}},
+            id="decompose",
+        ),
+        pytest.param(
+            _OBSERVATIONS,
+            "observations_sweep",
+            ObservationsReport(1, 5, (), True, 1, 1.0),
+            id="observations-violations",
+        ),
+        pytest.param(
+            _OBSERVATIONS,
+            "observations_sweep",
+            ObservationsReport(1, 5, (), False, 0, 1.0),
+            id="observations-tiling",
+        ),
+    ],
+)
+def test_failure_exit_code(capsys, monkeypatch, argv, driver, failing):
+    monkeypatch.setattr(cli, driver, lambda *a, **k: failing)
+    code, out, err = run(capsys, argv)
+    assert code == 1 and err == ""
+    assert json.loads(out)
 
 
 @pytest.mark.parametrize("error", [ConsistencyError, PrecisionError])
