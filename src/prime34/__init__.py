@@ -43,11 +43,10 @@ _EXPORTS = {
     """,
     "sweeps": """
         CONTRACT_N DEFAULT_ANALYTIC_SAMPLES DEFAULT_DIRECT_NMAX
-        EXACT_CHECK_CUTOFF ClaimSweepEntry ObservationsReport SweepReport
-        absorber_below_bound analytic_report decompose_report
-        lower_bound_report observations_csv_lines observations_sweep
-        observations_to_json_dict sweep_csv_lines sweep_csv_text
-        sweep_to_json_dict verify_corollary verify_direct
+        EXACT_CHECK_CUTOFF SweepReport absorber_below_bound analytic_report
+        decompose_report lower_bound_report observations_csv_lines
+        observations_sweep sweep_csv_lines sweep_csv_text sweep_to_json_dict
+        verify_corollary verify_direct
     """,
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}

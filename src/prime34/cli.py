@@ -34,7 +34,6 @@ from .sweeps import (
     lower_bound_report,
     observations_csv_lines,
     observations_sweep,
-    observations_to_json_dict,
     sweep_csv_text,
     sweep_to_json_dict,
     verify_corollary,
@@ -198,10 +197,10 @@ def _dispatch(args) -> tuple:
 
     if args.command == "observations":
         report = observations_sweep(args.nmin, args.nmax, args.threads)
-        code = 1 if report.contract_violations or not report.tiling_ok else 0
+        code = 1 if report["contract_violations"] or not report["tiling_ok"] else 0
         if args.format == "csv":
             return "\n".join(observations_csv_lines(report)) + "\n", code
-        return _json_text(observations_to_json_dict(report)) + "\n", code
+        return _json_text(report) + "\n", code
 
     raise DomainError(f"unknown command {args.command!r}")
 

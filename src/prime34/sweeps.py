@@ -361,30 +361,14 @@ def sweep_csv_lines(report: SweepReport) -> list:
     return sweep_csv_text(report).splitlines()
 
 
-@dataclass(frozen=True)
-class ClaimSweepEntry:
-    """One claim's aggregate over a swept n-range."""
-
-    claim_id: int
-    minimal_valid_n: Optional[int]
-    primes_checked: int
-    claim_failures: tuple  # (n, p, detail)
-    chain_failures: tuple  # n values where the chain check failed
-
-
-@dataclass(frozen=True)
-class ObservationsReport:
-    n_min: int
-    n_max: int
-    entries: tuple
-    tiling_ok: bool
-    contract_violations: int
-    runtime_ms: Optional[float]
-
-
-def observations_sweep(n_min: int, n_max: int, threads: int = 1) -> ObservationsReport:
+def observations_sweep(n_min: int, n_max: int, threads: int = 1) -> dict:
     """Every window claim and chain over [n_min, n_max], with per-claim
-    minimal valid n and the symbolic tiling check.
+    minimal valid n and the symbolic tiling check, as the dict that
+    `observations --format json` prints: n_min, n_max, claims, tiling_ok,
+    contract_violations and runtime_ms.  Each entry of claims is
+    claim_to_dict's with minimal_valid_n, primes_checked, claim_failures
+    as [n, p, detail] lists and chain_failures, the n where the chain
+    check failed.
 
     Each chunk of n runs check_claims, one pass over the 22 windows in
     blocks of n (claims._claims_pass): the absorber floors once per n, one
@@ -398,7 +382,7 @@ def observations_sweep(n_min: int, n_max: int, threads: int = 1) -> Observations
 
     Failures at n >= 250 are contract violations; smaller n are reported
     only (the claims are not promised there)."""
-    from .claims import check_chain, check_claims, check_tiling, claim_table
+    from .claims import check_chain, check_claims, check_tiling, claim_table, claim_to_dict
 
     if n_min < 1 or n_max < n_min:
         raise DomainError("observations sweep requires 1 <= n_min <= n_max")
@@ -406,62 +390,42 @@ def observations_sweep(n_min: int, n_max: int, threads: int = 1) -> Observations
     _check_threads(threads)
     sieve = build_sieve(3 * n_max)
     parts = _run_chunked(check_claims, sieve, n_min, n_max, threads, _OBS_CHUNK)
-    table = claim_table()
     entries = []
     violations = 0
-    for k, claim in enumerate(table):
-        checked = sum(part[k][0] for part in parts)
-        failures = tuple(row for part in parts for row in part[k][1])
+    for k, claim in enumerate(claim_table()):
+        failures = [[n, p, detail] for part in parts for n, p, detail in part[k][1]]
         chain_ok = not claim.chain or check_chain(claim, n_min)
-        chain_bad = () if chain_ok else tuple(range(n_min, n_max + 1))
-        bad = [n for n, _, _ in failures] + list(chain_bad)
-        minimal = settled_from(set(bad).__contains__, n_min, n_max)
+        chain_bad = [] if chain_ok else list(range(n_min, n_max + 1))
+        bad = [n for n, _, _ in failures] + chain_bad
         violations += sum(1 for n in bad if n >= CONTRACT_N)
         entries.append(
-            ClaimSweepEntry(claim.id, minimal, checked, failures, chain_bad)
+            {
+                **claim_to_dict(claim),
+                "minimal_valid_n": settled_from(set(bad).__contains__, n_min, n_max),
+                "primes_checked": sum(part[k][0] for part in parts),
+                "claim_failures": failures,
+                "chain_failures": chain_bad,
+            }
         )
-    return ObservationsReport(
-        n_min,
-        n_max,
-        tuple(entries),
-        check_tiling(),
-        violations,
-        (perf_counter() - t0) * 1e3,
-    )
-
-
-def observations_to_json_dict(report: ObservationsReport) -> dict:
-    from .claims import claim_table, claim_to_dict
-
-    by_id = {claim.id: claim for claim in claim_table()}
-    entries = []
-    for e in report.entries:
-        d = claim_to_dict(by_id[e.claim_id])
-        d.update(
-            minimal_valid_n=e.minimal_valid_n,
-            primes_checked=e.primes_checked,
-            claim_failures=[[n, p, detail] for n, p, detail in e.claim_failures],
-            chain_failures=list(e.chain_failures),
-        )
-        entries.append(d)
     return {
-        "n_min": report.n_min,
-        "n_max": report.n_max,
+        "n_min": n_min,
+        "n_max": n_max,
         "claims": entries,
-        "tiling_ok": report.tiling_ok,
-        "contract_violations": report.contract_violations,
-        "runtime_ms": report.runtime_ms,
+        "tiling_ok": check_tiling(),
+        "contract_violations": violations,
+        "runtime_ms": (perf_counter() - t0) * 1e3,
     }
 
 
-def observations_csv_lines(report: ObservationsReport):
-    """Numeric per-claim summary; -1 encodes 'no valid n in range'."""
+def observations_csv_lines(report: dict):
+    """Numeric per-claim summary of an observations_sweep dict, one line
+    per claim; -1 encodes 'no valid n in range'."""
     yield "claim_id,minimal_valid_n,primes_checked,claim_failures,chain_failures"
-    for e in report.entries:
-        minimal = -1 if e.minimal_valid_n is None else e.minimal_valid_n
+    for c in report["claims"]:
+        minimal = -1 if c["minimal_valid_n"] is None else c["minimal_valid_n"]
         yield (
-            f"{e.claim_id},{minimal},{e.primes_checked},"
-            f"{len(e.claim_failures)},{len(e.chain_failures)}"
+            f"{c['id']},{minimal},{c['primes_checked']},"
+            f"{len(c['claim_failures'])},{len(c['chain_failures'])}"
         )
 
 
@@ -540,21 +504,21 @@ def _outcome(decide) -> str:
         return "pole: not applicable" if "pole" in str(exc) else "not applicable"
 
 
-def decompose_report(n: int, sieve: Optional[PrimeSieve] = None) -> dict:
+def decompose_report(n: int) -> dict:
     """Factored T1/T2/T3 with ln values and pass/fail for every inequality
     applicable at this n.  Exact cross-checks (big-integer identity and
     bound comparisons) run for n <= EXACT_CHECK_CUTOFF; above that only
     the factored forms and ln values are reported.
 
-    Each value is built once per call.  The one sieve (to 4n, unless the
-    caller passes one) serves every prime the report needs.  decompose
-    factors T1, T2 and T3 on it; each is multiplied once, and the values go
-    to the binomial identity, check_t1_bound, check_t2_divisibility_bound
-    and the T3 check.  C(4n, 3n) is one math.comb, for the identity and the
-    binomial bound check.  Each absorber is built on the sieve by the first
-    check that needs it and handed to the others.  The closed forms and the
-    T3 bound are evaluated once per precision (the caches in bounds), for
-    the checks and for bound_report alike.
+    Each value is built once per call.  The one sieve, to 4n, serves every
+    prime the report needs.  decompose factors T1, T2 and T3 on it; each
+    is multiplied once, and the values go to the binomial identity,
+    check_t1_bound, check_t2_divisibility_bound and the T3 check.
+    C(4n, 3n) is one math.comb, for the identity and the binomial bound
+    check.  Each absorber is built on the sieve by the first check that
+    needs it and handed to the others.  The closed forms and the T3 bound
+    are evaluated once per precision (the caches in bounds), for the
+    checks and for bound_report alike.
     """
     from .bounds import (
         T3_N_MIN,
@@ -568,8 +532,7 @@ def decompose_report(n: int, sieve: Optional[PrimeSieve] = None) -> dict:
 
     if n < 1:
         raise DomainError("decompose requires n >= 1")
-    if sieve is None:
-        sieve = build_sieve(4 * n)
+    sieve = build_sieve(4 * n)
     dec = decompose(n, sieve)
     absorbers = {}
 

@@ -73,10 +73,10 @@ def test_criterion_04_t2_divisibility_bound(sieve_mid):
 
 
 def test_criterion_05_observation_suite(observations_full):
-    minima = {e.claim_id: e.minimal_valid_n for e in observations_full.entries}
+    minima = {c["id"]: c["minimal_valid_n"] for c in observations_full["claims"]}
     ok = (
-        observations_full.contract_violations == 0
-        and observations_full.tiling_ok
+        observations_full["contract_violations"] == 0
+        and observations_full["tiling_ok"]
         and all(m is not None and m <= 250 for m in minima.values())
     )
     worst = max(minima.values())

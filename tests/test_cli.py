@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from prime34 import (
     CapacityError,
     ConsistencyError,
-    ObservationsReport,
     PrecisionError,
     SweepReport,
     claims,
@@ -315,11 +314,11 @@ def test_observations_on_a_short_sieve_exits_3(capsys, monkeypatch):
 
 
 def test_csv_output_builds_no_json_report(capsys, monkeypatch):
-    def refuse(report):
+    def refuse(*args, **kwargs):
         raise AssertionError("JSON report built for CSV output")
 
     monkeypatch.setattr(cli, "sweep_to_json_dict", refuse)
-    monkeypatch.setattr(cli, "observations_to_json_dict", refuse)
+    monkeypatch.setattr(cli, "_json_text", refuse)
     for command in (
         ["verify-direct", "--nmax", "50"],
         ["observations", "--nmin", "1", "--nmax", "20"],
@@ -499,13 +498,13 @@ _OBSERVATIONS = ["observations", "--nmin", "1", "--nmax", "5"]
         pytest.param(
             _OBSERVATIONS,
             "observations_sweep",
-            ObservationsReport(1, 5, (), True, 1, 1.0),
+            {"contract_violations": 1, "tiling_ok": True},
             id="observations-violations",
         ),
         pytest.param(
             _OBSERVATIONS,
             "observations_sweep",
-            ObservationsReport(1, 5, (), False, 0, 1.0),
+            {"contract_violations": 0, "tiling_ok": False},
             id="observations-tiling",
         ),
     ],
@@ -634,10 +633,9 @@ _EXPORTS = {
     "sieve": "MEMORY_CAP PrimeSieve Rational build_sieve check_pi_bound check_primorial_bound",
     "sweeps": (
         "CONTRACT_N DEFAULT_ANALYTIC_SAMPLES DEFAULT_DIRECT_NMAX EXACT_CHECK_CUTOFF "
-        "ClaimSweepEntry ObservationsReport SweepReport absorber_below_bound "
-        "analytic_report decompose_report lower_bound_report observations_csv_lines "
-        "observations_sweep observations_to_json_dict sweep_csv_lines sweep_csv_text "
-        "sweep_to_json_dict verify_corollary verify_direct"
+        "SweepReport absorber_below_bound analytic_report decompose_report "
+        "lower_bound_report observations_csv_lines observations_sweep sweep_csv_lines "
+        "sweep_csv_text sweep_to_json_dict verify_corollary verify_direct"
     ),
 }
 
@@ -646,7 +644,7 @@ def test_package_names_are_the_objects_of_their_home_modules():
     import prime34
 
     exported = [name for names in _EXPORTS.values() for name in names.split()]
-    assert len(exported) == 95 and prime34.__all__ == exported
+    assert len(exported) == 92 and prime34.__all__ == exported
     star = {}
     exec("from prime34 import *", star)
     assert set(exported) <= set(star) and set(exported) <= set(dir(prime34))

@@ -4,6 +4,7 @@ import random
 import sys
 import tracemalloc
 from array import array
+from itertools import zip_longest
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,7 +25,6 @@ from prime34 import (
     lower_bound_report,
     observations_csv_lines,
     observations_sweep,
-    observations_to_json_dict,
     sweep_csv_lines,
     sweep_to_json_dict,
     verify_corollary,
@@ -94,33 +94,31 @@ def test_sweep_csv_roundtrip():
 
 def test_observations_report():
     report = observations_sweep(1, 120)
-    assert (report.n_min, report.n_max) == (1, 120)
-    assert report.tiling_ok
-    assert report.contract_violations == 0
-    assert len(report.entries) == 22
-    assert [e.claim_id for e in report.entries] == list(range(1, 23))
-    minima = {e.claim_id: e.minimal_valid_n for e in report.entries}
+    assert (report["n_min"], report["n_max"]) == (1, 120)
+    assert report["tiling_ok"] is True
+    assert report["contract_violations"] == 0
+    assert len(report["claims"]) == 22
+    assert [c["id"] for c in report["claims"]] == list(range(1, 23))
+    minima = {c["id"]: c["minimal_valid_n"] for c in report["claims"]}
     # range-relative: within [1, 120] window 2 last fails at 113
     assert minima[1] == 1 and minima[2] == 114 and minima[5] == 95
-    assert all(e.chain_failures == () for e in report.entries)
-    assert report.entries[21].primes_checked > 0
+    # a claim whose last failure is at n_max - 1 settles at n_max itself
+    assert observations_sweep(100, 114)["claims"][1]["minimal_valid_n"] == 114
+    assert all(c["chain_failures"] == [] for c in report["claims"])
+    assert report["claims"][21]["primes_checked"] > 0
 
     csv = list(observations_csv_lines(report))
     assert csv[0] == "claim_id,minimal_valid_n,primes_checked,claim_failures,chain_failures"
     assert len(csv) == 23
-    for line, e in zip(csv[1:], report.entries):
-        minimal = -1 if e.minimal_valid_n is None else e.minimal_valid_n
+    for line, c in zip(csv[1:], report["claims"]):
+        minimal = -1 if c["minimal_valid_n"] is None else c["minimal_valid_n"]
         assert line == (
-            f"{e.claim_id},{minimal},{e.primes_checked},"
-            f"{len(e.claim_failures)},{len(e.chain_failures)}"
+            f"{c['id']},{minimal},{c['primes_checked']},"
+            f"{len(c['claim_failures'])},{len(c['chain_failures'])}"
         )
 
-    d = json.loads(json.dumps(observations_to_json_dict(report)))
-    assert d["tiling_ok"] is True
-    assert d["contract_violations"] == 0
-    assert len(d["claims"]) == 22
-    assert d["claims"][0]["lo"] == "sqrt(4n)"
-    assert d["claims"][1]["minimal_valid_n"] == 114
+    assert json.loads(json.dumps(report)) == report
+    assert report["claims"][0]["lo"] == "sqrt(4n)"
 
     with pytest.raises(DomainError):
         observations_sweep(0, 10)
@@ -138,13 +136,19 @@ def test_chains_are_decided_once_per_sweep(monkeypatch):
         return claim.id != 22
 
     monkeypatch.setattr(claims, "check_chain", claim_22_fails)
-    report = observations_sweep(300, 320)
-    assert calls == [(claim.id, 300) for claim in claim_table() if claim.chain]
-    for e in report.entries:
-        assert e.chain_failures == (tuple(range(300, 321)) if e.claim_id == 22 else ())
-        assert e.claim_failures == ()
-    assert report.entries[21].minimal_valid_n is None
-    assert report.contract_violations == 21
+    # [249, 251] straddles CONTRACT_N = 250, below which a failure is
+    # reported but is no contract violation
+    for n_min, n_max, violations in ((300, 320, 21), (249, 251, 2)):
+        calls.clear()
+        report = observations_sweep(n_min, n_max)
+        assert calls == [(claim.id, n_min) for claim in claim_table() if claim.chain]
+        for c in report["claims"]:
+            assert c["chain_failures"] == (
+                list(range(n_min, n_max + 1)) if c["id"] == 22 else []
+            )
+            assert c["claim_failures"] == []
+        assert report["claims"][21]["minimal_valid_n"] is None
+        assert report["contract_violations"] == violations
 
 
 def test_parallel_runs_match_serial_byte_for_byte():
@@ -394,6 +398,18 @@ def _failing_sieve(limit):
     return _thinned_sieve(limit, 0.6, random.Random(limit), top=18_000)
 
 
+def _assert_same_lines(lines, expected):
+    """lines == expected for two lists of lines.  A mismatch fails with the
+    first line that differs, where pytest's diff of 20,000 rows would take
+    minutes."""
+    if lines != expected:
+        i = next(i for i, (a, b) in enumerate(zip_longest(lines, expected)) if a != b)
+        pytest.fail(
+            f"line {i + 1} differs: {lines[i:i + 1]} where {expected[i:i + 1]} "
+            f"was expected ({len(lines)} lines, {len(expected)} expected)"
+        )
+
+
 @pytest.mark.parametrize("witnesses", [True, False])
 @pytest.mark.parametrize(
     "command, limit, n_min, form, failing_chunks",
@@ -420,7 +436,8 @@ def test_sweep_csv_matches_per_n_reference(
         expected = "n,witness\n" + "".join(f"{n},{w}\n" for n, w in rows)
     else:
         expected = "n,ok\n" + "".join(f"{n},{0 if w == 0 else 1}\n" for n, w in rows)
-    assert text == expected
+    # with their line ends, the lines are equal exactly when the texts are
+    _assert_same_lines(text.splitlines(True), expected.splitlines(True))
 
     sweep = verify_direct if command == "verify-direct" else verify_corollary
     report = sweep(20_000, witnesses=witnesses)
@@ -430,7 +447,7 @@ def test_sweep_csv_matches_per_n_reference(
         assert not report.witness.keys() & set(failures)
     else:
         assert report.witness is None
-    assert list(sweep_csv_lines(report)) == text.splitlines()
+    _assert_same_lines(list(sweep_csv_lines(report)), text.splitlines())
     d = sweep_to_json_dict(report)
     assert d["failures"] == list(failures)
     if witnesses:
