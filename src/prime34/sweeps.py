@@ -129,7 +129,15 @@ def _scan_witnesses(sieve: PrimeSieve, start: int, stop: int, form: tuple) -> tu
     run's length is the gap between neighbouring run ends.  Acceptance,
     c*p <= 4n + d, grows with n, so only the front of a run, n through
     (c*p - d - 1) // 4, can be rejected; such runs (none on a full sieve)
-    are split into a 0-run and a p-run."""
+    are split into a 0-run and a p-run.
+
+    The chunk's largest gap G between neighbouring primes can accept every
+    run at once.  A prime p after p' opens its run at e + 1, where e =
+    (p' - b) // a >= (p' - b - a + 1) / a, and p <= p' + G, so c*p <=
+    4(e + 1) + d when (4 - a*c)*p' >= a*c*G + 4b - 4 - a*d.  For a*c <= 4
+    the left side does not fall as p' grows, so that test at the first
+    prime, with the first prime accepted at start, accepts every run; the
+    runs are then canonical when none is empty and primes do not run out."""
     a, b, c, d = form
     primes = sieve.primes
     lo = bisect_left(primes, a * start + b)
@@ -141,6 +149,11 @@ def _scan_witnesses(sieve: PrimeSieve, start: int, stop: int, form: tuple) -> tu
     ends = [start - 1, *lasts]  # ends[i]: the n before run i
     lengths = list(map(sub, lasts, ends))
     tail = stop - ends[-1]  # the n after the last run, where primes ran out
+    ac = a * c
+    if not tail and all(lengths) and ac <= 4 and c * ps[0] <= 4 * start + d:
+        gap = max(map(sub, ps[1:], ps), default=0)
+        if (4 - ac) * ps[0] >= ac * gap + 4 * b - 4 - a * d:
+            return array("q", ps), array("q", lengths)
     rejected = [(c * p - d - 1) // 4 for p in ps]  # the last n rejecting p
     bad = list(compress(range(len(ps)), map(gt, rejected, ends)))
     if not bad and not tail:
@@ -302,19 +315,20 @@ def sweep_csv_text(report: SweepReport) -> str:
         header, (values, lengths) = "n,witness", report.runs
     else:
         header, (values, lengths) = "n,ok", _flag_runs(report)
-    starts = array("q", accumulate(lengths, initial=report.n_min))  # first n of each run
-    out = bytearray(header.encode() + b"\n")
-    lo = report.n_min
+    starts = [*accumulate(lengths, initial=report.n_min)]  # first n of each run
+    blocks, lo = [], report.n_min  # (lo, runs i:j, the n cut off their ends)
     while lo <= report.n_max:
-        width = len(str(lo))
-        stop = min(10**width, report.n_max + 1)
-        i = bisect_right(starts, lo) - 1  # the run holding lo
-        j = bisect_left(starts, stop)  # the first run from stop on
-        block = array("q", lengths[i:j])
-        block[0] -= lo - starts[i]
-        block[-1] -= starts[j] - stop
-        _write_block(out, lo, width, values[i:j], block)
+        stop = min(10 ** len(str(lo)), report.n_max + 1)
+        i, j = bisect_right(starts, lo) - 1, bisect_left(starts, stop)
+        blocks.append((lo, i, j, lo - starts[i], starts[j] - stop))
         lo = stop
+    del starts  # its boxed ints go before the rows, which set the peak
+    out = bytearray(header.encode() + b"\n")
+    for lo, i, j, head, tail in blocks:
+        block = array("q", lengths[i:j])
+        block[0] -= head
+        block[-1] -= tail
+        _write_block(out, lo, len(str(lo)), values[i:j], block)
     return out.decode("ascii")
 
 

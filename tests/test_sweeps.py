@@ -4,10 +4,11 @@ import random
 import sys
 import tracemalloc
 from array import array
+from bisect import bisect_left
 from itertools import zip_longest
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from prime34 import (
@@ -270,8 +271,10 @@ def test_witness_forms_state_the_sweeps():
 
 
 # (1, 0, 3, -1000) is no sweep of the package: it rejects whole runs of n
-# for p below about 1000, which neither real form ever does
-_FORMS = (sweeps._DIRECT_FORM, sweeps._COROLLARY_FORM, (1, 0, 3, -1000))
+# for p below about 1000, which neither real form ever does.  (1, 0, 5, 148)
+# has a*c = 5 > 4: its first prime can be accepted with small gaps while
+# later primes are rejected, since 5p outgrows 4p' + 148
+_FORMS = (sweeps._DIRECT_FORM, sweeps._COROLLARY_FORM, (1, 0, 3, -1000), (1, 0, 5, 148))
 
 
 @pytest.mark.parametrize("density", [0.0, 0.2, 0.6, 0.95])
@@ -287,6 +290,69 @@ def test_witness_scan_matches_brute_force_on_thinned_sieves(density):
             got = sweeps._scan_witnesses(sieve, start, stop, form)
             _assert_canonical(got, stop - start + 1)
             assert _expand_runs(got) == _brute_witnesses(sieve, start, stop, form)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([(1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (3, 1), (4, 1)]),
+    st.integers(0, 30),
+    st.integers(1, 2000),
+    st.integers(0, 300),
+    st.sampled_from([0.0, 0.3, 0.7, 0.9]),
+    st.integers(0, 2**32),
+)
+@example((1, 4), 0, 100, 40, 0.0, 0)  # largest gap 14, between 113 and 127
+@example((1, 4), 5, 1000, 60, 0.7, 1)  # a thinned sieve, largest gap 36
+@example((3, 1), 0, 8, 20, 0.0, 0)  # the first prime binds: 29 at n = 8
+@example((2, 2), 0, 20, 20, 0.0, 0)  # the gap binds at d = 10 > 0, with a = 2
+@example((3, 1), 0, 1, 20, 0.0, 0)  # 3 and 5 share the run of n = 1
+def test_gap_bound_accepts_every_run_and_is_tight(ac, b, start, span, density, seed):
+    # d is the least value at which the first prime is accepted at start and
+    # the chunk's largest gap bounds every later run, so the scan must skip
+    # the per-prime rule.  Where the first prime sets d, or at a = 1, c = 4,
+    # one less rejects a run at its first n: the first prime's, or the run
+    # after the largest gap
+    (a, c), stop = ac, start + span
+    sieve = _thinned_sieve(a * stop + b + 2000, density, random.Random(seed))
+    primes = sieve.primes
+    lo = bisect_left(primes, a * start + b)
+    hi = bisect_left(primes, a * stop + b) + 1
+    assume(hi <= len(primes))  # no tail: a prime from a*stop + b on
+    ps = primes[lo:hi]
+    gap = max((q - p for p, q in zip(ps, ps[1:])), default=0)
+    first = c * ps[0] - 4 * start
+    by_gap = -(((4 - a * c) * ps[0] - a * c * gap - 4 * b + 4) // a)
+    d = max(first, by_gap)
+    found, compared = {}, []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sweeps, "gt", lambda x, y: compared.append(y) or x > y)
+        for dd in (d, d - 1):
+            form = (a, b, c, dd)
+            got = sweeps._scan_witnesses(sieve, start, stop, form)
+            _assert_canonical(got, span + 1)
+            found[dd] = _expand_runs(got)
+            assert found[dd] == _brute_witnesses(sieve, start, stop, form)
+            if dd == d and len(set(found[d])) == len(ps):  # no run is empty
+                assert compared == []  # the bound took the chunk at once
+    assert 0 not in found[d]
+    if first >= by_gap or (a, c) == (1, 4):
+        assert 0 in found[d - 1]
+
+
+def test_default_direct_sweep_decides_acceptance_per_prime_only_in_its_first_chunk(
+    monkeypatch,
+):
+    # primes 3 and 5 share the run of n = 1, so the first 8192-n chunk has an
+    # empty run and takes the per-prime rule, one comparison per prime; the
+    # largest prime gap accepts every run of the other 19 chunks at once
+    compared = []  # the run ends the per-prime rule compares against
+    monkeypatch.setattr(sweeps, "gt", lambda x, y: compared.append(y) or x > y)
+    report = verify_direct()
+    primes = build_sieve(3 * 8192 + 100).primes
+    first_chunk = primes[bisect_left(primes, 3) : bisect_left(primes, 3 * 8192) + 1]
+    assert report.failures == ()
+    assert len(compared) == len(first_chunk)
+    assert min(compared) == 0 and max(compared) < 8192
 
 
 @pytest.mark.parametrize("thinned", [False, True])
