@@ -20,37 +20,54 @@ Window bounds and absorber valuations are integer arithmetic.  A sequence
 of claims becomes one window plan: per window, where it opens (at
 isqrt(4n), where the previous window closed, or at its own floored
 (num * n) // den), its end as (num, den), its consequence and its
-absorber.  One walker, _claims_pass, decides a plan over a range of n:
-the absorber floors are computed once per n, and each window's
-primes are found by bisecting the sieve at its floored end, a tiled
-window reusing the previous window's end as its start.  check_claims
-walks the table's plan, check_claim a one-claim plan, and check_tiling
-reads the table's plan.
+absorber.  One walker, _claims_pass, decides a plan over a range of n,
+each window's primes found by bisecting the sieve at its floored end, a
+tiled window reusing the previous window's end as its start.
+check_claims walks the table's plan, check_claim a one-claim plan, and
+check_tiling reads the table's plan.
 
-The walker takes n in blocks of _BLOCK n, a single-n call being one block.
-In a block, the block lemma settles a window prime for its whole stay in
-the window, with no per-n decision; _claims_pass states the lemma, the
-primes it leaves and why it is sound.  Every prime it leaves is decided
-per n by _window_failures, the one per-prime decision rule, by the full
-Legendre sums, which also writes every failure.  Claim 1's window product
-is carried across the n of a call, its primes multiplied in as they enter
+The breakpoint certificate (_certificate) decides a window for every n
+from some n0 on.  Let the window be (a*n, b*n], a > 0 its own start or,
+for a tiled window, the previous window's end, and n0 = ceil(4/a^2).
+From n0 on each window prime has p > a*n, so p^2 > a^2 n^2 >= 4n, and
+each Legendre sum of beta, or of the absorber valuation, whose floors are
+at most s*n <= 4n, has the single term floor(m/p).  As floor(floor(c*n)/p)
+= floor(c*n/p), with x = n/p
+  beta = [4x] - [3x] - [x]  and  v = [s*x] - [(s - r)*x] - [r*x],
+step functions of x alone, and a window prime has x in [1/b, 1/a).  Each
+[c*x] is right-continuous, constant on [k/c, (k + 1)/c), so every value
+beta and v take on [1/b, 1/a) is taken at x = 1/b or at a breakpoint k/c
+in (1/b, 1/a), for c in 4, 3, 1 and the absorber's s, s - r and r.  A
+consequence, beta = 0 or v >= beta, that holds at those points holds for
+every window prime at every n >= n0.  r*n grows with n, so an absorber
+defined at n0 is defined from there on; one with s > 4 or undefined at
+n0 is not certified, nor is a window that opens at isqrt(4n) or at 0, or
+a primorial one.
+
+_claims_pass counts the primes of a (window, n) that the certificate
+decides but reads none of them; every other (window, n) goes to
+_window_failures, the one per-prime decision rule, by the full Legendre
+sums, which also writes every failure.  Claim 1's window product is
+carried across the n of a call, its primes multiplied in as they enter
 and divided out as they leave.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import isqrt
+from math import isqrt, lcm
 from typing import Optional
 
-from .errors import CoverageError, DomainError
+from .errors import ConsistencyError, CoverageError, DomainError
 # absorber_valuation is no longer called here but stays in the namespace:
 # bench/tracing.py counts calls to it through this module
-from .exact import _absorber_floors, _beta, _floors_valuation, absorber_valuation  # noqa: F401
+from .exact import (  # noqa: F401
+    ABSORBER_COEFFS, _absorber_floors, _beta, _floors_valuation, absorber_valuation,
+)
 from .sieve import PrimeSieve, _balanced_product, _power_le, settled_from
 
 BETA_ZERO = "BETA_ZERO"
@@ -371,47 +388,86 @@ def _plan(claims) -> tuple:
 _TABLE_PLAN = _plan(_TABLE)
 
 
-# n per block of _claims_pass.  On 256-n ranges 32 took 15-40 % less time
-# per n than 16 from n = 5000 up and the same at n = 2500; a range shorter
-# than a block is one block either way.
-_BLOCK = 32
+def _certificate(plan) -> list:
+    """Per window of the plan, (n0, den, nums): from n0 on, every prime of
+    the window meets its consequence, as checked at the points x = u/den
+    for u in nums (the module docstring gives the proof), or (None, 1, ())
+    where the certificate does not decide the window.  den is a multiple
+    of b's numerator and of each breakpoint coefficient's, so every point
+    and floor is an integer.  ABSORBER_COEFFS is read at each call."""
+    out, prev = [], None
+    for opens, num, den, consequence, which in plan:
+        lo, prev = prev if opens is None else opens, (num, den)
+        out.append(_certify(lo, prev, consequence, which))
+    return out
+
+
+def _certify(lo, hi, consequence, which) -> tuple:
+    """_certificate's entry for one window (lo, hi], lo and hi each a
+    (num, den) pair or lo _ROOT."""
+    if lo is _ROOT or consequence == PRIMORIAL_16TH or not lo[0]:
+        return None, 1, ()
+    (an, ad), (bn, bd) = lo, hi
+    n0 = -(-4 * ad * ad // (an * an))
+    coeffs = [(4, 1), (3, 1), (1, 1)]
+    if which is not None:
+        s, r = ABSORBER_COEFFS[which]
+        sn, sd, rn, rd = s.numerator, s.denominator, r.numerator, r.denominator
+        if not (sn * rd > rn * sd and sn <= 4 * sd and rn * n0 >= rd):
+            return None, 1, ()
+        coeffs += [(sn, sd), (sn * rd - rn * sd, sd * rd), (rn, rd)]
+    den = lcm(bn, *[c for c, _ in coeffs])
+    first, end = bd * den // bn, -(-ad * den // an)  # x = 1/b, and 1/a rounded up
+    nums = {first}
+    for c, d in coeffs:
+        step = d * den // c
+        nums.update(range(first - first % step + step, end, step))
+    nums = sorted(nums)
+    for u in nums:
+        f = [c * u // (d * den) for c, d in coeffs]
+        beta = f[0] - f[1] - f[2]
+        if beta if which is None else f[3] - f[4] - f[5] < beta:
+            return None, 1, ()
+    return n0, den, tuple(nums)
+
+
+def certify_claims(table=None) -> list:
+    """Per claim of the table (the 22 window claims by default), {"id",
+    "n0", "points"}: the n0 from which the breakpoint certificate decides
+    it and the points x = n/p it checked, or None and ().  Claims 2-22 are
+    decided from n0 <= 144.  A claim whose chain verdict (check_chain, the
+    paper's route) disagrees with the certificate raises ConsistencyError.
+    """
+    table = _TABLE if table is None else tuple(table)
+    entries = []
+    for claim, (n0, den, nums) in zip(table, _certificate(_plan(table))):
+        chain = claim.chain and check_chain(claim, 1)
+        if claim.chain and chain != (n0 is not None):
+            raise ConsistencyError(
+                f"claim {claim.id}: the chain {'holds' if chain else 'fails'} "
+                f"but the breakpoint certificate {'fails' if chain else 'holds'}"
+            )
+        points = tuple(Fraction(u, den) for u in nums)
+        entries.append({"id": claim.id, "n0": n0, "points": points})
+    return entries
 
 
 def _claims_pass(sieve: PrimeSieve, start: int, stop: int, plan) -> list:
     """Per window of the plan, (primes_checked, failures) over n in
     [start, stop], failures as (n, p, detail) in n order.
 
-    Per n, the absorber floors are computed once, and each window's
-    primes are the sieve between two bisections, at its floored start and
-    end.  A tiled window starts where the previous one ended,
-    also where that one is empty, so it needs one bisection, at its end.
-    A sieve that stops short of the plan's furthest end at stop is refused
-    before any prime is read.
+    Per n, each window's primes are the sieve between two bisections, at
+    its floored start and end.  A tiled window starts where the previous
+    one ended, also where that one is empty, so it needs one bisection, at
+    its end.  Every window is bisected at every n, so primes_checked
+    counts every window prime.  A sieve that stops short of the plan's
+    furthest end at stop is refused before any prime is read.
 
-    The n are walked in blocks [N, M] of _BLOCK, D = M - N, a single n
-    being a block with D = 0.  Both bounds of a window grow with n, so each
-    prime that is in a window at some n of the block is in it over one
-    stay [N', N' + D'] (see _stays), and the primes with the same stay are
-    contiguous.  The block lemma takes every window but a primorial one
-    and settles a prime for its whole stay, with no per-n decision.  It
-    leaves each prime with p^2 <= 4M, and every prime of a divisibility
-    window whose absorber is undefined at N.  Any other prime has p^2 > 4n
-    at every n of the block, above every absorber floor too (each is at
-    most 2n), so beta and v are single floors, beta = 4n//p - 3n//p - n//p
-    and v = fs//p - fsr//p - fr//p, and the absorber is defined at every n
-    from N on.  Such a prime p is settled when
-      - N' % p + 3N' % p + 4D' < p: at n = N' + d the residues n % p and
-        3n % p are those at N' plus d and 3d, with no wrap, so beta(n),
-        the carry of n % p + 3n % p past p, stays 0; or
-      - for a divisibility window, v(N') = 1 and fsr // p and fr // p stay
-        constant over the stay, for the absorber floors (fs, fsr, fr): fs
-        never falls, so v(n) >= v(N'), and fs <= fsr + fr + 1, so
-        v(n) <= 1; thus v stays 1, and beta <= 1.
-    Either way the consequence holds at every n of the stay; with D' = 0
-    the two tests are exactly beta(N') = 0 and v(N') = 1 >= beta(N').
-    Each prime the lemma leaves is decided at each n of its stay by
-    _window_failures, in ascending p, which writes every failure and its
-    detail.
+    The breakpoint certificate, derived from the plan at each call,
+    decides a window at every n from its n0 on, where none of its primes
+    is read.  Every other (window, n) is decided by _window_failures, the
+    absorber floors computed once per n and only below the last n0 of a
+    divisibility window, where a decision can read them.
 
     A primorial window (claim 1) carries the product of its primes across
     the n of the call: the primes that enter are multiplied in and those
@@ -426,59 +482,36 @@ def _claims_pass(sieve: PrimeSieve, start: int, stop: int, plan) -> list:
         if end > sieve.limit:
             raise CoverageError(f"endpoint {end} beyond sieve limit {sieve.limit}")
     primes = sieve.primes
+    # per window, the n from which it is not decided: stop + 1 if it never is
+    settled = [stop + 1 if n0 is None else n0 for n0, _, _ in _certificate(plan)]
+    floors_until = max([at for at, w in zip(settled, plan) if w[4]], default=0)
     checked = [0] * len(plan)
     failed = [[] for _ in plan]
     # per primorial window, (i, j, product of primes[i:j]) as last decided
     carried = [(0, 0, 1)] * len(plan)
-    for first in range(start, stop + 1, _BLOCK):
-        block = range(first, min(first + _BLOCK, stop + 1))
-        floors = [absorber_floors_at(n) for n in block]
-        bounds = [_window_bounds(primes, n, plan) for n in block]
-        # primes[:root] are those with p^2 <= 4M
-        root = bisect_right(primes, isqrt(4 * block[-1]))
-        for k, column in enumerate(zip(*bounds)):
+    for n in range(start, stop + 1):
+        floors = absorber_floors_at(n) if n < floors_until else {}
+        for k, (i, j) in enumerate(_window_bounds(primes, n, plan)):
+            if i >= j:
+                continue
+            checked[k] += j - i
+            if n >= settled[k]:
+                continue
             consequence, which = plan[k][3:]
-            icol, jcol = zip(*column)
-            checked[k] += sum([j - i for i, j in zip(icol, jcol) if i < j])
-            if consequence == PRIMORIAL_16TH:
-                ci, cj, product = carried[k]
-                for n, i, j in zip(block, icol, jcol):
-                    if i >= j:
-                        continue
-                    if i >= cj:
-                        product = _balanced_product(primes[i:j])
-                    elif (i, j) != (ci, cj):
-                        product = (
-                            product * _balanced_product(primes[cj:j])
-                            // _balanced_product(primes[ci:i])
-                        )
-                    ci, cj = i, j
-                    if not _power_le(product, n, 6):
-                        failed[k].append((n, 0, "window primorial exceeds 4^(n/6)"))
-                carried[k] = ci, cj, product
+            if consequence != PRIMORIAL_16TH:
+                failures = _window_failures(consequence, primes[i:j], n, floors.get(which))
+                failed[k] += [(n, p, detail) for p, detail in failures]
                 continue
-            # the lemma leaves the primes below the cut, and all of them
-            # where the absorber is undefined at the block's first n
-            cut = root if which is None or floors[0][which] is not None else len(primes)
-            unsettled = []
-            for x, y, t1, t2 in _stays(icol, jcol):
-                z = min(max(x, cut), y)
-                unsettled += primes[x:z]
-                unsettled += _unsettled(
-                    primes[z:y], block[t1], t2 - t1,
-                    floors[t1].get(which), floors[t2].get(which),
+            ci, cj, product = carried[k]
+            if i >= cj:
+                product = _balanced_product(primes[i:j])
+            elif (i, j) != (ci, cj):
+                product = (
+                    product * _balanced_product(primes[cj:j]) // _balanced_product(primes[ci:i])
                 )
-            if not unsettled:
-                continue
-            for n, i, j, at_n in zip(block, icol, jcol, floors):
-                if i >= j:
-                    continue
-                window = unsettled[
-                    bisect_left(unsettled, primes[i]) : bisect_right(unsettled, primes[j - 1])
-                ]
-                if window:
-                    failures = _window_failures(consequence, window, n, at_n.get(which))
-                    failed[k] += [(n, p, detail) for p, detail in failures]
+            carried[k] = i, j, product
+            if not _power_le(product, n, 6):
+                failed[k].append((n, 0, "window primorial exceeds 4^(n/6)"))
     return [(c, tuple(f)) for c, f in zip(checked, failed)]
 
 
@@ -495,44 +528,6 @@ def _window_bounds(primes, n: int, plan) -> list:
     return row
 
 
-def _stays(icol, jcol) -> list:
-    """(x, y, t1, t2) per run of prime indices x..y-1 that are in a window
-    at the same block positions t1..t2, given the window's primes
-    primes[icol[t]:jcol[t]] at each position t.  i and j never fall, so
-    index x is in the window from t1 = bisect_right(jcol, x), the first
-    position with x < j, to t2 = bisect_right(icol, x) - 1, the last with
-    i <= x.  Both change only where x passes an i or a j, so the runs lie
-    between consecutive distinct bounds; a run in the window at no
-    position is left out."""
-    cuts = sorted({*icol, *jcol})
-    stays = []
-    for x, y in zip(cuts, cuts[1:]):
-        t1, t2 = bisect_right(jcol, x), bisect_right(icol, x) - 1
-        if t1 <= t2:
-            stays.append((x, y, t1, t2))
-    return stays
-
-
-def _unsettled(stay, n: int, d: int, index, index_last) -> list:
-    """The primes of one stay [n, n + d] that the block lemma (see
-    _claims_pass) does not settle; index and index_last are the absorber
-    floors at n and n + d, both None for a BETA_ZERO window."""
-    n3, d4 = 3 * n, 4 * d
-    if index is None:
-        return [p for p in stay if n % p + n3 % p + d4 >= p]
-    fs, fsr, fr = index
-    _, fsr_last, fr_last = index_last
-    return [
-        p for p in stay
-        if n % p + n3 % p + d4 >= p
-        and (
-            fs // p - fsr // p - fr // p != 1
-            or fsr_last // p != fsr // p
-            or fr_last // p != fr // p
-        )
-    ]
-
-
 def check_claims(sieve: PrimeSieve, start: int, stop: int) -> list:
     """Per-claim (primes_checked, failures) of the 22 table claims over n in
     [start, stop], in window order, failures as (n, p, detail): the totals
@@ -541,13 +536,11 @@ def check_claims(sieve: PrimeSieve, start: int, stop: int) -> list:
     _claims_pass over the table's plan, which tiles: window 1 opens at
     isqrt(4n) and window k > 1 at window k-1's floored end, so each n takes
     one bisection per window end plus one at isqrt(4n).  Window 2 opens at
-    floor(n/6) also where window 1 is empty (below n = 144).  The n are
-    taken in blocks of _BLOCK, a single n being one block; a window prime
-    that the block lemma settles over its stay in a block is decided once
-    for that stay, every other one once per n (_claims_pass states the
-    lemma and when it applies).  Claim 1's product is carried across the n
-    of the call, so per n it takes in only the primes that enter or leave
-    its window.
+    floor(n/6) also where window 1 is empty (below n = 144).  Windows 2-22
+    are decided by the breakpoint certificate from their n0 on, at most
+    144, and per prime below it; claim 1's product is carried across the
+    n of the call, so per n it takes in only the primes that enter or
+    leave its window.  Past n = 144 a call reads no other window prime.
     """
     return _claims_pass(sieve, start, stop, _TABLE_PLAN)
 

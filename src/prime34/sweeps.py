@@ -81,7 +81,7 @@ class SweepReport:
         """{n: witness} over the n that did not fail, or None."""
         if self.runs is None:
             return None
-        return dict(_witness_items(self.runs, range(self.n_min, self.n_max + 1)))
+        return dict(_witness_items(self, range(self.n_min, self.n_max + 1)))
 
 
 def _expand(primes, lengths):
@@ -89,11 +89,11 @@ def _expand(primes, lengths):
     return chain.from_iterable(map(repeat, primes, lengths))
 
 
-def _witness_items(runs, keys):
-    """(key, witness) for the n that did not fail; keys run over every n."""
-    primes, lengths = runs
-    found = _expand(primes, lengths)
-    if 0 not in primes:
+def _witness_items(report, keys):
+    """(key, witness) for the n of the report that did not fail, its
+    failures being the n of its 0-runs; keys run over every n."""
+    found = _expand(*report.runs)
+    if not report.failures:
         return zip(keys, found)
     found = array("q", found)
     return compress(zip(keys, found), found)
@@ -121,9 +121,10 @@ _COROLLARY_FORM = (1, 1, 3, 7)  # n < p and 3p < 4(n + 2)
 
 def _scan_witnesses(sieve: PrimeSieve, start: int, stop: int, form: tuple) -> tuple:
     """Canonical runs (primes, lengths) of the witnesses for n in [start,
-    stop] in the given form: witness primes[i], 0 where the candidate is
-    rejected or the sieve runs out of primes, covers the next lengths[i] n.
-    Both are int64 buffers, which a worker pool pickles whole.
+    stop] in the given form, and whether they hold a 0-run: witness
+    primes[i], 0 where the candidate is rejected or the sieve runs out of
+    primes, covers the next lengths[i] n.  Both are int64 buffers, which a
+    worker pool pickles whole.
 
     Each prime p is the candidate for the run of n up to (p - b) // a, so a
     run's length is the gap between neighbouring run ends.  Acceptance,
@@ -137,7 +138,8 @@ def _scan_witnesses(sieve: PrimeSieve, start: int, stop: int, form: tuple) -> tu
     4(e + 1) + d when (4 - a*c)*p' >= a*c*G + 4b - 4 - a*d.  For a*c <= 4
     the left side does not fall as p' grows, so that test at the first
     prime, with the first prime accepted at start, accepts every run; the
-    runs are then canonical when none is empty and primes do not run out."""
+    runs are then canonical when none is empty and primes do not run out.
+    Only the split runs and the tail can make a 0-run."""
     a, b, c, d = form
     primes = sieve.primes
     lo = bisect_left(primes, a * start + b)
@@ -153,13 +155,13 @@ def _scan_witnesses(sieve: PrimeSieve, start: int, stop: int, form: tuple) -> tu
     if not tail and all(lengths) and ac <= 4 and c * ps[0] <= 4 * start + d:
         gap = max(map(sub, ps[1:], ps), default=0)
         if (4 - ac) * ps[0] >= ac * gap + 4 * b - 4 - a * d:
-            return array("q", ps), array("q", lengths)
+            return array("q", ps), array("q", lengths), False
     rejected = [(c * p - d - 1) // 4 for p in ps]  # the last n rejecting p
     bad = list(compress(range(len(ps)), map(gt, rejected, ends)))
     if not bad and not tail:
         # two distinct primes are never neighbours with the same value; an
         # array built from a list is copied in C, not appended item by item
-        return array("q", [*compress(ps, lengths)]), array("q", [*filter(None, lengths)])
+        return array("q", [*compress(ps, lengths)]), array("q", [*filter(None, lengths)]), False
     runs_p, runs_l, done = [], [], 0
     for i in bad:
         zeros = min(rejected[i], lasts[i]) - ends[i]
@@ -168,7 +170,8 @@ def _scan_witnesses(sieve: PrimeSieve, start: int, stop: int, form: tuple) -> tu
         done = i + 1
     runs_p += (*ps[done:], 0)
     runs_l += (*lengths[done:], tail)
-    return _canonical(runs_p, runs_l)
+    runs_p, runs_l = _canonical(runs_p, runs_l)
+    return runs_p, runs_l, 0 in runs_p
 
 
 _WORKER_SIEVE = None
@@ -225,14 +228,15 @@ def _existence_sweep(form, limit, n_min, n_max, witnesses, threads) -> SweepRepo
     if sieve.primes[-1] < reach:
         sieve = build_sieve(limit)
     scan = partial(_scan_witnesses, form=form)
-    primes, lengths = array("q"), array("q")
-    for ps, ls in _run_chunked(scan, sieve, n_min, n_max, threads, _DIRECT_CHUNK):
+    primes, lengths, failed = array("q"), array("q"), False
+    for ps, ls, zero in _run_chunked(scan, sieve, n_min, n_max, threads, _DIRECT_CHUNK):
         if primes[-1:] == ps[:1]:  # one run across the seam
             lengths[-1] += ls[0]
             ps, ls = ps[1:], ls[1:]
         primes += ps
         lengths += ls
-    failures = _failures(n_min, (primes, lengths))
+        failed |= zero
+    failures = _failures(n_min, (primes, lengths)) if failed else ()
     runtime_ms = (perf_counter() - t0) * 1e3
     runs = (primes, lengths) if witnesses else None
     return SweepReport(n_min, n_max, failures, runs, runtime_ms)
@@ -241,8 +245,6 @@ def _existence_sweep(form, limit, n_min, n_max, witnesses, threads) -> SweepRepo
 def _failures(n_min: int, runs) -> tuple:
     """The n of the 0-runs of runs, which start at n_min."""
     primes, lengths = runs
-    if 0 not in primes:
-        return ()
     starts = accumulate(lengths, initial=n_min)
     return tuple(
         chain.from_iterable(
@@ -283,7 +285,7 @@ def sweep_to_json_dict(report: SweepReport) -> dict:
     witness = None
     if report.runs is not None:
         keys = map(str, range(report.n_min, report.n_max + 1))
-        witness = dict(_witness_items(report.runs, keys))
+        witness = dict(_witness_items(report, keys))
     return {
         "n_min": report.n_min,
         "n_max": report.n_max,
@@ -384,13 +386,12 @@ def observations_sweep(n_min: int, n_max: int, threads: int = 1) -> dict:
     as [n, p, detail] lists and chain_failures, the n where the chain
     check failed.
 
-    Each chunk of n runs check_claims, one pass over the 22 windows in
-    blocks of n (claims._claims_pass): the absorber floors once per n, one
-    sieve bisection per window bound, each window prime decided once per
-    stay in a block where the block lemma of claims._claims_pass settles
-    it, else once per n, and claim 1's window product carried across the
-    chunk's n.  Its totals and failures are those of check_claim over
-    every (claim, n).
+    Each chunk of n runs check_claims, one pass over the 22 windows
+    (claims._claims_pass): one sieve bisection per window bound and n,
+    each window prime decided per n only below the n0 of the breakpoint
+    certificate (at most 144), and claim 1's window product carried
+    across the chunk's n.  Its totals and failures are those of
+    check_claim over every (claim, n).
     The windows close by 3n, so the sieve reaches 3 * n_max.  A chain's
     verdict is the same at every n (check_chain), so it is decided once.
 
@@ -478,10 +479,13 @@ def analytic_report(samples=None) -> dict:
         raise DomainError("analytic samples must be strictly ascending")
 
     # each sample is decided right after its evaluation, while the cache
-    # still holds it and the previous sample
+    # still holds it and the previous sample.  A value past the largest
+    # float (samples above about 3.5e309) is refused: JSON has no Infinity
     floats, positive, increasing = [], [], []
     for i, s in enumerate(samples):
         floats.append(float(ln_t3_lower(s, DEFAULT_PREC).ln_value))
+        if not math.isfinite(floats[-1]):
+            raise DomainError(f"analytic sample {s}: ln_t3_lower overflows a float")
         positive.append(_decide(lambda p: _zero(p).less_than(ln_t3_lower(s, p))))
         if i:
             a = samples[i - 1]

@@ -8,6 +8,7 @@ import sympy
 
 from prime34 import (
     BETA_ZERO,
+    CONSEQUENCES,
     DIVIDES_A,
     DIVIDES_B,
     DIVIDES_C,
@@ -25,8 +26,10 @@ from prime34 import (
     parse_chain,
 )
 from prime34 import claims, observations_sweep
-from prime34.claims import ClaimResult, _chain_holds_at, absorber_floors_at, check_claims
-from prime34.errors import CoverageError
+from prime34.claims import (
+    ClaimResult, _chain_holds_at, absorber_floors_at, certify_claims, check_claims,
+)
+from prime34.errors import ConsistencyError, CoverageError
 from prime34.sieve import primorial_le
 from prime34.exact import ABSORBER_COEFFS, absorber_valuation, beta
 
@@ -292,7 +295,9 @@ def test_shared_absorber_floors_give_the_same_results(sieve_mid, monkeypatch):
         undefined = {w for w, f in absorber_floors_at(n).items() if f is None}
         assert undefined == ({"C", "D"} if n < 4 else {"C"} if n == 4 else set())
 
-    # the claims sweep decides each (absorber, n) once
+    # the claims sweep decides each (absorber, n) once where a divisibility
+    # window is decided per n: below claim 2's n0 = 144.  From there the
+    # breakpoint certificate decides every window, and no floor is read
     calls = []
     floors_of = claims._absorber_floors
 
@@ -301,8 +306,11 @@ def test_shared_absorber_floors_give_the_same_results(sieve_mid, monkeypatch):
         return floors_of(which, n)
 
     monkeypatch.setattr(claims, "_absorber_floors", counted)
+    observations_sweep(120, 139)
+    assert sorted(calls) == sorted((w, n) for w in "ABCD" for n in range(120, 140))
+    calls.clear()
     observations_sweep(300, 319)
-    assert sorted(calls) == sorted((w, n) for w in "ABCD" for n in range(300, 320))
+    assert calls == []
 
 
 def test_untiled_plan_matches_check_claim(sieve_mid):
@@ -446,10 +454,9 @@ def test_check_claims_refuses_a_short_sieve():
         check_claims(just_enough, 0, 40)
 
 
-# Windows on which a claim fails for some primes, so the block lemma of
-# claims._claims_pass can settle some core primes and must leave the others
-# to the per-n decision.  From n = 145 on, all but the last open above
-# sqrt(4n).
+# Windows on which a claim fails for some primes at every n the tests below
+# take, so the breakpoint certificate must refuse each and the pass decide
+# them per n.  From n = 145 on, all but the last open above sqrt(4n).
 #   - BETA_ZERO on (2n/11, 4n/21]: beta is 1 above p = 3n/16, 0 below;
 #   - BETA_ZERO on (3n/2, 2n]: beta is 1 throughout;
 #   - BETA_ZERO on (7n/4, 5n/2]: beta is 1 up to p = 2n and 0 above, so a
@@ -474,12 +481,12 @@ _BLOCK_PROBES = [
 
 
 def _block_pass_against_per_n(probes, sieve) -> list:
-    """Compare claims._claims_pass on the probes' plan, over ranges of 1,
-    B - 1, B, B + 1 and 2B + 3 n (B the block size), with per-n check_claim
-    and _reference_check; per probe, (failures, primes checked) over every n
-    compared."""
-    block = claims._BLOCK
+    """Check that the breakpoint certificate refuses every probe, and
+    compare claims._claims_pass on the probes' plan, over ranges of 1, 31,
+    32, 33 and 67 n, with per-n check_claim and _reference_check; per probe,
+    (failures, primes checked) over every n compared."""
     plan = claims._plan(probes)
+    assert [n0 for n0, _, _ in claims._certificate(plan)] == [None] * len(probes)
     prime_set = set(sieve.primes)
     beta_of = lru_cache(maxsize=None)(_beta_reference)
     per_n = {}
@@ -492,7 +499,7 @@ def _block_pass_against_per_n(probes, sieve) -> list:
         return per_n[n]
 
     for first in (145, 300, 700, 2500, 4900, 20000):
-        for length in (1, block - 1, block, block + 1, 2 * block + 3):
+        for length in (1, 31, 32, 33, 67):
             span = range(first, first + length)
             expected = [
                 (
@@ -521,7 +528,8 @@ def test_block_pass_with_an_absorber_whose_lower_floors_swap(monkeypatch):
     # mirrored swaps them (s - r = 4n/15, r = 2n/105), so it gives D's
     # verdicts, but its v flips where [s - r]//p moves, not [r]//p.  For
     # each of A-D, r/(s - r) is an integer, so [s - r]//p moves only where
-    # [r]//p does; only a mirrored absorber needs the lemma's [s - r] term.
+    # [r]//p does; only a mirrored absorber tells a rule that drops the
+    # [s - r] term from one that keeps it.  The certificate must refuse it.
     monkeypatch.setitem(ABSORBER_COEFFS, "D", (Fraction(2, 7), Fraction(2, 105)))
     [(failed, checked)] = _block_pass_against_per_n([_BLOCK_PROBES[4]], build_sieve(3 * 20100))
     assert 0 < failed < checked
@@ -529,11 +537,12 @@ def test_block_pass_with_an_absorber_whose_lower_floors_swap(monkeypatch):
 
 def test_check_claims_across_block_boundaries(sieve_mid):
     # check_claims over a range equals the per-n concatenation where
-    #   - window 2 (from n/6) turns single-floor inside the block at 130;
+    #   - window 2 (from n/6) turns single-floor inside [130, 161], and the
+    #     certificate takes it over at its n0 = 144;
     #   - windows 4, 9 and 11 are empty at 130 but not at 161, and window 3
     #     is empty at 300 but not at 331;
-    #   - the last block is partial.
-    block = claims._BLOCK
+    #   - the range is no whole number of 32-n blocks.
+    block = 32
 
     def bounds(n):
         return claims._window_bounds(sieve_mid.primes, n, claims._TABLE_PLAN)
@@ -565,9 +574,9 @@ def test_check_claims_across_block_boundaries(sieve_mid):
 
 
 # Windows whose edge primes, those that enter at the top or leave at the
-# floor inside a block, fail at some n of their stay but not at others, so
-# the block lemma must settle each over its own stay in the block, not over
-# the whole block.  From n = 145 on both open above sqrt(4n).
+# floor inside a block of 32 n, fail at some n of their stay but not at
+# others, so no rule that settles a prime over a whole block may pass them.
+# From n = 145 on both open above sqrt(4n).
 #   - BETA_ZERO on (13n/10, 27n/20]: beta is 1 for p <= 4n/3 and 0 above, so
 #     a prime that enters at 27n/20 holds until n = 3p/4 and fails from
 #     there until it leaves at 13n/10;
@@ -597,7 +606,7 @@ def test_block_pass_settles_edge_primes_over_their_own_stay():
     assert all(0 < failed < checked for failed, checked in tallies)
     # each probe has primes that enter, and primes that leave, inside a
     # block and over their stay in it fail at some n but not at others
-    block = claims._BLOCK
+    block = 32
     for claim in _EDGE_PROBES:
         mixed = set()
         for first in range(145, 845, block):
@@ -613,33 +622,19 @@ def test_block_pass_settles_edge_primes_over_their_own_stay():
         assert mixed == {"enters", "leaves"}, claim
 
 
-def _settled(claim, p, stay) -> bool:
-    """Whether the block lemma settles p over its stay, the n of one block
-    at which it is in the claim's window, with the absorber's floors taken
-    from its rational index."""
-    n, d = stay[0], stay[-1] - stay[0]
-    if n % p + 3 * n % p + 4 * d < p:
-        return True
-    if claim.consequence == BETA_ZERO:
-        return False
-    which = claim.consequence[-1]
-    s, r = ABSORBER_COEFFS[which]
-
-    def lower_floors(m):
-        return math.floor((s - r) * m) // p, math.floor(r * m) // p
-
-    return absorber_valuation(which, n, p) == 1 and lower_floors(n) == lower_floors(stay[-1])
+# the n0 of claims 2-22, from which the breakpoint certificate decides them
+_N0 = [144, 121, 111, 100, 81, 76, 73, 64, 57, 49, 45, 36, 21, 16, 9, 8, 7, 4, 3, 2, 1]
 
 
-def test_block_pass_decides_per_n_only_the_primes_the_lemma_leaves(monkeypatch):
-    # the walker hands _window_failures, at each n, exactly the window's
-    # primes that the block lemma does not settle over their own stay in
-    # the block, in ascending order: also every prime with p^2 <= 4M for
-    # the block's last n M, and every prime of a window whose absorber is
-    # undefined at the block's first n.  A single-n block takes the lemma
-    # too.  Rebuilt here prime by prime from the rational windows.  Window
-    # 2 opens above sqrt(4n) at n = 132, not from 133 to 137 and again from
-    # 138; the primes of (n/100, n/10] lie on both sides of sqrt(4n).
+def test_pass_decides_per_n_only_the_uncertified_windows(monkeypatch):
+    # the walker hands _window_failures, at each n, exactly the primes of
+    # each non-empty window that the certificate does not decide at n, in
+    # window order: a table window below its n0, and every probe window,
+    # which the certificate refuses.  Rebuilt here prime by prime from the
+    # rational windows.  Window 2 opens above sqrt(4n) at n = 132, not from
+    # 133 to 137 and again from 138, and is certified from 144; the primes of
+    # (n/100, n/10] lie on both sides of sqrt(4n), and (sqrt(4n), n/10] is
+    # never certified, also where it follows a window
     calls = []
     decide = claims._window_failures
 
@@ -649,39 +644,167 @@ def test_block_pass_decides_per_n_only_the_primes_the_lemma_leaves(monkeypatch):
 
     monkeypatch.setattr(claims, "_window_failures", recorded)
     sieve = build_sieve(3 * 20100)
-    block = claims._BLOCK
     table = claim_table()[1:]
-    probes = _EDGE_PROBES + _BLOCK_PROBES[3:5] + _BLOCK_PROBES[6:]
-    cases = [
-        (table, 132, 2 * block + 5), (table, 2500, 2 * block + 3), (table, 20000, block + 1),
-        (probes, 145, 2 * block + 3), (probes, 700, 2 * block + 3), (probes, 4900, 1),
+    probes = [
+        *_EDGE_PROBES, *_BLOCK_PROBES[3:5], _BLOCK_PROBES[6], _BLOCK_PROBES[2],
+        ClaimSpec(2, None, Fraction(1, 10), BETA_ZERO),
     ]
-    settled_edges = 0
+    cases = [
+        (table, 1, 150), (table, 2500, 67), (table, 20000, 33),
+        (probes, 145, 67), (probes, 700, 67), (probes, 4900, 1),
+    ]
+    decided_n = set()
     for windows, first, length in cases:
         span = range(first, first + length)
+        n0 = _N0 if windows is table else [None] * len(windows)
         expected = []
-        for start in span[::block]:
-            part = span[span.index(start) : span.index(start) + block]
-            for claim in windows:
-                which = claim.consequence[-1]
-                defined = claim.consequence == BETA_ZERO or absorber_floors_at(part[0])[which]
-                stays = _window_stays(claim, part, sieve)
-                left = {
-                    p for p, stay in stays.items()
-                    if not (p * p > 4 * part[-1] and defined and _settled(claim, p, stay))
-                }
-                edges = {p for p, stay in stays.items() if stay != list(part)}
-                settled_edges += len(edges - left)
-                for n in part:
-                    decided = tuple(p for p in sorted(left) if n in stays[p])
-                    if decided:
-                        expected.append((n, decided))
+        for n in span:
+            for claim, at in zip(windows, n0):
+                lo, hi = map(math.floor, claim.window(n))
+                primes = tuple(sieve.primes_in(lo, hi)) if lo < hi else ()
+                if primes and (at is None or n < at):
+                    expected.append((n, primes))
         calls.clear()
         claims._claims_pass(sieve, span[0], span[-1], claims._plan(windows))
         assert calls == expected, (windows[0].id, first, length)
-    # the lemma settles edge primes too, not only those in the window
-    # throughout the block
-    assert settled_edges > 0
+        decided_n |= {n for n, _ in calls} if windows is table else set()
+    # no table window is decided per n past 137: window 2 holds no prime on
+    # [138, 143], and from 144 on the certificate decides every window
+    assert max(decided_n) == 137
+
+
+# the points x = n/p at which the certificate decides claims 2-22
+_POINTS = [
+    "11/2 17/3 23/4", "21/4 16/3", "5", "9/2 14/3 19/4", "13/3", "17/4", "4",
+    "15/4", "7/2 11/3", "10/3", "3 13/4", "9/4 7/3 5/2 8/3 11/4", "2",
+    "3/2 5/3 7/4", "4/3", "5/4", "1", "3/4", "2/3", "1/2", "1/3",
+]
+
+
+def test_certificate_pins_n0_and_points():
+    # claim 1 opens at sqrt(4n) and is primorial, so it is not certified.
+    # Claims 2-22 are, from n0 = ceil(4/a^2) for their lower coefficient a,
+    # at x = 1/b and at each breakpoint k/c in (1/b, 1/a) of [4x], [3x],
+    # [x] and the absorber's [s x], [(s - r) x] and [r x], at most 5 each
+    entries = certify_claims()
+    assert [e["id"] for e in entries] == list(range(1, 23))
+    assert entries[0] == {"id": 1, "n0": None, "points": ()}
+    assert [e["n0"] for e in entries[1:]] == _N0
+    assert [" ".join(map(str, e["points"])) for e in entries[1:]] == _POINTS
+    for claim, e in zip(claim_table()[1:], entries[1:]):
+        a, b = claim.lo_coeff, claim.hi_coeff
+        coeffs = [Fraction(4), Fraction(3), Fraction(1)]
+        if claim.consequence != BETA_ZERO:
+            s, r = ABSORBER_COEFFS[claim.consequence[-1]]
+            coeffs += [s, s - r, r]
+        breaks = {k / c for c in coeffs for k in range(math.ceil(c / b), math.ceil(c / a))}
+        assert e["n0"] == math.ceil(4 / a**2) and len(e["points"]) <= 5
+        assert e["points"] == (1 / b, *sorted(x for x in breaks if x > 1 / b)), claim.id
+
+
+def test_certify_claims_raises_where_a_chain_disagrees(monkeypatch):
+    # window 6 with its 13p-3n link made strict: the chain fails at the
+    # closed end, while the consequence holds, so the two routes disagree
+    table = claim_table()
+    table[5] = ClaimSpec(
+        6, Fraction(2, 9), Fraction(3, 13), BETA_ZERO,
+        "4p < n < 5p < 13p < 3n < 14p < 17p < 4n < 18p",
+    )
+    with pytest.raises(ConsistencyError, match="claim 6: the chain fails"):
+        certify_claims(table)
+    table[5] = ClaimSpec(6, Fraction(2, 9), Fraction(3, 13), BETA_ZERO)
+    assert certify_claims(table) == certify_claims()
+    # B made C(2n, n) absorbs less: the certificate refuses claims 12 and 17,
+    # whose chains still hold
+    monkeypatch.setitem(ABSORBER_COEFFS, "B", (Fraction(2), Fraction(1)))
+    with pytest.raises(ConsistencyError, match="claim 12: the chain holds"):
+        certify_claims()
+
+
+def test_certificate_reads_the_absorber_coefficients_at_each_call(monkeypatch):
+    # with B made C(2n, n), claims 12 and 17 fail past their n0, and the
+    # pass must find every failure that the per-prime reference finds
+    monkeypatch.setitem(ABSORBER_COEFFS, "B", (Fraction(2), Fraction(1)))
+    certificate = claims._certificate(claims._TABLE_PLAN)
+    assert [k for k, (n0, _, _) in enumerate(certificate, 1) if n0 is None] == [1, 12, 17]
+    sieve = build_sieve(3 * 2050)
+    prime_set = set(sieve.primes)
+    beta_of = lru_cache(maxsize=None)(_beta_reference)
+    span = range(2000, 2050)
+    results = [
+        [_reference_check(c, n, prime_set, beta_of) for c in claim_table()] for n in span
+    ]
+    expected = [
+        (
+            sum(r.primes_checked for r in column),
+            tuple((r.n, p, detail) for r in column for p, detail in r.failures),
+        )
+        for column in zip(*results)
+    ]
+    assert check_claims(sieve, span[0], span[-1]) == expected
+    assert [k for k, (_, failures) in enumerate(expected, 1) if failures] == [12, 17]
+
+
+def test_certificate_refuses_an_absorber_outside_its_proof(monkeypatch, sieve_mid):
+    # the proof needs every absorber floor at most 4n (s <= 4) and the
+    # absorber defined from n0 on.  C with r = 1/200 passes every point of
+    # window 7 (v = 1 on x in [17/4, 13/3)) but is undefined below n = 200,
+    # past window 7's n0 = 76, where each of its primes fails; A with s = 9
+    # and r = 3 passes every point of window 3, but its floors reach 9n
+    monkeypatch.setitem(ABSORBER_COEFFS, "C", (Fraction(4, 17), Fraction(1, 200)))
+    monkeypatch.setitem(ABSORBER_COEFFS, "A", (Fraction(9), Fraction(3)))
+    certificate = claims._certificate(claims._TABLE_PLAN)
+    assert certificate[2][0] is None and certificate[6][0] is None
+    result = check_claim(claim_table()[6], 124, sieve_mid)
+    assert result.failures and result.failures[0][1] == "absorber C undefined at n=124"
+    assert check_claims(sieve_mid, 124, 124)[6] == (
+        result.primes_checked, tuple((124, p, d) for p, d in result.failures)
+    )
+
+
+def test_full_per_prime_rule_gives_the_certified_report(monkeypatch):
+    # the independent route past n0: with the certificate refusing every
+    # window, the pass decides each window prime at each n by the full
+    # Legendre sums, and the whole report must be the same
+    certified = observations_sweep(10**4, 10**4 + 200)
+    decided = []
+    decide = claims._window_failures
+
+    def recorded(consequence, primes, n, index):
+        decided.append(len(primes))
+        return decide(consequence, primes, n, index)
+
+    monkeypatch.setattr(claims, "_window_failures", recorded)
+    monkeypatch.setattr(claims, "_certificate", lambda plan: [(None, 1, ())] * len(plan))
+    per_prime = observations_sweep(10**4, 10**4 + 200)
+    del certified["runtime_ms"], per_prime["runtime_ms"]
+    assert per_prime == certified
+    assert sum(decided) == sum(c["primes_checked"] for c in certified["claims"][1:])
+
+
+def test_certified_windows_hold_for_every_prime_from_n0():
+    # the certificate's promise, checked prime by prime: random windows
+    # x = n/p in [x0, x1), that is p in (n/x1, n/x0], with each consequence,
+    # and where certified, no prime of the window fails at n0, at the next
+    # 20 n or at 4 draws up to 3000
+    rng = random.Random("certificate soundness")
+    sieve = build_sieve(9000)
+    prime_set = set(sieve.primes)
+    beta_of = lru_cache(maxsize=None)(_beta_reference)
+    verdicts = set()
+    for _ in range(150):
+        x0 = Fraction(rng.randint(4, 144), rng.choice([12, 35]))
+        x1 = x0 + Fraction(rng.randint(1, 6), rng.choice([12, 35]))
+        claim = ClaimSpec(2, 1 / x1, 1 / x0, rng.choice(sorted(CONSEQUENCES - {PRIMORIAL_16TH})))
+        [(n0, _, _)] = claims._certificate(claims._plan([claim]))
+        verdicts.add((claim.consequence, n0 is not None))
+        if n0 is None:
+            continue
+        assert n0 == math.ceil(4 * x1**2)
+        for n in [*range(n0, n0 + 21), *(rng.randint(n0, 3000) for _ in range(4))]:
+            assert _reference_check(claim, n, prime_set, beta_of).ok, (x0, x1, claim.consequence, n)
+    # both verdicts occur, for windows of each consequence
+    assert len(verdicts) == 10
 
 
 def test_carried_primorial_matches_a_fresh_product_at_every_n(monkeypatch):

@@ -19,7 +19,6 @@ from prime34 import (
     ConsistencyError,
     PrecisionError,
     SweepReport,
-    claims,
     cli,
     sweeps,
 )
@@ -251,6 +250,19 @@ def test_verify_analytic_cli(capsys):
     assert code == 2 and "error:" in err
 
 
+def test_verify_analytic_cli_refuses_a_sample_past_the_largest_float(capsys):
+    # ln_t3_lower grows like n ln M, ln M = 0.0515..., so its float overflows
+    # above about 3.5e309; the report would print Infinity, which is not JSON
+    for sample in (4 * 10**309, 10**400):
+        argv = ["verify-analytic", "--samples", f"162755,{sample}"]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err == f"error: analytic sample {sample}: ln_t3_lower overflows a float\n"
+    code, out, _ = run(capsys, ["verify-analytic", "--samples", f"162755,{3 * 10**309}"])
+    assert code == 0
+    json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in the report"))
+
+
 def test_verify_analytic_cli_rejects_empty_samples(capsys):
     for samples in (",", ""):
         code, out, err = run(capsys, ["verify-analytic", "--samples", samples])
@@ -290,9 +302,9 @@ def test_observations_cli(capsys):
 
 def test_observations_json_with_two_workers_matches_serial(capsys):
     # [900, 1700] spans four 256-n chunks, merged in range order; [2000, 2700]
-    # spans three, and its 701 n are no whole number of the claims pass's
-    # blocks of n, so its last chunk ends in a partial block
-    assert 701 % claims._BLOCK
+    # spans three, and its 701 n are no whole number of 256-n chunks or of
+    # 32-n blocks, so its last chunk is partial
+    assert 701 % 256 and 701 % 32
     for n_min, n_max in ((900, 1700), (2000, 2700)):
         texts = []
         for threads in ("1", "2"):

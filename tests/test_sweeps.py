@@ -287,9 +287,10 @@ def test_witness_scan_matches_brute_force_on_thinned_sieves(density):
         start = rng.randint(1, limit // 2 + 2)
         stop = start + rng.randint(0, limit // 2)
         for form in _FORMS:
-            got = sweeps._scan_witnesses(sieve, start, stop, form)
+            *got, zero = sweeps._scan_witnesses(sieve, start, stop, form)
             _assert_canonical(got, stop - start + 1)
             assert _expand_runs(got) == _brute_witnesses(sieve, start, stop, form)
+            assert zero == (0 in got[0])  # the scan reports its 0-runs
 
 
 @settings(max_examples=150, deadline=None)
@@ -328,7 +329,8 @@ def test_gap_bound_accepts_every_run_and_is_tight(ac, b, start, span, density, s
         mp.setattr(sweeps, "gt", lambda x, y: compared.append(y) or x > y)
         for dd in (d, d - 1):
             form = (a, b, c, dd)
-            got = sweeps._scan_witnesses(sieve, start, stop, form)
+            *got, zero = sweeps._scan_witnesses(sieve, start, stop, form)
+            assert zero == (0 in got[0])
             _assert_canonical(got, span + 1)
             found[dd] = _expand_runs(got)
             assert found[dd] == _brute_witnesses(sieve, start, stop, form)
@@ -395,8 +397,10 @@ def test_trimmed_sweeps_equal_full_limit_sweeps(n_max):
         (verify_direct, 4 * n_max, 1, sweeps._DIRECT_FORM),
         (verify_corollary, 4 * (n_max + 2) // 3 + 1, 3, sweeps._COROLLARY_FORM),
     ):
-        runs = sweeps._scan_witnesses(build_sieve(limit), n_min, n_max, form)
+        *runs, zero = sweeps._scan_witnesses(build_sieve(limit), n_min, n_max, form)
+        runs = tuple(runs)
         failures = tuple(n for n, w in enumerate(_expand_runs(runs), n_min) if not w)
+        assert zero == bool(failures)
         report = sweep(n_max, witnesses=True)
         assert (report.runs, report.failures) == (runs, failures)
         assert sweep(n_max).failures == failures
@@ -806,3 +810,21 @@ def test_decompose_report_builds_each_quantity_once(sieve_mid, monkeypatch):
     builds.clear()
     assert exact.t2_bound_minimal_n(400, sieve_mid) == 5
     assert builds == []
+
+
+def test_failures_are_searched_only_where_a_chunk_made_a_0_run(monkeypatch):
+    # the scan reports each chunk's 0-runs, so a sweep whose chunks made
+    # none never searches its runs for one
+    searched = []
+    failures_of = sweeps._failures
+
+    def recorded(n_min, runs):
+        searched.append(n_min)
+        return failures_of(n_min, runs)
+
+    monkeypatch.setattr(sweeps, "_failures", recorded)
+    assert verify_direct(20_000).failures == verify_corollary(20_000).failures == ()
+    assert searched == []
+    monkeypatch.setattr(sweeps, "build_sieve", _failing_sieve)
+    assert verify_direct(20_000).failures and verify_corollary(20_000).failures
+    assert searched == [1, 3]
