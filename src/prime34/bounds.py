@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, pairwise
@@ -629,8 +628,7 @@ def _zero(prec: int) -> LogReal:
     return LogReal(0, 0, prec)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """All analytic bounds at one n, validated for chain consistency."""
 
     n: int
@@ -685,16 +683,13 @@ class BoundReport:
 
     def to_json_dict(self) -> dict:
         d = {}
-        for name in BOUND_REPORT_FIELDS:
+        for name in self._fields:
             value = getattr(self, name)
             if isinstance(value, LogReal):
                 value = value.ln_value
             d[name] = value if name == "n" else float(value)
         d["m_constant_note"] = M_CORRECTION_NOTE
         return d
-
-
-BOUND_REPORT_FIELDS = tuple(f.name for f in fields(BoundReport))
 
 
 def build_bound_report(n: int) -> BoundReport:

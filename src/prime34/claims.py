@@ -47,20 +47,20 @@ a primorial one.
 _claims_pass counts the primes of a (window, n) that the certificate
 decides but reads none of them; every other (window, n) goes to
 _window_failures, the one per-prime decision rule, by the full Legendre
-sums, which also writes every failure.  Claim 1's window product is
-carried across the n of a call, its primes multiplied in as they enter
-and divided out as they leave.
+sums, which also writes every failure.  Claim 1's window carries the sum
+of its primes' bit lengths across the n of a call, which decides it
+without its product wherever that sum is at most n/3.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import isqrt, lcm
-from typing import Optional
+from typing import NamedTuple
 
 from .errors import ConsistencyError, CoverageError, DomainError
 # absorber_valuation is no longer called here but stays in the namespace:
@@ -117,30 +117,26 @@ def parse_chain(chain: str):
     return sides, ops
 
 
-@dataclass(frozen=True)
-class ClaimSpec:
+class ClaimSpec(namedtuple("ClaimSpec", "id lo_coeff hi_coeff consequence chain")):
     """One window claim: interval (lo_coeff*n, hi_coeff*n], a consequence,
     and an optional justification chain.  lo_coeff None means the window
     opens at sqrt(4n), applied exactly as p*p > 4n."""
 
-    id: int
-    lo_coeff: Optional[Fraction]
-    hi_coeff: Fraction
-    consequence: str
-    chain: str = ""
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self):
-        if not 1 <= self.id <= 22:
-            raise DomainError(f"claim id {self.id} out of range")
-        if self.lo_coeff is not None:
-            object.__setattr__(self, "lo_coeff", Fraction(self.lo_coeff))
-        object.__setattr__(self, "hi_coeff", Fraction(self.hi_coeff))
-        if self.lo_coeff is not None and not 0 <= self.lo_coeff < self.hi_coeff:
-            raise DomainError(f"claim {self.id}: window is empty or negative")
-        if self.consequence not in CONSEQUENCES:
-            raise DomainError(f"claim {self.id}: unknown consequence")
-        if self.chain:
-            parse_chain(self.chain)  # fail fast on typos
+    def __new__(cls, id, lo_coeff, hi_coeff, consequence, chain=""):
+        if not 1 <= id <= 22:
+            raise DomainError(f"claim id {id} out of range")
+        if lo_coeff is not None:
+            lo_coeff = Fraction(lo_coeff)
+        hi_coeff = Fraction(hi_coeff)
+        if lo_coeff is not None and not 0 <= lo_coeff < hi_coeff:
+            raise DomainError(f"claim {id}: window is empty or negative")
+        if consequence not in CONSEQUENCES:
+            raise DomainError(f"claim {id}: unknown consequence")
+        if chain:
+            parse_chain(chain)  # fail fast on typos
+        return super().__new__(cls, id, lo_coeff, hi_coeff, consequence, chain)
 
     def window(self, n: int):
         """Exact rational (lo, hi] bounds at this n; lo of sqrt(4n) windows
@@ -150,16 +146,15 @@ class ClaimSpec:
 
     @cached_property
     def _chain_verdict(self) -> bool:
-        # evaluated on first use; frozen dataclasses still allow the
-        # instance-dict write that cached_property makes
+        # evaluated on first use and kept in the instance dict, which this
+        # class has because it sets no __slots__
         sides, ops = parse_chain(self.chain)
         return _chain_holds_at(sides, ops, 1, self.lo_coeff, True) and _chain_holds_at(
             sides, ops, 1, self.hi_coeff, False
         )
 
 
-@dataclass(frozen=True)
-class ClaimResult:
+class ClaimResult(NamedTuple):
     """Outcome of one claim at one n; failures empty iff the claim holds."""
 
     claim_id: int
@@ -469,11 +464,15 @@ def _claims_pass(sieve: PrimeSieve, start: int, stop: int, plan) -> list:
     absorber floors computed once per n and only below the last n0 of a
     divisibility window, where a decision can read them.
 
-    A primorial window (claim 1) carries the product of its primes across
-    the n of the call: the primes that enter are multiplied in and those
-    that leave divided out, and the product is rebuilt only when the
-    window has moved past the carried one.  _power_le, primorial_le's
-    rule, decides (product)^6 <= 4^n.
+    A primorial window (claim 1) carries B, the sum of its primes' bit
+    lengths, across the n of the call.  Both ends of a window never fall,
+    so from the carried primes[ci:cj] to primes[i:j] the bits of
+    primes[cj:j] are added and those of primes[ci:i] subtracted; B is
+    summed afresh where the window has moved past the carried one, as at
+    the first n of a call, and kept where the window has not moved.  Each
+    prime p < 2^p.bit_length(), so the product P of the window's primes
+    is below 2^B, and 6B <= 2n proves P^6 < 4^n.  Only where 6B > 2n is P
+    built and _power_le, primorial_le's rule, asked whether P^6 <= 4^n.
     """
     if start < 1:
         raise DomainError("claims are checked for n >= 1")
@@ -487,8 +486,8 @@ def _claims_pass(sieve: PrimeSieve, start: int, stop: int, plan) -> list:
     floors_until = max([at for at, w in zip(settled, plan) if w[4]], default=0)
     checked = [0] * len(plan)
     failed = [[] for _ in plan]
-    # per primorial window, (i, j, product of primes[i:j]) as last decided
-    carried = [(0, 0, 1)] * len(plan)
+    # per primorial window, (i, j, bit-length sum of primes[i:j]) as last read
+    carried = [(0, 0, 0)] * len(plan)
     for n in range(start, stop + 1):
         floors = absorber_floors_at(n) if n < floors_until else {}
         for k, (i, j) in enumerate(_window_bounds(primes, n, plan)):
@@ -502,17 +501,20 @@ def _claims_pass(sieve: PrimeSieve, start: int, stop: int, plan) -> list:
                 failures = _window_failures(consequence, primes[i:j], n, floors.get(which))
                 failed[k] += [(n, p, detail) for p, detail in failures]
                 continue
-            ci, cj, product = carried[k]
+            ci, cj, bits = carried[k]
             if i >= cj:
-                product = _balanced_product(primes[i:j])
+                bits = _bit_sum(primes[i:j])
             elif (i, j) != (ci, cj):
-                product = (
-                    product * _balanced_product(primes[cj:j]) // _balanced_product(primes[ci:i])
-                )
-            carried[k] = i, j, product
-            if not _power_le(product, n, 6):
+                bits += _bit_sum(primes[cj:j]) - _bit_sum(primes[ci:i])
+            carried[k] = i, j, bits
+            if 6 * bits > 2 * n and not _power_le(_balanced_product(primes[i:j]), n, 6):
                 failed[k].append((n, 0, "window primorial exceeds 4^(n/6)"))
     return [(c, tuple(f)) for c, f in zip(checked, failed)]
+
+
+def _bit_sum(primes) -> int:
+    """Sum of the bit lengths of the primes: their product is below 2 to it."""
+    return sum(map(int.bit_length, primes))
 
 
 def _window_bounds(primes, n: int, plan) -> list:
@@ -538,9 +540,9 @@ def check_claims(sieve: PrimeSieve, start: int, stop: int) -> list:
     one bisection per window end plus one at isqrt(4n).  Window 2 opens at
     floor(n/6) also where window 1 is empty (below n = 144).  Windows 2-22
     are decided by the breakpoint certificate from their n0 on, at most
-    144, and per prime below it; claim 1's product is carried across the
-    n of the call, so per n it takes in only the primes that enter or
-    leave its window.  Past n = 144 a call reads no other window prime.
+    144, and per prime below it; claim 1's bit-length sum is carried
+    across the n of the call, so per n it reads only the primes that enter
+    or leave its window.  Past n = 144 a call reads no other window prime.
     """
     return _claims_pass(sieve, start, stop, _TABLE_PLAN)
 

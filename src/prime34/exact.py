@@ -7,10 +7,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import compress
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import ConsistencyError, CoverageError, DomainError
 from .sieve import (
@@ -89,20 +89,22 @@ def beta(n: int, p: int) -> int:
     return _beta(n, p)
 
 
-@dataclass(frozen=True)
-class ValuationMap:
+class ValuationMap(namedtuple("ValuationMap", "entries")):
     """Factored positive integer: ascending (prime, exponent >= 1) pairs."""
 
-    entries: tuple
+    __slots__ = ()
+    # _make, and so _replace, validate as the constructor does
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self):
+    def __new__(cls, entries):
         prev = 1
-        for p, e in self.entries:
+        for p, e in entries:
             if p <= prev:
                 raise DomainError("primes must be strictly ascending")
             if e < 1:
                 raise DomainError("exponents must be >= 1")
             prev = p
+        return super().__new__(cls, entries)
 
     @classmethod
     def from_pairs(cls, pairs) -> "ValuationMap":
@@ -125,8 +127,7 @@ class ValuationMap:
         return len(self.entries)
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """C(4n, 3n) split by prime size: p^2 <= 4n, sqrt(4n) < p <= 3n, p > 3n."""
 
     n: int
@@ -186,18 +187,17 @@ def frac_of(x) -> Rational:
     return x - math.floor(x)
 
 
-@dataclass(frozen=True)
-class GenBinomIndex:
+class GenBinomIndex(namedtuple("GenBinomIndex", "s r")):
     """Index pair (s, r) of a generalized binomial, requiring s > r >= 1."""
 
-    s: Rational
-    r: Rational
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self):
-        object.__setattr__(self, "s", _as_rational(self.s))
-        object.__setattr__(self, "r", _as_rational(self.r))
-        if not self.s > self.r >= 1:
-            raise DomainError(f"need s > r >= 1, got s={self.s}, r={self.r}")
+    def __new__(cls, s, r):
+        s, r = _as_rational(s), _as_rational(r)
+        if not s > r >= 1:
+            raise DomainError(f"need s > r >= 1, got s={s}, r={r}")
+        return super().__new__(cls, s, r)
 
 
 def delta(idx: GenBinomIndex) -> int:

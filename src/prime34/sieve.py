@@ -8,10 +8,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress
 from operator import mul
+from typing import NamedTuple
 
 from .errors import CapacityError, CoverageError, DomainError, PrecisionError
 
@@ -32,13 +32,21 @@ def _as_rational(x) -> Fraction:
     return Fraction(x) if isinstance(x, int) else x
 
 
-@dataclass(frozen=True, eq=False)
-class PrimeSieve:
+class PrimeSieve(NamedTuple):
     """Immutable ascending tuple of the primes in [0, limit]; primality and
-    prime counting are bisections of it."""
+    prime counting are bisections of it.  Sieves compare and hash by
+    identity, and the repr leaves the primes out."""
 
     limit: int
-    primes: tuple = field(repr=False)
+    primes: tuple
+
+    def __eq__(self, other):
+        return self is other
+
+    __ne__, __hash__ = object.__ne__, object.__hash__
+
+    def __repr__(self):
+        return f"PrimeSieve(limit={self.limit})"
 
     def is_prime(self, k: int) -> bool:
         if not 0 <= k <= self.limit:

@@ -18,13 +18,12 @@ import math
 import os
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import partial
 from importlib import import_module
 from itertools import accumulate, chain, compress, repeat
 from operator import gt, mul, ne, sub
 from time import perf_counter
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import DomainError
 from .sieve import PrimeSieve, _check_capacity, build_sieve, settled_from
@@ -60,8 +59,7 @@ def __getattr__(name: str):
     return getattr(import_module(f".{_TRACED[name]}", __package__), name)
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(NamedTuple):
     """Result of a per-n existence sweep (direct or corollary form).
 
     runs holds the witnesses of [n_min, n_max] run-length encoded, as a pair

@@ -1,6 +1,5 @@
 import inspect
 import math
-from dataclasses import replace
 from fractions import Fraction
 from itertools import chain
 
@@ -390,6 +389,9 @@ def test_bound_report_shape_and_validation():
     )
     with pytest.raises(ConsistencyError):
         broken.validate()
+    for name in report._fields:
+        with pytest.raises(AttributeError):
+            setattr(report, name, 0)
 
 
 def test_validate_escalates_an_overlapping_final_form(monkeypatch):
@@ -414,7 +416,7 @@ def test_validate_rejects_a_final_form_above_the_intermediate_form():
     intermediate = bounds.ln_t3_lower_intermediate(1000, prec)
     raised = LogReal(intermediate.ln_value + 1, 0, prec)
     with pytest.raises(ConsistencyError, match="final T3 form exceeds"):
-        replace(report, ln_T3_lower=raised).validate()
+        report._replace(ln_T3_lower=raised).validate()
 
 
 def test_binom_lower_bound_routes_must_agree(monkeypatch):

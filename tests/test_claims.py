@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -247,6 +248,20 @@ def test_claim_spec_validation():
         ClaimSpec(5, Fraction(1, 2), Fraction(2, 3), "DIVIDES_E")
     with pytest.raises(DomainError):
         ClaimSpec(5, Fraction(1, 2), Fraction(2, 3), BETA_ZERO, "p <> n")
+    claim = ClaimSpec(id=5, lo_coeff=1, hi_coeff=2, consequence=BETA_ZERO)
+    assert (claim.lo_coeff, claim.hi_coeff, claim.chain) == (Fraction(1), Fraction(2), "")
+    assert type(claim.lo_coeff) is Fraction
+    for name in claim._fields:
+        with pytest.raises(AttributeError):
+            setattr(claim, name, None)
+    # the chain verdict is cached in the instance dict on first use
+    chained = ClaimSpec(22, 2, 3, BETA_ZERO, "n < p <= 3n < 4n < 2p")
+    assert check_chain(chained, 1) and vars(chained) == {"_chain_verdict": True}
+    assert pickle.loads(pickle.dumps(chained)) == chained
+    # _replace validates and coerces as the constructor does
+    assert type(claim._replace(hi_coeff=3).hi_coeff) is Fraction
+    with pytest.raises(DomainError):
+        claim._replace(lo_coeff=5)
 
 
 def test_check_claim_examples(sieve_mid):
@@ -260,6 +275,9 @@ def test_check_claim_examples(sieve_mid):
     # window 22 at n=100 covers (200, 300]
     r = check_claim(table[21], 100, sieve_mid)
     assert r.ok and r.primes_checked == 16
+    for name in r._fields:
+        with pytest.raises(AttributeError):
+            setattr(r, name, 0)
 
 
 def test_check_claim_full_valuation_path(sieve_mid):
@@ -849,17 +867,64 @@ def test_carried_primorial_matches_a_fresh_product_at_every_n(monkeypatch):
         if math.isqrt(4 * n) > math.isqrt(4 * n - 4) and sieve.is_prime(math.isqrt(4 * n))
     ]
     assert exits == [1, 3, 7, 13, 31, 43, 73, 91, 133, 211, 241, 343, 20023]
-    # over one call, window 1's product takes its primes at the first n and
-    # then only those that enter or leave, also across block seams
-    factors = []
-    multiply = claims._balanced_product
+    # over one call, window 1's bit sum reads its primes at the first n and
+    # then only those that enter or leave, at the n where the window moves,
+    # and no product is built for it: the bound decides every n.  A product
+    # is built, of the window's primes, at exactly the n where 6 * bit sum
+    # > 2n leaves it undecided.
+    read, built = [], []
+    bit_sum, multiply = claims._bit_sum, claims._balanced_product
 
     def counted(ps):
-        factors.append(len(ps))
+        read.append(len(ps))
+        return bit_sum(ps)
+
+    def recorded(ps):
+        built.append(tuple(ps))
         return multiply(ps)
 
-    monkeypatch.setattr(claims, "_balanced_product", counted)
+    monkeypatch.setattr(claims, "_bit_sum", counted)
+    monkeypatch.setattr(claims, "_balanced_product", recorded)
     claims._claims_pass(sieve, 20000, 20100, plan[:1])
     ends = [(sieve.pi(math.isqrt(4 * n)), sieve.pi(n // 6)) for n in range(20000, 20101)]
     moved = sum(i1 - i0 + j1 - j0 for (i0, j0), (i1, j1) in zip(ends, ends[1:]))
-    assert sum(factors) == ends[0][1] - ends[0][0] + moved
+    steps = sum(a != b for a, b in zip(ends, ends[1:]))
+    assert (sum(read), len(read), built) == (ends[0][1] - ends[0][0] + moved, 1 + 2 * steps, [])
+    for k, (first, last) in enumerate(ranges[:3], 1):
+        built.clear()
+        claims._claims_pass(sieve, first, last, plan[k : k + 1])
+        undecided = []
+        for n in range(first, last + 1):
+            lo, hi = math.isqrt(4 * n), windows[k].hi_coeff * n
+            window = tuple(sieve.primes_in(lo, hi)) if lo < hi else ()
+            if 6 * sum(p.bit_length() for p in window) > 2 * n:
+                undecided.append(window)
+        assert built == undecided and undecided, k
+
+
+def test_primorial_bit_bound_defers_to_the_exact_rule_at_its_edge():
+    # narrow windows of few primes, whose bit-length sum B lies just above
+    # n/3 (2n < 6B <= 2n + 6) at n where the product exceeds 4^(n/6): the
+    # bound must leave these n to the exact rule
+    sieve = build_sieve(600)
+    windows = [
+        ClaimSpec(1, lo, hi, PRIMORIAL_16TH)
+        for lo, hi in ((Fraction(1), Fraction(6, 5)), (Fraction(3, 2), Fraction(7, 4)))
+    ]
+    plan = claims._plan(windows)
+    edges = []
+    for first in (1, 29, 300):
+        expected = []
+        for claim in windows:
+            checked, failures = 0, []
+            for n in range(first, 301):
+                lo, hi = claim.window(n)
+                window = sieve.primes_in(lo, hi) if lo < hi else []
+                checked += len(window)
+                if window and not primorial_le(window, n, 6):
+                    failures.append((n, 0, "window primorial exceeds 4^(n/6)"))
+                    if n < 3 * sum(p.bit_length() for p in window) <= n + 3:
+                        edges.append(n)
+            expected.append((checked, tuple(failures)))
+        assert claims._claims_pass(sieve, first, 300, plan) == expected, first
+    assert sorted(set(edges)) == [6, 10, 11, 12, 27, 28, 34, 51, 52, 141]

@@ -556,17 +556,20 @@ def test_module_entry_point_matches_main(capsys):
         assert runtime.sub(b"", done.stdout) == runtime.sub(b"", out.encode())
 
 
+# Modules no command may load: the process pool, and dataclasses and
+# inspect, which cost more to import than most prime34 modules.
+_UNWANTED = ("concurrent.futures.process", "dataclasses", "inspect")
+
 # Runs each command line of argv in one interpreter and prints, after each,
-# the loaded modules of prime34, of mpmath's package code and of the
-# process pool.
-_IMPORT_PROBE = """
+# the loaded modules of prime34, of mpmath's package code and of _UNWANTED.
+_IMPORT_PROBE = f"""
 import json, os, sys
 from prime34.cli import main
 
 for argv in sys.argv[1:]:
     assert main([*argv.split(), "--out", os.devnull]) == 0
     loaded = [m for m in sys.modules if m.startswith(("prime34.", "mpmath."))]
-    loaded += [m for m in sys.modules if m == "concurrent.futures.process"]
+    loaded += [m for m in sys.modules if m in {_UNWANTED!r}]
     print(json.dumps(loaded))
 """
 
@@ -591,7 +594,7 @@ def _loaded_after(*argvs):
 def test_commands_import_only_what_they_run():
     # one fresh interpreter per command family, pinning the prime34 modules
     # it loads and whether it loads mpmath, so a stray top-level import
-    # shows here; no family starts the process pool
+    # shows here; none loads a module of _UNWANTED
     sweep_modules = {"prime34.cli", "prime34.errors", "prime34.sieve", "prime34.sweeps"}
     families = [
         (["verify-direct --nmax 50", "verify-corollary --nmax 50"], set(), False),
@@ -613,7 +616,7 @@ def test_commands_import_only_what_they_run():
                 assert "mpmath.ctx_iv" in loaded, argv
             else:
                 assert not any(m.startswith("mpmath.") for m in loaded), argv
-            assert "concurrent.futures.process" not in loaded, argv
+            assert not loaded.intersection(_UNWANTED), argv
     bare = _python("-c", _BARE_IMPORT_PROBE)
     assert (bare.returncode, bare.stdout, bare.stderr) == (0, b"[]\n['prime34.errors']\n", b"")
 

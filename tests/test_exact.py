@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 import tracemalloc
 from fractions import Fraction
@@ -92,6 +93,18 @@ def test_valuation_map_validation():
         ValuationMap(entries=((2, 0),))  # exponents >= 1
     with pytest.raises(DomainError):
         ValuationMap.from_pairs([(4, 1)])  # prime bases only
+    with pytest.raises(AttributeError):
+        vm.entries = ()
+    assert pickle.loads(pickle.dumps(vm)) == vm
+    # unpickling validates again: a map built past the check is refused
+    forged = pickle.dumps(tuple.__new__(ValuationMap, (((7, 1), (2, 3)),)))
+    with pytest.raises(DomainError, match="ascending"):
+        pickle.loads(forged)
+    # _replace and _make validate as the constructor does
+    assert vm._replace(entries=((2, 1), (5, 1))) == ValuationMap(((2, 1), (5, 1)))
+    assert ValuationMap._make([((2, 3),)]).entries == ((2, 3),)
+    with pytest.raises(DomainError, match="ascending"):
+        vm._replace(entries=((3, 1), (2, 1)))
 
 
 def test_decompose_small_values(sieve_small):
@@ -152,6 +165,17 @@ def test_gen_binomial_index_validation():
         GenBinomIndex(s=Fraction(1, 2), r=Fraction(1, 3))
     with pytest.raises(DomainError):
         GenBinomIndex(s=1.5, r=1.0)  # floats rejected
+    idx = GenBinomIndex(3, r=2)
+    assert idx == (Fraction(3), Fraction(2)) and type(idx.s) is Fraction
+    assert pickle.loads(pickle.dumps(idx)) == idx
+    for name in ("s", "r"):
+        with pytest.raises(AttributeError):
+            setattr(idx, name, Fraction(5))
+    assert idx._replace(s=4).s == Fraction(4)
+    with pytest.raises(DomainError):
+        idx._replace(r=0)
+    with pytest.raises(DomainError):
+        GenBinomIndex._make((1.5, 1.0))
 
 
 def test_gen_binomial_plain_integer_case():
@@ -350,6 +374,9 @@ def test_decomposition_type_shape(sieve_small):
     assert isinstance(d, Decomposition)
     assert d.n == 25
     assert d.product() == d.t1.value() * d.t2.value() * d.t3.value()
+    for name in ("n", "t1", "t2", "t3"):
+        with pytest.raises(AttributeError):
+            setattr(d, name, d.t1)
 
 
 def test_gen_binomial_on_a_short_sieve_raises_coverage_error():

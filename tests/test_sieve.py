@@ -1,4 +1,5 @@
 import math
+import pickle
 import tracemalloc
 from fractions import Fraction
 
@@ -49,6 +50,22 @@ def test_membership_and_counts(sieve_small):
     assert sieve_small.pi(2) == 1
     assert sieve_small.pi(100) == 25
     assert sieve_small.pi(1000) == 168
+
+
+def test_sieve_is_a_frozen_record_with_identity_equality(sieve_small):
+    twin = build_sieve(sieve_small.limit)
+    assert twin.primes == sieve_small.primes
+    assert sieve_small == sieve_small and twin != sieve_small and not twin == sieve_small
+    assert twin != (twin.limit, twin.primes) and (twin.limit, twin.primes) != twin
+    assert len({sieve_small, twin, sieve_small}) == 2
+    assert repr(twin) == f"PrimeSieve(limit={twin.limit})"
+    # the process pool sends the sieve to its workers pickled
+    copy = pickle.loads(pickle.dumps(twin))
+    assert (copy.limit, copy.primes, copy.pi(1000)) == (twin.limit, twin.primes, 168)
+    assert copy != twin
+    for name in ("limit", "primes"):
+        with pytest.raises(AttributeError):
+            setattr(twin, name, None)
 
 
 def test_counts_match_sympy(sieve_mid):

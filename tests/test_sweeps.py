@@ -433,8 +433,9 @@ def test_sweep_report_derives_found_and_witness():
     assert report.witness == {1: 3, 4: 13, 5: 17}
     bare = sweeps.SweepReport(1, 5, (2,), None, 1.0)
     assert bare.witness is None
-    with pytest.raises(AttributeError):
-        report.witness = None
+    for name in ("witness", *report._fields):
+        with pytest.raises(AttributeError):
+            setattr(report, name, None)
 
 
 def test_sweep_failures_reach_reports(monkeypatch):
